@@ -10,6 +10,7 @@ error, 3 partial unit failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -48,16 +49,22 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_PARTIAL = 3
 
-_CORRECTION_FIELDS = {
-    "family_set",
-    "bandwidth_rule",
-    "overlap_fraction",
-    "truncation",
-    "delta_mode",
-    "atom_threshold",
-    "checkerboard_resolution",
-    "independence_level",
-}
+# the config file's "correction" block; the seed comes from the top level
+_CORRECTION_FIELDS = tuple(f.name for f in dataclasses.fields(CorrectionConfig) if f.name != "seed")
+
+
+def _checked_int(cfg: dict, key: str, env: str, least: int) -> None:
+    """Apply the environment override of ``cfg[key]``, then check the value."""
+    source = key
+    if env in os.environ:
+        source = env
+        try:
+            cfg[key] = int(os.environ[env])
+        except ValueError:
+            raise ConfigError(f"{env}: not an integer: {os.environ[env]!r}") from None
+    value = cfg.get(key, least)
+    if not isinstance(value, int) or value < least:
+        raise ConfigError(f"{source}: must be a {'nonnegative' if least == 0 else 'positive'} integer")
 
 
 def _load_config(path: str) -> dict:
@@ -79,17 +86,9 @@ def _load_config(path: str) -> dict:
             normalize_kind(v["kind"])
         except ValueError as exc:
             raise ConfigError(f"variables[{i}].kind: {exc}") from None
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("seed: must be a nonnegative integer")
-    if "VINEBC_SEED" in os.environ:
-        cfg["seed"] = int(os.environ["VINEBC_SEED"])
-    workers = cfg.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError("workers: must be a positive integer")
-    if "VINEBC_WORKERS" in os.environ:
-        cfg["workers"] = max(1, int(os.environ["VINEBC_WORKERS"]))
-    unknown = set(cfg.get("correction", {})) - _CORRECTION_FIELDS
+    _checked_int(cfg, "seed", "VINEBC_SEED", 0)
+    _checked_int(cfg, "workers", "VINEBC_WORKERS", 1)
+    unknown = set(cfg.get("correction", {})) - set(_CORRECTION_FIELDS)
     if unknown:
         raise ConfigError(f"correction: unknown fields {sorted(unknown)}")
     return cfg
@@ -164,16 +163,7 @@ def _correct_unit(payload: dict) -> dict:
 
 
 def _config_as_dict(config: CorrectionConfig) -> dict:
-    return {
-        "family_set": tuple(config.family_set),
-        "bandwidth_rule": config.bandwidth_rule,
-        "overlap_fraction": config.overlap_fraction,
-        "truncation": config.truncation,
-        "delta_mode": config.delta_mode,
-        "atom_threshold": config.atom_threshold,
-        "checkerboard_resolution": config.checkerboard_resolution,
-        "independence_level": config.independence_level,
-    }
+    return {name: getattr(config, name) for name in _CORRECTION_FIELDS}
 
 
 def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str,
@@ -407,14 +397,9 @@ def cmd_fit(cfg: dict, input_path: str, out_dir: str) -> int:
             model = fit_vine(
                 table.values[rows],
                 table.kinds,
-                family_set=config.family_set,
                 seed=subseed(seed, 4, ci),
-                truncation=config.truncation,
-                bandwidth_rule=config.bandwidth_rule,
-                atom_threshold=config.atom_threshold,
-                independence_level=config.independence_level,
-                checkerboard_resolution=config.checkerboard_resolution,
                 var_names=table.var_names,
+                **config.vine_kwargs(),
             )
         except VinebcError as exc:
             failures[key.label] = f"{type(exc).__name__}: {exc}"

@@ -72,6 +72,16 @@ class PseudoObs:
 # -- family primitives -------------------------------------------------------
 
 
+# rotation in degrees -> (flip u, flip v)
+_FLIPS = {0: (False, False), 90: (True, False), 180: (True, True), 270: (False, True)}
+
+
+def _valid_rotation(rotation: int) -> int:
+    if rotation not in _FLIPS:
+        raise ValueError("rotation must be 0, 90, 180 or 270")
+    return rotation
+
+
 class BivariateCopula:
     """Base class: rotation handling and exact boundary behaviour."""
 
@@ -99,23 +109,27 @@ class BivariateCopula:
         rot = f", rotation={self.rotation}" if self.rotation else ""
         return f"{self.__class__.__name__}({pars}{rot})"
 
-    def cdf(self, u, v):
-        u = as_float_array(u)
-        v = as_float_array(v)
-        u, v = np.broadcast_arrays(u, v)
+    @property
+    def _flips(self) -> tuple:
+        """The rotation as (flip u, flip v): u flips at 90 and 180 degrees, v at 180 and 270."""
+        return _FLIPS[_valid_rotation(self.rotation)]
+
+    def _frame(self, u, v):
+        """Broadcast inputs, their interior clips, and the clips mapped by the flips."""
+        u, v = np.broadcast_arrays(as_float_array(u), as_float_array(v))
         ui = np.clip(u, UNIT_EPS, 1.0 - UNIT_EPS)
         vi = np.clip(v, UNIT_EPS, 1.0 - UNIT_EPS)
-        r = self.rotation
-        if r == 0:
-            c = self._cdf0(ui, vi)
-        elif r == 90:
-            c = vi - self._cdf0(1.0 - ui, vi)
-        elif r == 180:
-            c = ui + vi - 1.0 + self._cdf0(1.0 - ui, 1.0 - vi)
-        elif r == 270:
-            c = ui - self._cdf0(ui, 1.0 - vi)
-        else:
-            raise ValueError(f"invalid rotation {r}")
+        flip_u, flip_v = self._flips
+        return u, v, ui, vi, (1.0 - ui if flip_u else ui), (1.0 - vi if flip_v else vi)
+
+    def cdf(self, u, v):
+        u, v, ui, vi, x, y = self._frame(u, v)
+        c = self._cdf0(x, y)
+        flip_u, flip_v = self._flips
+        if flip_u:
+            c = ui + vi - 1.0 + c if flip_v else vi - c
+        elif flip_v:
+            c = ui - c
         c = np.clip(c, np.maximum(u + v - 1.0, 0.0), np.minimum(u, v))
         c = np.where(u <= 0.0, 0.0, c)
         c = np.where(v <= 0.0, 0.0, c)
@@ -125,58 +139,25 @@ class BivariateCopula:
         return c
 
     def pdf(self, u, v):
-        u = as_float_array(u)
-        v = as_float_array(v)
-        u, v = np.broadcast_arrays(u, v)
-        ui = np.clip(u, UNIT_EPS, 1.0 - UNIT_EPS)
-        vi = np.clip(v, UNIT_EPS, 1.0 - UNIT_EPS)
-        r = self.rotation
-        if r == 0:
-            d = self._pdf0(ui, vi)
-        elif r == 90:
-            d = self._pdf0(1.0 - ui, vi)
-        elif r == 180:
-            d = self._pdf0(1.0 - ui, 1.0 - vi)
-        else:
-            d = self._pdf0(ui, 1.0 - vi)
-        return np.maximum(d, 0.0)
+        *_, x, y = self._frame(u, v)
+        return np.maximum(self._pdf0(x, y), 0.0)
 
     def du(self, u, v):
         """dC/du, the conditional CDF of V given U = u."""
-        u = as_float_array(u)
-        v = as_float_array(v)
-        u, v = np.broadcast_arrays(u, v)
-        ui = np.clip(u, UNIT_EPS, 1.0 - UNIT_EPS)
-        vi = np.clip(v, UNIT_EPS, 1.0 - UNIT_EPS)
-        r = self.rotation
-        if r == 0:
-            d = self._du0(ui, vi)
-        elif r == 90:
-            d = self._du0(1.0 - ui, vi)
-        elif r == 180:
-            d = 1.0 - self._du0(1.0 - ui, 1.0 - vi)
-        else:
-            d = 1.0 - self._du0(ui, 1.0 - vi)
+        u, v, _, _, x, y = self._frame(u, v)
+        d = self._du0(x, y)
+        if self._flips[1]:
+            d = 1.0 - d
         d = np.where(v <= 0.0, 0.0, d)
         d = np.where(v >= 1.0, 1.0, d)
         return np.clip(d, 0.0, 1.0)
 
     def dv(self, u, v):
         """dC/dv, the conditional CDF of U given V = v."""
-        u = as_float_array(u)
-        v = as_float_array(v)
-        u, v = np.broadcast_arrays(u, v)
-        ui = np.clip(u, UNIT_EPS, 1.0 - UNIT_EPS)
-        vi = np.clip(v, UNIT_EPS, 1.0 - UNIT_EPS)
-        r = self.rotation
-        if r == 0:
-            d = self._dv0(ui, vi)
-        elif r == 90:
-            d = 1.0 - self._dv0(1.0 - ui, vi)
-        elif r == 180:
-            d = 1.0 - self._dv0(1.0 - ui, 1.0 - vi)
-        else:
-            d = self._dv0(ui, 1.0 - vi)
+        u, v, _, _, x, y = self._frame(u, v)
+        d = self._dv0(x, y)
+        if self._flips[0]:
+            d = 1.0 - d
         d = np.where(u <= 0.0, 0.0, d)
         d = np.where(u >= 1.0, 1.0, d)
         return np.clip(d, 0.0, 1.0)
@@ -271,10 +252,8 @@ class ClaytonCopula(BivariateCopula):
         theta = float(theta)
         if not 0.0 < theta <= THETA_CAP_CLAYTON:
             raise ValueError(f"theta must be in (0, {THETA_CAP_CLAYTON}]")
-        if rotation not in (0, 90, 180, 270):
-            raise ValueError("rotation must be 0, 90, 180 or 270")
         self.theta = theta
-        self.rotation = rotation
+        self.rotation = _valid_rotation(rotation)
 
     def _params(self):
         return {"theta": self.theta}
@@ -319,10 +298,8 @@ class GumbelCopula(BivariateCopula):
         theta = float(theta)
         if not 1.0 <= theta <= THETA_CAP_GUMBEL:
             raise ValueError(f"theta must be in [1, {THETA_CAP_GUMBEL}]")
-        if rotation not in (0, 90, 180, 270):
-            raise ValueError("rotation must be 0, 90, 180 or 270")
         self.theta = theta
-        self.rotation = rotation
+        self.rotation = _valid_rotation(rotation)
 
     def _params(self):
         return {"theta": self.theta}
@@ -448,15 +425,13 @@ class CheckerboardCopula(BivariateCopula):
     family = "checkerboard"
 
     def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
+        w = np.array(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weights must be a square matrix")
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
-        total = w.sum()
-        if not math.isclose(total, 1.0, rel_tol=0, abs_tol=1e-6):
+        if not math.isclose(w.sum(), 1.0, rel_tol=0, abs_tol=1e-6):
             raise ValueError("weights must sum to one")
-        w = w / total
         m = w.shape[0]
         target = 1.0 / m
         if (
@@ -509,7 +484,10 @@ class CheckerboardCopula(BivariateCopula):
     def fit(cls, x, y, resolution: int = CHECKERBOARD_RESOLUTION,
             pseudo_count: float = CHECKERBOARD_PSEUDO_COUNT) -> "CheckerboardCopula":
         hist, _, _ = np.histogram2d(x, y, bins=resolution, range=[[0.0, 1.0], [0.0, 1.0]])
-        return cls(_sinkhorn(hist + pseudo_count))
+        w = _sinkhorn(hist + pseudo_count)
+        # normalized once more here, not in __init__, so that a model reloaded
+        # from its saved weights keeps them bit for bit
+        return cls(w / w.sum())
 
 
 _FAMILY_CLASSES = {
@@ -523,20 +501,14 @@ _FAMILY_CLASSES = {
 
 
 def copula_from_dict(d: dict) -> BivariateCopula:
-    fam = d["family"]
-    if fam == "independence":
-        return IndependenceCopula()
-    if fam == "gaussian":
-        return GaussianCopula(d["rho"])
-    if fam == "clayton":
-        return ClaytonCopula(d["theta"], rotation=d.get("rotation", 0))
-    if fam == "gumbel":
-        return GumbelCopula(d["theta"], rotation=d.get("rotation", 0))
-    if fam == "frank":
-        return FrankCopula(d["theta"])
-    if fam == "checkerboard":
-        return CheckerboardCopula(np.asarray(d["weights"]))
-    raise ValueError(f"unknown copula family {fam!r}")
+    """Rebuild a copula from ``to_dict`` output; rotation 0 may be left out."""
+    params = dict(d)
+    fam = params.pop("family")
+    if fam not in _FAMILY_CLASSES:
+        raise ValueError(f"unknown copula family {fam!r}")
+    if not params.get("rotation"):
+        params.pop("rotation", None)  # unrotatable families take no rotation
+    return _FAMILY_CLASSES[fam](**params)
 
 
 # -- generalized density and h-functions -------------------------------------

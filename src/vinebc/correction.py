@@ -25,6 +25,9 @@ _MP_TAG = 12
 _RC_TAG = 13
 
 DELTA_MODES = ("auto", "additive", "multiplicative")
+# CorrectionConfig fields passed to fit_vine under the same name
+_VINE_FIELDS = ("family_set", "truncation", "bandwidth_rule", "atom_threshold",
+                "independence_level", "checkerboard_resolution")
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,10 @@ class CorrectionConfig:
 
     def with_seed(self, seed: int) -> "CorrectionConfig":
         return replace(self, seed=int(seed))
+
+    def vine_kwargs(self) -> dict:
+        """Keyword arguments of ``fit_vine`` that this config sets, the seed aside."""
+        return {name: getattr(self, name) for name in _VINE_FIELDS}
 
 
 @dataclass
@@ -141,14 +148,7 @@ def vbc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig,
     x_mc = np.asarray(x_mc, dtype=float)
     kinds = [normalize_kind(k) for k in kinds]
     _check_schema(x_mp, x_rc, x_mc, kinds)
-    fit_kwargs = dict(
-        family_set=config.family_set,
-        truncation=config.truncation,
-        bandwidth_rule=config.bandwidth_rule,
-        atom_threshold=config.atom_threshold,
-        independence_level=config.independence_level,
-        checkerboard_resolution=config.checkerboard_resolution,
-    )
+    fit_kwargs = config.vine_kwargs()
     vine_mp = fit_vine(mp_fit if mp_fit is not None else x_mp, kinds,
                        seed=subseed(config.seed, _MP_TAG), **fit_kwargs)
     vine_rc = fit_vine(rc_fit if rc_fit is not None else x_rc, kinds,

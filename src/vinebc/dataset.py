@@ -9,6 +9,7 @@ months and the 3-hour slots bordering the diurnal window.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
@@ -151,7 +152,11 @@ def load_table(path, schema) -> ClimateTable:
     extra columns are ignored.  Parse failures cite the 1-based data row.
     """
     specs = [v if isinstance(v, VariableSpec) else VariableSpec(**v) for v in schema]
-    with open(path, newline="") as fh:
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise TableFormatError(f"{path}: cannot open: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -180,6 +185,11 @@ def load_table(path, schema) -> ClimateTable:
                 rows.append([float(row[i]) for i in var_i])
             except (ValueError, IndexError) as exc:
                 raise TableFormatError(f"{path}: non-numeric cell in row {row_no}: {exc}") from None
+            for spec, value in zip(specs, rows[-1]):
+                if not math.isfinite(value):
+                    raise TableFormatError(
+                        f"{path}: non-finite value {value} in column {spec.name!r}, row {row_no}"
+                    )
     if not rows:
         raise TableFormatError(f"{path}: no data rows")
     return ClimateTable(specs, timestamps, members, np.asarray(rows))

@@ -425,15 +425,7 @@ def fit_marginal(
     return MixtureMarginal(atoms, continuous, kind, bandwidth=bw)
 
 
-# -- spec-facing operation wrappers ----------------------------------------
-
-def marginal_eval(m: MixtureMarginal, x) -> MarginalEvaluation:
-    return m.evaluate(x)
-
-
-def marginal_quantile(m: MixtureMarginal, v):
-    return m.quantile(v)
-
+# -- randomized probability integral transform ----------------------------
 
 def randomized_pit(m: MixtureMarginal, x, w):
     """Randomized probability integral transform w*F(x) + (1-w)*F_left(x)."""

@@ -29,7 +29,7 @@ from .copula import (
     kendall_tau,
     randomize_pseudo,
 )
-from .errors import EstimationError, NumericsError
+from .errors import EstimationError
 from .marginal import MixtureMarginal, fit_marginal, normalize_kind
 
 _SEL_TAG = 101  # seed-derivation tags
@@ -117,15 +117,18 @@ class VineStructure:
                         raise ValueError(f"children do not span edge {e.label()}")
                     if f1.constraint & f2.constraint != e.cond:
                         raise ValueError(f"children do not intersect to the conditioning set of {e.label()}")
-                    if t == 1:
-                        shared = {f1.a, f1.b} & {f2.a, f2.b}
-                    else:
-                        shared = {f1.child_a, f1.child_b} & {f2.child_a, f2.child_b}
-                    if not shared:
+                    if not _proximal(t, f1, f2):
                         raise ValueError(f"proximity violated at edge {e.label()} in tree {t}")
 
     def n_edges(self) -> int:
         return sum(len(tree) for tree in self.trees)
+
+
+def _proximal(t: int, f1: Edge, f2: Edge) -> bool:
+    """Proximity condition: edges f1, f2 of tree t - 1 share a node of that tree."""
+    if t == 1:
+        return bool({f1.a, f1.b} & {f2.a, f2.b})
+    return bool({f1.child_a, f1.child_b} & {f2.child_a, f2.child_b})
 
 
 def _max_spanning_tree(weights: np.ndarray) -> list[tuple[int, int]]:
@@ -160,7 +163,7 @@ class VineModel:
     var_names: list | None = None
 
     def __post_init__(self):
-        self._order, self._diag = _diagonal_order(self.structure)
+        self._steps = _diagonal_order(self.structure)
 
     @property
     def d(self) -> int:
@@ -169,7 +172,7 @@ class VineModel:
     @property
     def order(self) -> list:
         """Diagonal variable order used by the Rosenblatt transforms."""
-        return list(self._order)
+        return [var for var, _, _ in self._steps]
 
     @property
     def pair_copulas(self) -> dict:
@@ -240,15 +243,17 @@ class VineModel:
 
 
 def _diagonal_order(structure: VineStructure):
-    """Peel the structure into a sampling order.
+    """Peel the structure into the steps of a sampling order.
 
-    Returns (order, diag) where order[j] is the variable assigned at step j
-    and diag maps each variable (except order[0]) to the (tree, edge, side)
-    whose h-output is its conditional CDF given all earlier variables.
+    Step j is (var, chain, ready): var is the variable assigned at step j;
+    chain lists the edges, deepest first, whose h-functions condition var on
+    all earlier variables (the first edge outputs that conditional CDF, and
+    their h-inverses carry a level down to var's margin); ready lists the
+    edges whose constraint set is complete once var is assigned.
     """
     d = structure.d
     if d == 1:
-        return [0], {}
+        return [(0, [], [])]
     trees = structure.trees
     sigma = []
     diag = {}
@@ -256,98 +261,106 @@ def _diagonal_order(structure: VineStructure):
     edge_idx = 0
     var = trees[t][edge_idx].a
     sigma.append(var)
-    diag[var] = (t, edge_idx, "a")
+    diag[var] = (t, edge_idx)
     while t > 0:
         e = trees[t][edge_idx]
         edge_idx = e.child_b if var == e.a else e.child_a
         t -= 1
         var = trees[t][edge_idx].a
         sigma.append(var)
-        diag[var] = (t, edge_idx, "a")
+        diag[var] = (t, edge_idx)
     sigma.append(trees[0][edge_idx].b)
     sigma.reverse()
-    return sigma, diag
+
+    step_of = {var: j for j, var in enumerate(sigma)}
+    ready = [[] for _ in sigma]
+    for t, tree in enumerate(trees):
+        for i, e in enumerate(tree):
+            ready[max(step_of[v] for v in e.constraint)].append((t, i))
+    steps = []
+    for j, var in enumerate(sigma):
+        chain = []
+        t, i = diag.get(var, (-1, None))  # order[0] is conditioned on nothing
+        while t >= 0:
+            chain.append((t, i))
+            e = trees[t][i]
+            i = e.child_a if e.a == var else e.child_b
+            t -= 1
+        steps.append((var, chain, ready[j]))
+    return steps
 
 
 # -- conditional pseudo-observation recursion ---------------------------------
+#
+# A store maps (tree, edge index) to {variable: (u, u_left)}: the conditional
+# pseudo-observations an edge outputs for its two conditioned variables.  Key
+# (-1, j) holds the margin pseudo-observations of variable j, so the edges of
+# tree t read their inputs from the keys of tree t - 1.
 
 
-def _marginal_pseudo(model: VineModel, x: np.ndarray):
-    n, d = x.shape
-    u = np.empty((n, d))
-    ul = np.empty((n, d))
-    for j, m in enumerate(model.margins):
-        u[:, j], ul[:, j] = m.pseudo_obs(x[:, j])
-    return u, ul
+def _marginal_pseudo(margins, x: np.ndarray) -> dict:
+    """Store holding the margin pseudo-observations of each column of x."""
+    return {(-1, j): {j: m.pseudo_obs(x[:, j])} for j, m in enumerate(margins)}
 
 
-def _edge_input(model, outs, t, e, side, u, ul):
-    """(u, u_left) stream feeding edge side 'a' or 'b'."""
-    var = e.a if side == "a" else e.b
-    child = e.child_a if side == "a" else e.child_b
-    if t == 0:
-        return u[:, var], ul[:, var]
-    prev = model.structure.trees[t - 1][child]
-    ou_a, oul_a, ou_b, oul_b = outs[(t - 1, child)]
-    if prev.a == var:
-        return ou_a, oul_a
-    if prev.b == var:
-        return ou_b, oul_b
-    raise NumericsError(f"edge wiring broken at tree {t}, edge {e.label()}")
+def _edge_input(store: dict, t: int, e: Edge, var: int) -> PseudoObs:
+    """Pseudo-observations of the conditioned variable var of edge e given e.cond."""
+    node = var if t == 0 else (e.child_a if var == e.a else e.child_b)
+    return PseudoObs(*store[(t - 1, node)][var])
 
 
-def _h_with_left(cop, direction, tu, tul, cond: PseudoObs):
-    out_u = hfunc(cop, direction, tu, cond)
-    disc = tul < tu
-    if np.any(disc):
-        out_ul = out_u.copy()
-        out_ul[disc] = hfunc(cop, direction, tul[disc], cond[disc])
-        # a conditional CDF cannot decrease across the jump
-        out_ul = np.minimum(out_ul, out_u)
-    else:
-        out_ul = out_u
-    return out_u, out_ul
+def _eval_edge(store: dict, t: int, i: int, e: Edge, obs=None) -> tuple:
+    """Store the two h-outputs of edge (t, i), each with its left limit.
 
-
-def _run_edges(model: VineModel, u: np.ndarray, ul: np.ndarray, collect_density: bool = False):
-    """Evaluate all edge h-outputs (and optionally the edge log densities)."""
+    ``obs`` may pass the edge's input pair when the caller already holds it.
+    Returns the input pair (a, b).
+    """
+    pa, pb = obs or (_edge_input(store, t, e, e.a), _edge_input(store, t, e, e.b))
     outs = {}
+    for var, direction, target, cond in ((e.a, 1, pa, pb), (e.b, 2, pb, pa)):
+        out_u = hfunc(e.copula, direction, target.u, cond)
+        out_ul = out_u
+        disc = target.u_left < target.u
+        if np.any(disc):
+            out_ul = out_u.copy()
+            out_ul[disc] = hfunc(e.copula, direction, target.u_left[disc], cond[disc])
+            # a conditional CDF cannot decrease across the jump
+            out_ul = np.minimum(out_ul, out_u)
+        outs[var] = (out_u, out_ul)
+    store[(t, i)] = outs
+    return pa, pb
+
+
+def _run_edges(model: VineModel, x: np.ndarray, collect_density: bool = False):
+    """Store of every edge's h-outputs on x (and optionally the edge log densities)."""
+    store = _marginal_pseudo(model.margins, x)
     log_c = 0.0
     for t, tree in enumerate(model.structure.trees):
         for i, e in enumerate(tree):
-            ua, ula = _edge_input(model, outs, t, e, "a", u, ul)
-            ub, ulb = _edge_input(model, outs, t, e, "b", u, ul)
-            pa = PseudoObs(ua, ula)
-            pb = PseudoObs(ub, ulb)
+            pa, pb = _eval_edge(store, t, i, e)
             if collect_density:
-                dens = gen_density(e.copula, pa, pb)
                 with np.errstate(divide="ignore"):
-                    log_c = log_c + np.log(dens)
-            out_a = _h_with_left(e.copula, 1, ua, ula, pb)
-            out_b = _h_with_left(e.copula, 2, ub, ulb, pa)
-            outs[(t, i)] = (*out_a, *out_b)
-    return (outs, log_c) if collect_density else outs
+                    log_c = log_c + np.log(gen_density(e.copula, pa, pb))
+    return (store, log_c) if collect_density else store
 
 
 # -- structure selection and fitting ------------------------------------------
 
 
-def _build_vine(u, ul, family_set, seed, truncation, independence_level=0.05,
+def _build_vine(store, family_set, seed, truncation, independence_level=0.05,
                 checkerboard_resolution=32):
-    """Dissmann-style sequential construction; returns list-of-trees of Edges."""
-    n, d = u.shape
+    """Dissmann-style sequential construction; returns list-of-trees of Edges.
+
+    ``store`` holds the tree-0 inputs and gains every new edge's outputs.
+    """
     trees = []
-    # tree-0 nodes: one per variable
-    nodes = [
-        {"streams": {j: (u[:, j], ul[:, j])}, "constraint": frozenset([j]), "edge_index": j}
-        for j in range(d)
-    ]
-    for t in range(d - 1):
-        k = len(nodes)
+    constraints = [frozenset([j]) for j in range(len(store))]  # of the nodes of tree t
+    for t in range(len(store) - 1):
+        k = len(constraints)
         # jitter each stream once per tree for the selection weights
         jittered = {}
-        for i, node in enumerate(nodes):
-            for var, (su, sul) in node["streams"].items():
+        for i in range(k):
+            for var, (su, sul) in store[(t - 1, i)].items():
                 rng = np.random.default_rng(subseed(seed, _SEL_TAG, t, i, var))
                 po = PseudoObs(su, sul)
                 jittered[(i, var)], _ = randomize_pseudo(po, po, rng)
@@ -355,18 +368,9 @@ def _build_vine(u, ul, family_set, seed, truncation, independence_level=0.05,
         pair_info = {}
         for i in range(k):
             for j in range(i + 1, k):
-                ci, cj = nodes[i]["constraint"], nodes[j]["constraint"]
-                if t > 0:
-                    ei = nodes[i]["edge_index"]
-                    ej = nodes[j]["edge_index"]
-                    prev_i = trees[t - 1][ei]
-                    prev_j = trees[t - 1][ej]
-                    if t == 1:
-                        shared = {prev_i.a, prev_i.b} & {prev_j.a, prev_j.b}
-                    else:
-                        shared = {prev_i.child_a, prev_i.child_b} & {prev_j.child_a, prev_j.child_b}
-                    if not shared:
-                        continue
+                ci, cj = constraints[i], constraints[j]
+                if t > 0 and not _proximal(t, trees[t - 1][i], trees[t - 1][j]):
+                    continue
                 sym = ci ^ cj
                 if len(sym) != 2:
                     continue
@@ -377,39 +381,24 @@ def _build_vine(u, ul, family_set, seed, truncation, independence_level=0.05,
                 pair_info[(i, j)] = (a, b)
         mst = _max_spanning_tree(weights)
         tree = []
-        new_nodes = []
         for e_idx, (i, j) in enumerate(sorted(tuple(sorted(p)) for p in mst)):
             a, b = pair_info[(i, j)]
-            cond = nodes[i]["constraint"] & nodes[j]["constraint"]
-            ua_, ula_ = nodes[i]["streams"][a]
-            ub_, ulb_ = nodes[j]["streams"][b]
-            pa = PseudoObs(ua_, ula_)
-            pb = PseudoObs(ub_, ulb_)
+            edge = Edge(a=a, b=b, cond=constraints[i] & constraints[j],
+                        child_a=i if t > 0 else None, child_b=j if t > 0 else None)
+            obs = (_edge_input(store, t, edge, a), _edge_input(store, t, edge, b))
             if truncation is not None and t >= truncation:
-                cop = IndependenceCopula()
+                edge.copula = IndependenceCopula()
             else:
-                cop = fit_pair(
-                    pa, pb, family_set,
+                edge.copula = fit_pair(
+                    *obs, family_set,
                     seed=subseed(seed, _FIT_TAG, t, e_idx),
                     independence_level=independence_level,
                     checkerboard_resolution=checkerboard_resolution,
                 )
-            edge = Edge(a=a, b=b, cond=cond,
-                        child_a=nodes[i]["edge_index"] if t > 0 else None,
-                        child_b=nodes[j]["edge_index"] if t > 0 else None,
-                        copula=cop)
-            out_a = _h_with_left(cop, 1, ua_, ula_, pb)
-            out_b = _h_with_left(cop, 2, ub_, ulb_, pa)
+            _eval_edge(store, t, e_idx, edge, obs)
             tree.append(edge)
-            new_nodes.append(
-                {
-                    "streams": {a: out_a, b: out_b},
-                    "constraint": edge.constraint,
-                    "edge_index": e_idx,
-                }
-            )
         trees.append(tree)
-        nodes = new_nodes
+        constraints = [e.constraint for e in tree]
     return trees
 
 
@@ -423,7 +412,8 @@ def select_structure(u, u_left=None, method: str = "dissmann", family_set=DEFAUL
     n, d = u.shape
     if n < 30 or d < 2:
         raise EstimationError("need n >= 30 and d >= 2 for structure selection")
-    trees = _build_vine(u, ul, family_set, seed, truncation=None)
+    store = {(-1, j): {j: (u[:, j], ul[:, j])} for j in range(d)}
+    trees = _build_vine(store, family_set, seed, truncation=None)
     structure = VineStructure(d=d, trees=trees)
     structure.validate()
     return structure
@@ -445,7 +435,7 @@ def fit_vine(
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise EstimationError("data must be a 2-d array (rows x variables)")
-    n, d = x.shape
+    d = x.shape[1]
     kinds = [normalize_kind(k) for k in kinds]
     if len(kinds) != d:
         raise EstimationError(f"got {len(kinds)} kinds for {d} variables")
@@ -457,14 +447,10 @@ def fit_vine(
             name = var_names[j] if var_names else f"variable {j}"
             raise EstimationError(f"margin of {name} has no continuous mass")
         margins.append(m)
-    u = np.empty((n, d))
-    ul = np.empty((n, d))
-    for j, m in enumerate(margins):
-        u[:, j], ul[:, j] = m.pseudo_obs(x[:, j])
     if d == 1:
         structure = VineStructure(d=1, trees=[])
     else:
-        trees = _build_vine(u, ul, family_set, seed, truncation,
+        trees = _build_vine(_marginal_pseudo(margins, x), family_set, seed, truncation,
                             independence_level=independence_level,
                             checkerboard_resolution=checkerboard_resolution)
         structure = VineStructure(d=d, trees=trees)
@@ -488,9 +474,8 @@ def vine_log_density(model: VineModel, x) -> np.ndarray:
             np.log(np.asarray(m.density(x[:, j])))
             for j, m in enumerate(model.margins)
         )
-    u, ul = _marginal_pseudo(model, x)
     if model.structure.trees:
-        _, log_c = _run_edges(model, u, ul, collect_density=True)
+        _, log_c = _run_edges(model, x, collect_density=True)
         log_f = log_f + log_c
     if np.any(~np.isfinite(log_f)):
         warnings.warn("density is zero at some evaluation points; returning -inf there")
@@ -513,81 +498,40 @@ def rosenblatt_forward(model: VineModel, x, noise) -> np.ndarray:
         raise ValueError("noise must match the data shape")
     if np.any((w < 0) | (w > 1)):
         raise ValueError("noise must lie in [0, 1]")
-    u, ul = _marginal_pseudo(model, x)
-    outs = _run_edges(model, u, ul) if model.structure.trees else {}
+    store = _run_edges(model, x)
     v = np.empty_like(x)
-
-    def randomize(col, cu, cul):
+    for var, chain, _ in model._steps:
+        cu, cul = store[chain[0] if chain else (-1, var)][var]
         # noise only acts across a jump; continuous coordinates stay exact
-        v[:, col] = np.where(cul < cu, w[:, col] * cu + (1.0 - w[:, col]) * cul, cu)
-
-    first = model._order[0]
-    randomize(first, u[:, first], ul[:, first])
-    for var in model._order[1:]:
-        t, i, side = model._diag[var]
-        ou_a, oul_a, ou_b, oul_b = outs[(t, i)]
-        cu, cul = (ou_a, oul_a) if side == "a" else (ou_b, oul_b)
-        randomize(var, cu, cul)
+        v[:, var] = np.where(cul < cu, w[:, var] * cu + (1.0 - w[:, var]) * cul, cu)
     return v
-
-
-def _inverse_chain(model: VineModel, var: int):
-    """Edges whose h-functions condition ``var``, from deepest tree down."""
-    chain = []
-    t, i, _side = model._diag[var]
-    while True:
-        e = model.structure.trees[t][i]
-        chain.append((t, i, e))
-        if t == 0:
-            return chain
-        i = e.child_a if e.a == var else e.child_b
-        t -= 1
 
 
 def rosenblatt_inverse(model: VineModel, v) -> np.ndarray:
     """Inverse Rosenblatt transform: i.i.d. uniforms to model samples.
 
     Levels landing inside an atom's conditional jump produce the atom value
-    through the generalized marginal quantile.
+    through the generalized marginal quantile.  Each edge is evaluated once,
+    at the step that completes its constraint set.
     """
     v = np.atleast_2d(np.asarray(v, dtype=float))
     if v.shape[1] != model.d:
         raise ValueError(f"expected {model.d} columns, got {v.shape[1]}")
     if np.any((v <= 0.0) | (v >= 1.0)):
         raise ValueError("uniform levels must lie strictly inside (0, 1)")
-    n, d = v.shape
+    trees = model.structure.trees
     x = np.empty_like(v)
-    u = np.full((n, d), np.nan)
-    ul = np.full((n, d), np.nan)
-    outs = {}
-    assigned = set()
-
-    def propagate():
-        for t, tree in enumerate(model.structure.trees):
-            for i, e in enumerate(tree):
-                if (t, i) in outs:
-                    continue
-                if not e.constraint <= assigned:
-                    continue
-                ua_, ula_ = _edge_input(model, outs, t, e, "a", u, ul)
-                ub_, ulb_ = _edge_input(model, outs, t, e, "b", u, ul)
-                out_a = _h_with_left(e.copula, 1, ua_, ula_, PseudoObs(ub_, ulb_))
-                out_b = _h_with_left(e.copula, 2, ub_, ulb_, PseudoObs(ua_, ula_))
-                outs[(t, i)] = (*out_a, *out_b)
-
-    for step, var in enumerate(model._order):
-        target = v[:, var].copy()
-        if step > 0:
-            for t, i, e in _inverse_chain(model, var):
-                side = "a" if e.a == var else "b"
-                cond_side = "b" if side == "a" else "a"
-                cu, cul = _edge_input(model, outs, t, e, cond_side, u, ul)
-                direction = 1 if side == "a" else 2
-                target = hfunc_inverse(e.copula, direction, target, PseudoObs(cu, cul))
+    store = {}
+    for var, chain, ready in model._steps:
+        target = v[:, var]
+        for t, i in chain:
+            e = trees[t][i]
+            direction, other = (1, e.b) if e.a == var else (2, e.a)
+            target = hfunc_inverse(e.copula, direction, target, _edge_input(store, t, e, other))
         x[:, var] = np.asarray(model.margins[var].quantile(target))
-        u[:, var], ul[:, var] = model.margins[var].pseudo_obs(x[:, var])
-        assigned.add(var)
-        propagate()
+        store[(-1, var)] = {var: model.margins[var].pseudo_obs(x[:, var])}
+        for t, i in ready:
+            _eval_edge(store, t, i, trees[t][i])
     return x
 
 

@@ -221,6 +221,37 @@ def test_missing_config_exit_code(tmp_path):
     assert run_pipeline("simulate", str(tmp_path / "none.json"), out_dir=str(tmp_path)) == EXIT_CONFIG
 
 
+def _minimal_config(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"variables": [{"name": "x", "kind": "interval"}]}))
+    return str(path)
+
+
+def test_non_integer_seed_override_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VINEBC_SEED", "abc")
+    assert run_pipeline("simulate", _minimal_config(tmp_path), out_dir=str(tmp_path)) == EXIT_CONFIG
+    assert "VINEBC_SEED" in capsys.readouterr().err
+
+
+def test_negative_seed_override_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VINEBC_SEED", "-5")
+    assert run_pipeline("simulate", _minimal_config(tmp_path), out_dir=str(tmp_path)) == EXIT_CONFIG
+    assert "VINEBC_SEED" in capsys.readouterr().err
+
+
+def test_non_integer_workers_override_exit_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("VINEBC_WORKERS", "abc")
+    assert run_pipeline("simulate", _minimal_config(tmp_path), out_dir=str(tmp_path)) == EXIT_CONFIG
+    assert "VINEBC_WORKERS" in capsys.readouterr().err
+
+
+def test_missing_input_exit_code(sim_dir, tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    status = run_pipeline("fit", sim_dir["cfg"], input_path=str(missing), out_dir=str(tmp_path / "o"))
+    assert status == EXIT_DATA
+    assert str(missing) in capsys.readouterr().err
+
+
 def test_data_error_exit_code(sim_dir, tmp_path):
     missing_col = tmp_path / "short.csv"
     missing_col.write_text("timestamp,member,d,p\n2001-01-01T00:00:00,1,0.0,0.0\n")

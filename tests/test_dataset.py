@@ -77,6 +77,16 @@ def test_load_table_bad_cell_cites_row(tmp_path):
         load_table(path, SCHEMA5)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_table_non_finite_cell_cites_column_and_row(tmp_path, cell):
+    path = tmp_path / "in.csv"
+    rows = hourly_rows(10)
+    rows[4][5] = cell
+    write_csv(path, rows)
+    with pytest.raises(TableFormatError, match=r"column 'w', row 5"):
+        load_table(path, SCHEMA5)
+
+
 def test_load_table_non_monotone_timestamps(tmp_path):
     path = tmp_path / "in.csv"
     rows = hourly_rows(5)

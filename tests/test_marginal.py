@@ -9,8 +9,6 @@ from vinebc.errors import EstimationError
 from vinebc.marginal import (
     MixtureMarginal,
     fit_marginal,
-    marginal_eval,
-    marginal_quantile,
     randomized_pit,
 )
 
@@ -87,11 +85,11 @@ def test_fit_degenerate_all_atomic():
 
 def test_eval_analytic_mixture_at_atom_and_continuous_point():
     m = analytic_zi_expon()
-    at0 = marginal_eval(m, 0.0)
+    at0 = m.evaluate(0.0)
     assert at0.cdf == pytest.approx(0.4, abs=1e-12)
     assert at0.cdf_left == pytest.approx(0.0, abs=1e-12)
     assert at0.density == pytest.approx(0.4, abs=1e-12)
-    at = marginal_eval(m, LN2)
+    at = m.evaluate(LN2)
     assert at.cdf == pytest.approx(0.7, abs=1e-12)
     assert at.cdf_left == pytest.approx(0.7, abs=1e-12)
     assert at.density == pytest.approx(0.6 * 0.5, abs=1e-12)
@@ -99,9 +97,9 @@ def test_eval_analytic_mixture_at_atom_and_continuous_point():
 
 def test_quantile_jump_interval_and_continuous():
     m = analytic_zi_expon()
-    assert marginal_quantile(m, 0.2) == 0.0
-    assert marginal_quantile(m, 0.7) == pytest.approx(LN2, abs=1e-12)
-    assert marginal_quantile(m, 0.4) == 0.0  # closed right end of the jump
+    assert m.quantile(0.2) == 0.0
+    assert m.quantile(0.7) == pytest.approx(LN2, abs=1e-12)
+    assert m.quantile(0.4) == 0.0  # closed right end of the jump
 
 
 def test_quantile_cdf_roundtrip_on_fitted_margin():
