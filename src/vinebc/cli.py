@@ -155,7 +155,6 @@ def _correct_unit(payload: dict) -> dict:
             config,
             mp_fit=payload["mp_fit"],
             rc_fit=payload["rc_fit"],
-            provenance={"chunk": payload["chunk"], "member": payload["member"]},
         )
         return {"unit": payload["unit"], "values": corrected.values}
     except VinebcError as exc:
@@ -164,6 +163,12 @@ def _correct_unit(payload: dict) -> dict:
 
 def _config_as_dict(config: CorrectionConfig) -> dict:
     return {name: getattr(config, name) for name in _CORRECTION_FIELDS}
+
+
+def _extended_chunks(table: ClimateTable, overlap_fraction: float, seed: int, tag: int) -> dict:
+    """The table's chunks with overlap-extended estimation sets, seeded per (tag, chunk)."""
+    return {k: extend_overlap(c, table, overlap_fraction, subseed(seed, tag, i))
+            for i, (k, c) in enumerate(make_chunks(table).items())}
 
 
 def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str,
@@ -176,12 +181,9 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
     rc = load_table(rc_path, specs)
     mc = load_table(mc_path, specs)
 
-    mp_chunks = {k: extend_overlap(c, mp, config.overlap_fraction, subseed(seed, 1, i))
-                 for i, (k, c) in enumerate(make_chunks(mp).items())}
-    rc_chunks = {k: extend_overlap(c, rc, config.overlap_fraction, subseed(seed, 2, i))
-                 for i, (k, c) in enumerate(make_chunks(rc).items())}
-    mc_chunks = {k: extend_overlap(c, mc, config.overlap_fraction, subseed(seed, 3, i))
-                 for i, (k, c) in enumerate(make_chunks(mc).items())}
+    mp_chunks = _extended_chunks(mp, config.overlap_fraction, seed, 1)
+    rc_chunks = _extended_chunks(rc, config.overlap_fraction, seed, 2)
+    mc_chunks = _extended_chunks(mc, config.overlap_fraction, seed, 3)
 
     members = sorted(int(m) for m in np.unique(mp.members))
     payloads = []
@@ -204,8 +206,6 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
             payloads.append(
                 {
                     "unit": unit,
-                    "chunk": key.label,
-                    "member": member,
                     "method": method,
                     "seed": unit_seed,
                     "config": _config_as_dict(config),
@@ -349,31 +349,26 @@ def cmd_evaluate(cfg: dict, model_path: str, corrected_path: str, ref_path: str,
     return EXIT_OK
 
 
-def emit_report(report: MetricReport, out_dir: str, formats=("csv", "json")) -> list:
+def emit_report(report: MetricReport, out_dir: str) -> list:
     """Write the metric report as long-format CSV rows and a JSON aggregate."""
-    paths = []
-    if "csv" in formats:
-        csv_path = os.path.join(out_dir, "report.csv")
-        with open(csv_path, "w") as fh:
-            fh.write("method,chunk,member,metric,value\n")
-            for u in report.sorted_units():
-                base = f"{u.method},{u.chunk},{u.member}"
-                fh.write(f"{base},w2_model,{_fmt(u.w2_model)}\n")
-                fh.write(f"{base},w2_corrected,{_fmt(u.w2_corrected)}\n")
-                fh.write(f"{base},iw2,{_fmt(u.iw2)}\n")
-                fh.write(f"{base},copula_iw2,{_fmt(u.copula_iw2)}\n")
-                fh.write(f"{base},mci_mean,{_fmt(u.mci_mean)}\n")
-                fh.write(f"{base},non_invasive,{int(u.non_invasive)}\n")
-                for name, val in u.margin_iw2.items():
-                    fh.write(f"{base},iw2_margin_{name},{_fmt(val)}\n")
-        paths.append(csv_path)
-    if "json" in formats:
-        json_path = os.path.join(out_dir, "report.json")
-        with open(json_path, "w") as fh:
-            json.dump(report.aggregates(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        paths.append(json_path)
-    return paths
+    csv_path = os.path.join(out_dir, "report.csv")
+    with open(csv_path, "w") as fh:
+        fh.write("method,chunk,member,metric,value\n")
+        for u in report.sorted_units():
+            base = f"{u.method},{u.chunk},{u.member}"
+            fh.write(f"{base},w2_model,{_fmt(u.w2_model)}\n")
+            fh.write(f"{base},w2_corrected,{_fmt(u.w2_corrected)}\n")
+            fh.write(f"{base},iw2,{_fmt(u.iw2)}\n")
+            fh.write(f"{base},copula_iw2,{_fmt(u.copula_iw2)}\n")
+            fh.write(f"{base},mci_mean,{_fmt(u.mci_mean)}\n")
+            fh.write(f"{base},non_invasive,{int(u.non_invasive)}\n")
+            for name, val in u.margin_iw2.items():
+                fh.write(f"{base},iw2_margin_{name},{_fmt(val)}\n")
+    json_path = os.path.join(out_dir, "report.json")
+    with open(json_path, "w") as fh:
+        json.dump(report.aggregates(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return [csv_path, json_path]
 
 
 # -- fit ----------------------------------------------------------------------
@@ -384,8 +379,7 @@ def cmd_fit(cfg: dict, input_path: str, out_dir: str) -> int:
     config = _correction_config(cfg)
     seed = cfg.get("seed", 0)
     table = load_table(input_path, specs)
-    chunks = {k: extend_overlap(c, table, config.overlap_fraction, subseed(seed, 1, i))
-              for i, (k, c) in enumerate(make_chunks(table).items())}
+    chunks = _extended_chunks(table, config.overlap_fraction, seed, 1)
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
     failures = {}
@@ -510,22 +504,19 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
 
 # -- entry points ----------------------------------------------------------------
 
+# command -> handler; each handler takes the loaded config plus the command's
+# keyword arguments of ``run_pipeline``
+_COMMANDS = {"simulate": cmd_simulate, "fit": cmd_fit, "correct": cmd_correct,
+             "evaluate": cmd_evaluate}
+
 
 def run_pipeline(command: str, config_path: str, **io) -> int:
     """Library entry point mirroring the CLI; returns the exit status."""
     try:
         cfg = _load_config(config_path)
-        if command == "simulate":
-            return cmd_simulate(cfg, io["out_dir"])
-        if command == "fit":
-            return cmd_fit(cfg, io["input_path"], io["out_dir"])
-        if command == "correct":
-            return cmd_correct(cfg, io["method"], io["mp_path"], io["rc_path"],
-                               io["mc_path"], io["out_dir"])
-        if command == "evaluate":
-            return cmd_evaluate(cfg, io["model_path"], io["corrected_path"],
-                                io["ref_path"], io["out_dir"])
-        raise ConfigError(f"unknown command {command!r}")
+        if command not in _COMMANDS:
+            raise ConfigError(f"unknown command {command!r}")
+        return _COMMANDS[command](cfg, **io)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -539,53 +530,27 @@ def main(argv=None) -> int:
                                      description="Vine-copula bias correction pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="generate synthetic biased ensembles")
-    p.add_argument("--config", required=True)
-    p.add_argument("--output-dir", required=True)
+    def add_command(name, help, *inputs):
+        """A subcommand whose flags store under the ``run_pipeline`` keywords."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", dest="config_path", required=True)
+        for flag, dest in inputs:
+            p.add_argument(flag, dest=dest, required=True)
+        p.add_argument("--output-dir", dest="out_dir", required=True)
+        return p
 
-    p = sub.add_parser("fit", help="fit one vine model per chunk")
-    p.add_argument("--config", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--output-dir", required=True)
-
-    p = sub.add_parser("correct", help="bias-correct a projection ensemble")
-    p.add_argument("--config", required=True)
+    add_command("simulate", "generate synthetic biased ensembles")
+    add_command("fit", "fit one vine model per chunk", ("--input", "input_path"))
+    p = add_command("correct", "bias-correct a projection ensemble",
+                    ("--model-projection", "mp_path"), ("--reference", "rc_path"),
+                    ("--model-calibration", "mc_path"))
     p.add_argument("--method", choices=("vbc", "ubc"), default="vbc")
-    p.add_argument("--model-projection", required=True)
-    p.add_argument("--reference", required=True)
-    p.add_argument("--model-calibration", required=True)
-    p.add_argument("--output-dir", required=True)
+    add_command("evaluate", "metric report for a corrected ensemble",
+                ("--model", "model_path"), ("--corrected", "corrected_path"),
+                ("--reference", "ref_path"))
 
-    p = sub.add_parser("evaluate", help="metric report for a corrected ensemble")
-    p.add_argument("--config", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--corrected", required=True)
-    p.add_argument("--reference", required=True)
-    p.add_argument("--output-dir", required=True)
-
-    args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return run_pipeline("simulate", args.config, out_dir=args.output_dir)
-    if args.command == "fit":
-        return run_pipeline("fit", args.config, input_path=args.input, out_dir=args.output_dir)
-    if args.command == "correct":
-        return run_pipeline(
-            "correct",
-            args.config,
-            method=args.method,
-            mp_path=args.model_projection,
-            rc_path=args.reference,
-            mc_path=args.model_calibration,
-            out_dir=args.output_dir,
-        )
-    return run_pipeline(
-        "evaluate",
-        args.config,
-        model_path=args.model,
-        corrected_path=args.corrected,
-        ref_path=args.reference,
-        out_dir=args.output_dir,
-    )
+    io = vars(parser.parse_args(argv))
+    return run_pipeline(io.pop("command"), io.pop("config_path"), **io)
 
 
 if __name__ == "__main__":

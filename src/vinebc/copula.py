@@ -58,10 +58,6 @@ class PseudoObs:
     def discrete(self) -> np.ndarray:
         return self.u - self.u_left > 0.0
 
-    @property
-    def jump(self) -> np.ndarray:
-        return self.u - self.u_left
-
     def __len__(self) -> int:
         return self.u.size
 
@@ -380,12 +376,17 @@ class FrankCopula(BivariateCopula):
         return -t * math.expm1(-t) * np.exp(-t * (u + v)) / (d * d)
 
     def _du0(self, u, v):
+        # the denominator cancels near (1, 1) at large |theta|; radial symmetry,
+        # h(v|u) = 1 - h(1-v|1-u), moves every point to the side u + v <= 1
         t = self.theta
-        return np.exp(-t * u) * np.expm1(-t * v) / (math.expm1(-t) + np.expm1(-t * u) * np.expm1(-t * v))
+        flip = u + v > 1.0
+        x = np.where(flip, 1.0 - u, u)
+        y = np.where(flip, 1.0 - v, v)
+        h = np.exp(-t * x) * np.expm1(-t * y) / (math.expm1(-t) + np.expm1(-t * x) * np.expm1(-t * y))
+        return np.where(flip, 1.0 - h, h)
 
     def _dv0(self, u, v):
-        t = self.theta
-        return np.exp(-t * v) * np.expm1(-t * u) / (math.expm1(-t) + np.expm1(-t * u) * np.expm1(-t * v))
+        return self._du0(v, u)  # exchangeable
 
     @staticmethod
     def tau_to_param(tau: float) -> float:
@@ -481,10 +482,9 @@ class CheckerboardCopula(BivariateCopula):
         return self.m * (self._colcum[k, l] + alpha * self.weights[k, l])
 
     @classmethod
-    def fit(cls, x, y, resolution: int = CHECKERBOARD_RESOLUTION,
-            pseudo_count: float = CHECKERBOARD_PSEUDO_COUNT) -> "CheckerboardCopula":
+    def fit(cls, x, y, resolution: int = CHECKERBOARD_RESOLUTION) -> "CheckerboardCopula":
         hist, _, _ = np.histogram2d(x, y, bins=resolution, range=[[0.0, 1.0], [0.0, 1.0]])
-        w = _sinkhorn(hist + pseudo_count)
+        w = _sinkhorn(hist + CHECKERBOARD_PSEUDO_COUNT)
         # normalized once more here, not in __init__, so that a model reloaded
         # from its saved weights keeps them bit for bit
         return cls(w / w.sum())
@@ -595,15 +595,9 @@ def hfunc(copula: BivariateCopula, direction: int, target_u, conditioner: Pseudo
     return np.clip(out, 0.0, 1.0)
 
 
-def hfunc_inverse(
-    copula: BivariateCopula,
-    direction: int,
-    v,
-    conditioner: PseudoObs,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> np.ndarray:
-    """Invert ``hfunc`` in the (continuous) target coordinate by bisection."""
+def hfunc_inverse(copula: BivariateCopula, direction: int, v,
+                  conditioner: PseudoObs) -> np.ndarray:
+    """Invert ``hfunc`` in the (continuous) target coordinate by bisection to 1e-10."""
     v = np.clip(as_float_array(v), 0.0, 1.0)
     if isinstance(copula, IndependenceCopula):
         return v.copy()
@@ -611,14 +605,12 @@ def hfunc_inverse(
     cond = PseudoObs(cu, cl)
     lo = np.zeros_like(v_b)
     hi = np.ones_like(v_b)
-    it = 0
-    while (hi - lo).max() > tol and it < max_iter:
+    for _ in range(34):  # halves the bracket to 2**-34, below 1e-10
         mid = 0.5 * (lo + hi)
         h = hfunc(copula, direction, mid, cond)
         go_up = h < v_b
         lo = np.where(go_up, mid, lo)
         hi = np.where(go_up, hi, mid)
-        it += 1
     out = 0.5 * (lo + hi)
     resid = np.abs(hfunc(copula, direction, out, cond) - v_b)
     interior = (v_b > 1e-9) & (v_b < 1.0 - 1e-9)
@@ -698,20 +690,14 @@ def _parametric_candidates(tau: float, family_set) -> list:
     return cands
 
 
-def fit_pair(
-    a: PseudoObs,
-    b: PseudoObs,
-    family_set=DEFAULT_FAMILY_SET,
-    seed: int = 0,
-    independence_level: float = 0.05,
-    checkerboard_resolution: int = CHECKERBOARD_RESOLUTION,
-) -> BivariateCopula:
+def fit_pair(a: PseudoObs, b: PseudoObs, family_set=DEFAULT_FAMILY_SET,
+             seed: int = 0) -> BivariateCopula:
     """Select and fit a pair copula from jitter-resolved pseudo-observations.
 
     Parametric families are fitted by tau inversion; the checkerboard mass
     grid comes from a histogram of the jittered sample.  Independence is kept
-    whenever the tau significance test fails to reject; otherwise the highest
-    log-likelihood among admissible candidates wins.
+    whenever the tau significance test fails to reject at the 5% level;
+    otherwise the highest log-likelihood among admissible candidates wins.
     """
     n = len(a)
     if n < MIN_SAMPLE or len(b) != n:
@@ -723,11 +709,11 @@ def fit_pair(
     rng = np.random.default_rng(seed)
     x, y = randomize_pseudo(a, b, rng)
     tau = kendall_tau(x, y)
-    if "independence" in family_set and not tau_independence_test(tau, n, independence_level):
+    if "independence" in family_set and not tau_independence_test(tau, n):
         return IndependenceCopula()
     candidates = _parametric_candidates(tau, family_set)
     if "checkerboard" in family_set:
-        candidates.append(CheckerboardCopula.fit(x, y, resolution=checkerboard_resolution))
+        candidates.append(CheckerboardCopula.fit(x, y))
     if not candidates:
         return IndependenceCopula()
     scores = [c.loglik(x, y) for c in candidates]

@@ -10,7 +10,7 @@ no cross-variable coupling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,29 +24,20 @@ _NOISE_TAG = 11
 _MP_TAG = 12
 _RC_TAG = 13
 
-DELTA_MODES = ("auto", "additive", "multiplicative")
 # CorrectionConfig fields passed to fit_vine under the same name
-_VINE_FIELDS = ("family_set", "truncation", "bandwidth_rule", "atom_threshold",
-                "independence_level", "checkerboard_resolution")
+_VINE_FIELDS = ("family_set", "truncation")
 
 
 @dataclass(frozen=True)
 class CorrectionConfig:
     family_set: tuple = DEFAULT_FAMILY_SET
-    bandwidth_rule: str = "normal_reference"
     overlap_fraction: float = 0.25
     truncation: int | None = None
     seed: int = 0
-    delta_mode: str = "auto"
-    atom_threshold: float = 0.01
-    checkerboard_resolution: int = 32
-    independence_level: float = 0.05
 
     def __post_init__(self):
         if not 0.0 <= self.overlap_fraction <= 1.0:
             raise ValueError("overlap_fraction must lie in [0, 1]")
-        if self.delta_mode not in DELTA_MODES:
-            raise ValueError(f"delta_mode must be one of {DELTA_MODES}")
 
     def with_seed(self, seed: int) -> "CorrectionConfig":
         return replace(self, seed=int(seed))
@@ -61,7 +52,6 @@ class CorrectedSet:
     """Corrected rows aligned one-to-one with the input projection rows."""
 
     values: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -71,7 +61,7 @@ class CorrectedSet:
 
 
 def delta_map(x_hat_mc, x_mp, marginal_mc: MixtureMarginal, marginal_mp: MixtureMarginal,
-              nonnegative: bool, mode: str = "auto"):
+              nonnegative: bool):
     """Project calibration-scale values onto the projection climate.
 
     The quantile-matched discrepancy between projection and calibration is
@@ -81,8 +71,6 @@ def delta_map(x_hat_mc, x_mp, marginal_mc: MixtureMarginal, marginal_mp: Mixture
     their left limit, so zeros pair with the calibration atom instead of a
     noise-level positive quantile.
     """
-    if mode not in DELTA_MODES:
-        raise ValueError(f"mode must be one of {DELTA_MODES}")
     xh = as_float_array(x_hat_mc)
     xp = as_float_array(x_mp)
     xh, xp = np.broadcast_arrays(xh, xp)
@@ -94,12 +82,7 @@ def delta_map(x_hat_mc, x_mp, marginal_mc: MixtureMarginal, marginal_mp: Mixture
     delta_add = xp - q
     with np.errstate(divide="ignore", invalid="ignore"):
         delta_mult = np.where(q != 0.0, xp / np.where(q != 0.0, q, 1.0), np.inf)
-    if mode == "additive":
-        use_mult = np.zeros(xh.shape, dtype=bool)
-    elif mode == "multiplicative":
-        use_mult = np.full(xh.shape, bool(nonnegative)) & (q != 0.0)
-    else:
-        use_mult = bool(nonnegative) & (q > 0.0) & (delta_mult < 1.0)
+    use_mult = bool(nonnegative) & (q > 0.0) & (delta_mult < 1.0)
     out = np.where(use_mult, xh * np.where(use_mult, delta_mult, 0.0), xh + delta_add)
     return maybe_scalar(out, x_hat_mc, x_mp)
 
@@ -115,27 +98,23 @@ def _check_schema(x_mp, x_rc, x_mc, kinds):
         raise SchemaError(f"got {len(kinds)} kinds for {d} variables")
 
 
-def _delta_project(x_hat_mc, x_mp, mc_margins, mp_margins, kinds, mode):
+def _delta_project(x_hat_mc, x_mp, mc_margins, mp_margins, kinds):
     out = np.empty_like(x_hat_mc)
     for j, kind in enumerate(kinds):
         nonneg = kind != "interval"
         out[:, j] = delta_map(x_hat_mc[:, j], x_mp[:, j], mc_margins[j], mp_margins[j],
-                              nonnegative=nonneg, mode=mode)
+                              nonnegative=nonneg)
         if nonneg:
             out[:, j] = np.maximum(out[:, j], 0.0)
     return out
 
 
-def _fit_margins(x, kinds, config):
-    return [
-        fit_marginal(x[:, j], kinds[j], bandwidth_rule=config.bandwidth_rule,
-                     atom_threshold=config.atom_threshold)
-        for j in range(x.shape[1])
-    ]
+def _fit_margins(x, kinds):
+    return [fit_marginal(x[:, j], kinds[j]) for j in range(x.shape[1])]
 
 
 def vbc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig,
-                mp_fit=None, rc_fit=None, provenance=None) -> CorrectedSet:
+                mp_fit=None, rc_fit=None) -> CorrectedSet:
     """Multivariate vine-copula correction of the projection rows.
 
     ``mp_fit``/``rc_fit`` optionally supply overlap-extended estimation sets;
@@ -153,35 +132,31 @@ def vbc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig,
                        seed=subseed(config.seed, _MP_TAG), **fit_kwargs)
     vine_rc = fit_vine(rc_fit if rc_fit is not None else x_rc, kinds,
                        seed=subseed(config.seed, _RC_TAG), **fit_kwargs)
-    mc_margins = _fit_margins(x_mc, kinds, config)
+    mc_margins = _fit_margins(x_mc, kinds)
     noise = np.random.default_rng(subseed(config.seed, _NOISE_TAG)).uniform(size=x_mp.shape)
     v = rosenblatt_forward(vine_mp, x_mp, noise)
     v = np.clip(v, 1e-9, 1.0 - 1e-9)
     x_hat_mc = rosenblatt_inverse(vine_rc, v)
-    out = _delta_project(x_hat_mc, x_mp, mc_margins, vine_mp.margins, kinds, config.delta_mode)
-    prov = dict(provenance or {})
-    prov.setdefault("method", "vbc")
-    prov.setdefault("seed", config.seed)
-    return CorrectedSet(values=out, provenance=prov)
+    return CorrectedSet(_delta_project(x_hat_mc, x_mp, mc_margins, vine_mp.margins, kinds))
 
 
 def ubc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig,
-                mp_fit=None, rc_fit=None, provenance=None) -> CorrectedSet:
-    """Univariate quantile-delta-mapping baseline; preserves per-margin ranks."""
+                mp_fit=None, rc_fit=None) -> CorrectedSet:
+    """Univariate quantile-delta-mapping baseline; preserves per-margin ranks.
+
+    UBC has no settings of its own: ``config`` is taken so that both
+    correctors share one signature.
+    """
     x_mp = np.asarray(x_mp, dtype=float)
     x_rc = np.asarray(x_rc, dtype=float)
     x_mc = np.asarray(x_mc, dtype=float)
     kinds = [normalize_kind(k) for k in kinds]
     _check_schema(x_mp, x_rc, x_mc, kinds)
-    mp_margins = _fit_margins(mp_fit if mp_fit is not None else x_mp, kinds, config)
-    rc_margins = _fit_margins(rc_fit if rc_fit is not None else x_rc, kinds, config)
-    mc_margins = _fit_margins(x_mc, kinds, config)
+    mp_margins = _fit_margins(mp_fit if mp_fit is not None else x_mp, kinds)
+    rc_margins = _fit_margins(rc_fit if rc_fit is not None else x_rc, kinds)
+    mc_margins = _fit_margins(x_mc, kinds)
     x_hat_mc = np.empty_like(x_mp)
     for j in range(x_mp.shape[1]):
         u = np.asarray(mp_margins[j].cdf(x_mp[:, j]))
         x_hat_mc[:, j] = np.asarray(rc_margins[j].quantile(u))
-    out = _delta_project(x_hat_mc, x_mp, mc_margins, mp_margins, kinds, config.delta_mode)
-    prov = dict(provenance or {})
-    prov.setdefault("method", "ubc")
-    prov.setdefault("seed", config.seed)
-    return CorrectedSet(values=out, provenance=prov)
+    return CorrectedSet(_delta_project(x_hat_mc, x_mp, mc_margins, mp_margins, kinds))

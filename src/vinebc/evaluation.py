@@ -42,15 +42,14 @@ def _w2_assignment(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(cost[rows, cols].mean()))
 
 
-def wasserstein2(a, b, standardize: bool = True, seed: int = 0,
-                 subsample: int = OT_SUBSAMPLE, repeats: int = OT_REPEATS) -> float:
+def wasserstein2(a, b, standardize: bool = True, seed: int = 0) -> float:
     """Second Wasserstein distance between two empirical samples.
 
     Both samples are standardized per coordinate by the location and scale
     of ``b`` (the reference) unless disabled.  One-dimensional inputs use the
     exact quantile formula; otherwise exact optimal transport runs on seeded
-    subsamples of at most ``subsample`` points and the distances of
-    ``repeats`` repetitions are averaged.
+    subsamples of at most ``OT_SUBSAMPLE`` points and the distances of
+    ``OT_REPEATS`` repetitions are averaged.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -75,11 +74,11 @@ def wasserstein2(a, b, standardize: bool = True, seed: int = 0,
     if d == 1:
         return _w2_exact_1d(a[:, 0], b[:, 0])
     n, m = a.shape[0], b.shape[0]
-    s = min(subsample, n, m)
-    if n == m and n <= subsample:
+    s = min(OT_SUBSAMPLE, n, m)
+    if n == m and n <= OT_SUBSAMPLE:
         return _w2_assignment(a, b)
     vals = []
-    for r in range(repeats):
+    for r in range(OT_REPEATS):
         rng = np.random.default_rng(subseed(seed, r))
         ia = rng.choice(n, size=s, replace=False)
         ib = rng.choice(m, size=s, replace=False)
@@ -87,11 +86,10 @@ def wasserstein2(a, b, standardize: bool = True, seed: int = 0,
     return float(np.mean(vals))
 
 
-def improvement_iw2(corrected, model, reference, standardize: bool = True, seed: int = 0,
-                    **kwargs) -> float:
+def improvement_iw2(corrected, model, reference, standardize: bool = True, seed: int = 0) -> float:
     """W2(model, reference) minus W2(corrected, reference); positive is better."""
-    w2_model = wasserstein2(model, reference, standardize=standardize, seed=seed, **kwargs)
-    w2_corr = wasserstein2(corrected, reference, standardize=standardize, seed=seed, **kwargs)
+    w2_model = wasserstein2(model, reference, standardize=standardize, seed=seed)
+    w2_corr = wasserstein2(corrected, reference, standardize=standardize, seed=seed)
     return w2_model - w2_corr
 
 
@@ -124,12 +122,12 @@ def empirical_randomized_pit(x, seed: int = 0) -> np.ndarray:
     return u
 
 
-def copula_iw2(corrected, model, reference, seed: int = 0, **kwargs) -> float:
+def copula_iw2(corrected, model, reference, seed: int = 0) -> float:
     """IW2 between each sample's own empirical-PIT pseudo-observations."""
     pit_c = empirical_randomized_pit(np.asarray(corrected, float), seed=subseed(seed, 1))
     pit_m = empirical_randomized_pit(np.asarray(model, float), seed=subseed(seed, 2))
     pit_r = empirical_randomized_pit(np.asarray(reference, float), seed=subseed(seed, 3))
-    return improvement_iw2(pit_c, pit_m, pit_r, standardize=False, seed=seed, **kwargs)
+    return improvement_iw2(pit_c, pit_m, pit_r, standardize=False, seed=seed)
 
 
 def empirical_joint_cdf(data, x):
@@ -200,14 +198,6 @@ class MetricReport:
 
     def sorted_units(self) -> list:
         return sorted(self.units, key=lambda u: (u.method, u.chunk, u.member))
-
-    def margin_names(self) -> list:
-        names = []
-        for u in self.units:
-            for k in u.margin_iw2:
-                if k not in names:
-                    names.append(k)
-        return names
 
     def aggregates(self) -> dict:
         out = {}

@@ -335,18 +335,15 @@ class MixtureMarginal:
 
 # -- fitting ---------------------------------------------------------------
 
-_BANDWIDTH_RULES = ("normal_reference", "silverman")
-
-
-def _reference_bandwidth(z: np.ndarray, rule: str) -> float:
+def _reference_bandwidth(z: np.ndarray) -> float:
+    """Normal-reference bandwidth 1.06 * min(sd, IQR / 1.349) * n^(-1/5)."""
     sd = float(np.std(z))
     q75, q25 = np.percentile(z, [75, 25])
     iqr = float(q75 - q25)
     spread = min(sd, iqr / 1.349) if iqr > 0 else sd
     if spread <= 0:
         spread = max(sd, 1e-6)
-    factor = 1.06 if rule == "normal_reference" else 0.9
-    return factor * spread * z.size ** (-0.2)
+    return 1.06 * spread * z.size ** (-0.2)
 
 
 def _kde_on_grid(z: np.ndarray, knots: np.ndarray, bw: float) -> np.ndarray:
@@ -361,24 +358,16 @@ def _kde_on_grid(z: np.ndarray, knots: np.ndarray, bw: float) -> np.ndarray:
     return out
 
 
-def fit_marginal(
-    sample,
-    kind: str,
-    bandwidth_rule: str = "normal_reference",
-    atom_threshold: float = ATOM_THRESHOLD,
-    grid_size: int = GRID_SIZE,
-) -> MixtureMarginal:
+def fit_marginal(sample, kind: str) -> MixtureMarginal:
     """Fit a mixture margin: detect atoms, then kernel-smooth the rest.
 
     Atoms are exactly repeated values with relative frequency at least
-    ``atom_threshold``; the zero-inflated kind instead treats exact zeros as
+    ``ATOM_THRESHOLD``; the zero-inflated kind instead treats exact zeros as
     the only candidate atom regardless of frequency.  The continuous
     remainder is fitted by a Gaussian KDE with a normal-reference bandwidth,
-    on the log scale for bounded supports, and stored on a knot grid.
+    on the log scale for bounded supports, and stored on ``GRID_SIZE`` knots.
     """
     kind = normalize_kind(kind)
-    if bandwidth_rule not in _BANDWIDTH_RULES:
-        raise ValueError(f"unknown bandwidth rule {bandwidth_rule!r}")
     x = np.asarray(sample, dtype=float).ravel()
     if x.size < MIN_SAMPLE:
         raise EstimationError(f"need at least {MIN_SAMPLE} observations, got {x.size}")
@@ -394,7 +383,7 @@ def fit_marginal(
         cont = x[~zero_mask]
     else:
         values, counts = np.unique(x, return_counts=True)
-        is_atom = (counts >= 2) & (counts / n >= atom_threshold)
+        is_atom = (counts >= 2) & (counts / n >= ATOM_THRESHOLD)
         atoms = [(float(v), float(c) / n) for v, c in zip(values[is_atom], counts[is_atom])]
         cont = x[~np.isin(x, values[is_atom])]
 
@@ -416,9 +405,9 @@ def fit_marginal(
         return MixtureMarginal(atoms, None, kind, degenerate_continuous=True)
 
     z = np.log(cont) if log_scale else cont
-    bw = _reference_bandwidth(z, bandwidth_rule)
+    bw = _reference_bandwidth(z)
     lo, hi = z.min() - 4.0 * bw, z.max() + 4.0 * bw
-    knots = np.linspace(lo, hi, grid_size)
+    knots = np.linspace(lo, hi, GRID_SIZE)
     pdf = _kde_on_grid(z, knots, bw)
     grid = GridDensity(knots, pdf, tail_scale_lo=bw, tail_scale_hi=bw)
     continuous = TransformedGridDensity(grid, log_scale)

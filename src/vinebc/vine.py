@@ -174,14 +174,6 @@ class VineModel:
         """Diagonal variable order used by the Rosenblatt transforms."""
         return [var for var, _, _ in self._steps]
 
-    @property
-    def pair_copulas(self) -> dict:
-        return {
-            (t, i): e.copula
-            for t, tree in enumerate(self.structure.trees)
-            for i, e in enumerate(tree)
-        }
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -249,7 +241,8 @@ def _diagonal_order(structure: VineStructure):
     chain lists the edges, deepest first, whose h-functions condition var on
     all earlier variables (the first edge outputs that conditional CDF, and
     their h-inverses carry a level down to var's margin); ready lists the
-    edges whose constraint set is complete once var is assigned.
+    edges whose constraint set is complete once var is assigned.  The last
+    step's ready list is empty: no later step reads those edges' outputs.
     """
     d = structure.d
     if d == 1:
@@ -277,6 +270,7 @@ def _diagonal_order(structure: VineStructure):
     for t, tree in enumerate(trees):
         for i, e in enumerate(tree):
             ready[max(step_of[v] for v in e.constraint)].append((t, i))
+    ready[-1] = []
     steps = []
     for j, var in enumerate(sigma):
         chain = []
@@ -347,8 +341,7 @@ def _run_edges(model: VineModel, x: np.ndarray, collect_density: bool = False):
 # -- structure selection and fitting ------------------------------------------
 
 
-def _build_vine(store, family_set, seed, truncation, independence_level=0.05,
-                checkerboard_resolution=32):
+def _build_vine(store, family_set, seed, truncation):
     """Dissmann-style sequential construction; returns list-of-trees of Edges.
 
     ``store`` holds the tree-0 inputs and gains every new edge's outputs.
@@ -389,12 +382,7 @@ def _build_vine(store, family_set, seed, truncation, independence_level=0.05,
             if truncation is not None and t >= truncation:
                 edge.copula = IndependenceCopula()
             else:
-                edge.copula = fit_pair(
-                    *obs, family_set,
-                    seed=subseed(seed, _FIT_TAG, t, e_idx),
-                    independence_level=independence_level,
-                    checkerboard_resolution=checkerboard_resolution,
-                )
+                edge.copula = fit_pair(*obs, family_set, seed=subseed(seed, _FIT_TAG, t, e_idx))
             _eval_edge(store, t, e_idx, edge, obs)
             tree.append(edge)
         trees.append(tree)
@@ -402,11 +390,9 @@ def _build_vine(store, family_set, seed, truncation, independence_level=0.05,
     return trees
 
 
-def select_structure(u, u_left=None, method: str = "dissmann", family_set=DEFAULT_FAMILY_SET,
+def select_structure(u, u_left=None, family_set=DEFAULT_FAMILY_SET,
                      seed: int = 0) -> VineStructure:
-    """Tree-by-tree maximum spanning tree on absolute Kendall's tau."""
-    if method != "dissmann":
-        raise ValueError(f"unknown structure selection method {method!r}")
+    """Dissmann's tree-by-tree maximum spanning tree on absolute Kendall's tau."""
     u = np.asarray(u, dtype=float)
     ul = u.copy() if u_left is None else np.asarray(u_left, dtype=float)
     n, d = u.shape
@@ -425,10 +411,6 @@ def fit_vine(
     family_set=DEFAULT_FAMILY_SET,
     seed: int = 0,
     truncation: int | None = None,
-    bandwidth_rule: str = "normal_reference",
-    atom_threshold: float = 0.01,
-    independence_level: float = 0.05,
-    checkerboard_resolution: int = 32,
     var_names=None,
 ) -> VineModel:
     """Fit margins, select the structure and estimate all pair copulas."""
@@ -441,8 +423,7 @@ def fit_vine(
         raise EstimationError(f"got {len(kinds)} kinds for {d} variables")
     margins = []
     for j in range(d):
-        m = fit_marginal(x[:, j], kinds[j], bandwidth_rule=bandwidth_rule,
-                         atom_threshold=atom_threshold)
+        m = fit_marginal(x[:, j], kinds[j])
         if m.degenerate_continuous:
             name = var_names[j] if var_names else f"variable {j}"
             raise EstimationError(f"margin of {name} has no continuous mass")
@@ -450,9 +431,7 @@ def fit_vine(
     if d == 1:
         structure = VineStructure(d=1, trees=[])
     else:
-        trees = _build_vine(_marginal_pseudo(margins, x), family_set, seed, truncation,
-                            independence_level=independence_level,
-                            checkerboard_resolution=checkerboard_resolution)
+        trees = _build_vine(_marginal_pseudo(margins, x), family_set, seed, truncation)
         structure = VineStructure(d=d, trees=trees)
         structure.validate()
     return VineModel(margins=margins, structure=structure, var_names=list(var_names) if var_names else None)

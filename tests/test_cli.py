@@ -1,12 +1,15 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from vinebc.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, emit_report, main, run_pipeline
+from vinebc.correction import CorrectionConfig
 from vinebc.dataset import VariableSpec, load_table
 from vinebc.evaluation import MetricReport, UnitMetrics
 from vinebc.vine import VineModel
@@ -221,10 +224,32 @@ def test_missing_config_exit_code(tmp_path):
     assert run_pipeline("simulate", str(tmp_path / "none.json"), out_dir=str(tmp_path)) == EXIT_CONFIG
 
 
-def _minimal_config(tmp_path):
+def _minimal_config(tmp_path, **extra):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"variables": [{"name": "x", "kind": "interval"}]}))
+    path.write_text(json.dumps({"variables": [{"name": "x", "kind": "interval"}], **extra}))
     return str(path)
+
+
+@pytest.mark.parametrize("field", ["bandwidth_rule", "delta_mode", "atom_threshold",
+                                   "checkerboard_resolution", "independence_level"])
+def test_retired_correction_field_exit_code(tmp_path, capsys, field):
+    value = "silverman" if field == "bandwidth_rule" else 1
+    cfg = _minimal_config(tmp_path, correction={field: value})
+    assert run_pipeline("simulate", cfg, out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+
+
+def test_unknown_command_exit_code(tmp_path, capsys):
+    assert run_pipeline("transform", _minimal_config(tmp_path), out_dir=str(tmp_path)) == EXIT_CONFIG
+    assert "transform" in capsys.readouterr().err
+
+
+def test_readme_correction_block_lists_config_fields():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    block = re.search(r'^  "correction": \{.*?\n(.*?)^  \}', readme, re.M | re.S).group(1)
+    keys = set(re.findall(r'^    "(\w+)":', block, re.M))
+    fields = {f.name for f in dataclasses.fields(CorrectionConfig)} - {"seed"}
+    assert keys == fields
 
 
 def test_non_integer_seed_override_exit_code(tmp_path, monkeypatch, capsys):
@@ -314,3 +339,21 @@ def test_cli_main_parses_args(sim_dir, tmp_path):
     )
     assert status == EXIT_OK
     assert (tmp_path / "cli_out" / "corrected_ubc.csv").exists()
+
+
+def test_cli_main_runs_simulate_fit_evaluate(sim_dir, corrected_dir, tmp_path):
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", sim_dir["cfg"], "--output-dir", str(sim)]) == EXIT_OK
+    for name in ("reference_calibration", "reference_projection", "model_calibration",
+                 "model_projection"):
+        assert _digest(sim / f"{name}.csv") == _digest(sim_dir["sim"] / f"{name}.csv")
+    models = tmp_path / "models"
+    assert main(["fit", "--config", sim_dir["cfg"], "--input", str(sim / "reference_calibration.csv"),
+                 "--output-dir", str(models)]) == EXIT_OK
+    assert len([p for p in os.listdir(models) if p.startswith("model_")]) == 8
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", sim_dir["cfg"], "--model", str(sim / "model_projection.csv"),
+                 "--corrected", str(corrected_dir / "corrected_vbc.csv"),
+                 "--reference", str(sim / "reference_projection.csv"),
+                 "--output-dir", str(out)]) == EXIT_OK
+    assert json.load(open(out / "report.json"))["corrected"]["n_units"] == 16

@@ -25,8 +25,6 @@ def test_delta_map_radiation_example_forces_additive():
     assert 200.0 - q == pytest.approx(190.0)         # additive discrepancy
     out = delta_map(100.0, 200.0, m_mc, m_mp, nonnegative=True)
     assert out == pytest.approx(100.0 + 190.0)       # ratio >= 1 forces additive
-    forced = delta_map(100.0, 200.0, m_mc, m_mp, nonnegative=True, mode="multiplicative")
-    assert forced == pytest.approx(100.0 * 20.0)
 
 
 def test_delta_map_multiplicative_branch():
