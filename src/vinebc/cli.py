@@ -99,11 +99,8 @@ def _variable_specs(cfg: dict) -> list:
 
 
 def _correction_config(cfg: dict) -> CorrectionConfig:
-    c = dict(cfg.get("correction", {}))
-    if "family_set" in c:
-        c["family_set"] = tuple(c["family_set"])
     try:
-        return CorrectionConfig(seed=cfg.get("seed", 0), **c)
+        return CorrectionConfig(seed=cfg.get("seed", 0), **cfg.get("correction", {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"correction: {exc}") from None
 
@@ -139,26 +136,39 @@ def _write_manifest(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
+def _exit_status(failures: dict) -> int:
+    """Name the failed units on stderr; the exit status of a run with these failures."""
+    if not failures:
+        return EXIT_OK
+    print(f"{len(failures)} unit(s) failed:", file=sys.stderr)
+    for unit, err in sorted(failures.items()):
+        print(f"  {unit}: {err}", file=sys.stderr)
+    return EXIT_PARTIAL
+
+
+def _units(table: ClimateTable, chunks: dict, seed: int):
+    """The (chunk, member) units in output order, empty ones included.
+
+    Yields (chunk key, member, unit seed, the member's core rows of the
+    chunk); the unit seed depends on (master seed, chunk, member) only.
+    """
+    members = sorted(int(m) for m in np.unique(table.members))
+    for ci, key in enumerate(ALL_CHUNK_KEYS):
+        core = chunks[key].core_rows
+        for member in members:
+            yield key, member, subseed(seed, ci, member), core[table.members[core] == member]
+
+
 # -- correct -----------------------------------------------------------------
 
 
-def _correct_unit(payload: dict) -> dict:
-    """Run one (chunk, member) correction unit; returns values or an error."""
+def _correct_unit(task: tuple):
+    """Run one (chunk, member) correction unit; returns the corrected rows or an error."""
+    corrector, x_mp, x_rc, x_mc, kinds, config, mp_fit = task
     try:
-        config = CorrectionConfig(**payload["config"]).with_seed(payload["seed"])
-        fn = vbc_correct if payload["method"] == "vbc" else ubc_correct
-        corrected = fn(
-            payload["x_mp"],
-            payload["x_rc"],
-            payload["x_mc"],
-            payload["kinds"],
-            config,
-            mp_fit=payload["mp_fit"],
-            rc_fit=payload["rc_fit"],
-        )
-        return {"unit": payload["unit"], "values": corrected.values}
+        return corrector(x_mp, x_rc, x_mc, kinds, config, mp_fit=mp_fit).values
     except VinebcError as exc:
-        return {"unit": payload["unit"], "error": f"{type(exc).__name__}: {exc}"}
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _config_as_dict(config: CorrectionConfig) -> dict:
@@ -177,6 +187,9 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
     config = _correction_config(cfg)
     seed = cfg.get("seed", 0)
     workers = cfg.get("workers", 1)
+    corrector = {"vbc": vbc_correct, "ubc": ubc_correct}.get(method)
+    if corrector is None:
+        raise ConfigError(f"unknown method {method!r}")
     mp = load_table(mp_path, specs)
     rc = load_table(rc_path, specs)
     mc = load_table(mc_path, specs)
@@ -185,60 +198,36 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
     rc_chunks = _extended_chunks(rc, config.overlap_fraction, seed, 2)
     mc_chunks = _extended_chunks(mc, config.overlap_fraction, seed, 3)
 
-    members = sorted(int(m) for m in np.unique(mp.members))
-    payloads = []
-    unit_rows = {}
-    unit_seeds = {}
-    for ci, key in enumerate(ALL_CHUNK_KEYS):
-        chunk = mp_chunks[key]
-        rc_fit = rc.values[rc_chunks[key].estimation_rows]
-        x_mc = mc.values[mc_chunks[key].estimation_rows]
-        for member in members:
-            unit = f"{key.label}/m{member}"
-            in_member = mp.members[chunk.core_rows] == member
-            core_rows = chunk.core_rows[in_member]
-            est_rows = chunk.estimation_rows[mp.members[chunk.estimation_rows] == member]
-            unit_rows[unit] = core_rows
-            unit_seed = subseed(seed, ci, member)
-            unit_seeds[unit] = unit_seed
-            if core_rows.size == 0:
-                continue
-            payloads.append(
-                {
-                    "unit": unit,
-                    "method": method,
-                    "seed": unit_seed,
-                    "config": _config_as_dict(config),
-                    "kinds": mp.kinds,
-                    "x_mp": mp.values[core_rows],
-                    "mp_fit": mp.values[est_rows],
-                    "x_rc": rc.values[rc_chunks[key].core_rows],
-                    "rc_fit": rc_fit,
-                    "x_mc": x_mc,
-                }
-            )
+    unit_seeds, plan, tasks = {}, [], []
+    for key, member, unit_seed, rows in _units(mp, mp_chunks, seed):
+        unit = f"{key.label}/m{member}"
+        unit_seeds[unit] = unit_seed
+        if rows.size == 0:
+            continue
+        est_rows = mp_chunks[key].estimation_rows
+        mp_fit = mp.values[est_rows[mp.members[est_rows] == member]]
+        plan.append((unit, key, unit_seed, rows))
+        tasks.append((corrector, mp.values[rows], rc.values[rc_chunks[key].estimation_rows],
+                      mc.values[mc_chunks[key].estimation_rows], mp.kinds,
+                      config.with_seed(unit_seed), mp_fit))
 
-    if workers > 1 and len(payloads) > 1:
+    if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_correct_unit, payloads))
+            results = list(pool.map(_correct_unit, tasks))
     else:
-        results = [_correct_unit(p) for p in payloads]
-    results = {r["unit"]: r for r in results}
+        results = [_correct_unit(t) for t in tasks]
 
     corrected = np.full_like(mp.values, np.nan)
     chunk_col = np.empty(len(mp), dtype=object)
     seed_col = np.zeros(len(mp), dtype=np.int64)
     failures = {}
-    for unit, rows in unit_rows.items():
-        res = results.get(unit)
-        if res is None:
+    for (unit, key, unit_seed, rows), res in zip(plan, results):
+        if isinstance(res, str):
+            failures[unit] = res
             continue
-        if "error" in res:
-            failures[unit] = res["error"]
-            continue
-        corrected[rows] = res["values"]
-        chunk_col[rows] = unit.split("/")[0]
-        seed_col[rows] = unit_seeds[unit]
+        corrected[rows] = res
+        chunk_col[rows] = key.label
+        seed_col[rows] = unit_seed
 
     os.makedirs(out_dir, exist_ok=True)
     ok_rows = ~np.isnan(corrected).any(axis=1)
@@ -268,12 +257,7 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
         "chunks": {k.label: len(v.core_rows) for k, v in mp_chunks.items()},
     }
     _write_manifest(os.path.join(out_dir, f"manifest_correct_{method}.json"), manifest)
-    if failures:
-        print(f"{len(failures)} unit(s) failed:", file=sys.stderr)
-        for unit, err in sorted(failures.items()):
-            print(f"  {unit}: {err}", file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _exit_status(failures)
 
 
 # -- evaluate ----------------------------------------------------------------
@@ -292,43 +276,36 @@ def cmd_evaluate(cfg: dict, model_path: str, corrected_path: str, ref_path: str,
         raise VinebcError("model and corrected tables are not row-aligned")
 
     method = "corrected"
-    chunks = make_chunks(model)
     ref_chunks = make_chunks(ref)
     report = MetricReport()
     series_rows = []
-    for ci, key in enumerate(ALL_CHUNK_KEYS):
-        rows = chunks[key].core_rows
+    for key, member, unit_seed, rows in _units(model, make_chunks(model), seed):
         ref_rows = ref_chunks[key].core_rows
         if rows.size == 0 or ref_rows.size == 0:
             continue
+        x_m = model.values[rows]
+        x_c = corrected.values[rows]
         x_ref = ref.values[ref_rows]
-        for member in sorted(int(m) for m in np.unique(model.members[rows])):
-            sel = rows[model.members[rows] == member]
-            x_m = model.values[sel]
-            x_c = corrected.values[sel]
-            unit_seed = subseed(seed, ci, member)
-            w2_model = wasserstein2(x_m, x_ref, standardize=True, seed=unit_seed)
-            w2_corr = wasserstein2(x_c, x_ref, standardize=True, seed=unit_seed)
-            margin = per_margin_iw2(x_c, x_m, x_ref)
-            cop = copula_iw2(x_c, x_m, x_ref, seed=unit_seed)
-            series, mci_mean = mci(x_m, x_c)
-            report.add(
-                UnitMetrics(
-                    chunk=key.label,
-                    member=member,
-                    method=method,
-                    w2_model=w2_model,
-                    w2_corrected=w2_corr,
-                    mci_mean=mci_mean,
-                    copula_iw2=cop,
-                    margin_iw2={n: float(v) for n, v in zip(model.var_names, margin)},
-                    seed=unit_seed,
-                )
+        w2_model = wasserstein2(x_m, x_ref, standardize=True, seed=unit_seed)
+        w2_corr = wasserstein2(x_c, x_ref, standardize=True, seed=unit_seed)
+        margin = per_margin_iw2(x_c, x_m, x_ref)
+        cop = copula_iw2(x_c, x_m, x_ref, seed=unit_seed)
+        series, mci_mean = mci(x_m, x_c)
+        report.add(
+            UnitMetrics(
+                chunk=key.label,
+                member=member,
+                method=method,
+                w2_model=w2_model,
+                w2_corrected=w2_corr,
+                mci_mean=mci_mean,
+                copula_iw2=cop,
+                margin_iw2={n: float(v) for n, v in zip(model.var_names, margin)},
+                seed=unit_seed,
             )
-            ts = model.timestamps[sel].astype("datetime64[s]").astype(str)
-            series_rows.extend(
-                (method, key.label, member, t, _fmt(v)) for t, v in zip(ts, series)
-            )
+        )
+        ts = model.timestamps[rows].astype("datetime64[s]").astype(str)
+        series_rows.extend((method, key.label, member, t, _fmt(v)) for t, v in zip(ts, series))
 
     os.makedirs(out_dir, exist_ok=True)
     paths = emit_report(report, out_dir)
@@ -412,11 +389,7 @@ def cmd_fit(cfg: dict, input_path: str, out_dir: str) -> int:
         "outputs": outputs,
     }
     _write_manifest(os.path.join(out_dir, "manifest_fit.json"), manifest)
-    if failures:
-        for label, err in sorted(failures.items()):
-            print(f"  {label}: {err}", file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _exit_status(failures)
 
 
 # -- simulate -------------------------------------------------------------------

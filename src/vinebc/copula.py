@@ -95,7 +95,7 @@ class BivariateCopula:
         raise NotImplementedError
 
     def _dv0(self, u, v):
-        raise NotImplementedError
+        return self._du0(v, u)  # exchangeable families; the checkerboard has its own
 
     def _params(self) -> dict:
         return {}
@@ -177,9 +177,6 @@ class IndependenceCopula(BivariateCopula):
     def _du0(self, u, v):
         return np.asarray(v, dtype=float)
 
-    def _dv0(self, u, v):
-        return np.asarray(u, dtype=float)
-
 
 def _bvn_cdf(h, k, rho: float):
     """Standard bivariate normal CDF via Owen's T function."""
@@ -231,11 +228,6 @@ class GaussianCopula(BivariateCopula):
         y = stats.norm.ppf(v)
         return stats.norm.cdf((y - self.rho * x) / math.sqrt(1.0 - self.rho**2))
 
-    def _dv0(self, u, v):
-        x = stats.norm.ppf(u)
-        y = stats.norm.ppf(v)
-        return stats.norm.cdf((x - self.rho * y) / math.sqrt(1.0 - self.rho**2))
-
     @staticmethod
     def tau_to_param(tau: float) -> float:
         return float(np.clip(math.sin(math.pi * tau / 2.0), -RHO_CAP, RHO_CAP))
@@ -277,10 +269,6 @@ class ClaytonCopula(BivariateCopula):
     def _du0(self, u, v):
         t = self.theta
         return np.exp(-(t + 1.0) * np.log(u) - (1.0 / t + 1.0) * self._log_s(u, v))
-
-    def _dv0(self, u, v):
-        t = self.theta
-        return np.exp(-(t + 1.0) * np.log(v) - (1.0 / t + 1.0) * self._log_s(u, v))
 
     @staticmethod
     def tau_to_param(tau: float) -> float:
@@ -327,14 +315,6 @@ class GumbelCopula(BivariateCopula):
         log_s = np.logaddexp(t * np.log(x), t * np.log(y))
         a = np.exp(log_s / t)
         return np.exp(-a + (1.0 / t - 1.0) * log_s + (t - 1.0) * np.log(x)) / u
-
-    def _dv0(self, u, v):
-        t = self.theta
-        x = -np.log(u)
-        y = -np.log(v)
-        log_s = np.logaddexp(t * np.log(x), t * np.log(y))
-        a = np.exp(log_s / t)
-        return np.exp(-a + (1.0 / t - 1.0) * log_s + (t - 1.0) * np.log(y)) / v
 
     @staticmethod
     def tau_to_param(tau: float) -> float:
@@ -384,9 +364,6 @@ class FrankCopula(BivariateCopula):
         y = np.where(flip, 1.0 - v, v)
         h = np.exp(-t * x) * np.expm1(-t * y) / (math.expm1(-t) + np.expm1(-t * x) * np.expm1(-t * y))
         return np.where(flip, 1.0 - h, h)
-
-    def _dv0(self, u, v):
-        return self._du0(v, u)  # exchangeable
 
     @staticmethod
     def tau_to_param(tau: float) -> float:

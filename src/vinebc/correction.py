@@ -36,8 +36,14 @@ class CorrectionConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.family_set, str) or not set(self.family_set) <= set(DEFAULT_FAMILY_SET):
+            raise ValueError(f"family_set must list families among {list(DEFAULT_FAMILY_SET)}")
+        object.__setattr__(self, "family_set", tuple(self.family_set))
         if not 0.0 <= self.overlap_fraction <= 1.0:
             raise ValueError("overlap_fraction must lie in [0, 1]")
+        t = self.truncation
+        if t is not None and (isinstance(t, bool) or not isinstance(t, int) or t < 0):
+            raise ValueError("truncation must be null or an integer >= 0")
 
     def with_seed(self, seed: int) -> "CorrectionConfig":
         return replace(self, seed=int(seed))
@@ -87,7 +93,10 @@ def delta_map(x_hat_mc, x_mp, marginal_mc: MixtureMarginal, marginal_mp: Mixture
     return maybe_scalar(out, x_hat_mc, x_mp)
 
 
-def _check_schema(x_mp, x_rc, x_mc, kinds):
+def _as_inputs(x_mp, x_rc, x_mc, kinds):
+    """Float arrays and normalized kinds, checked to describe the same variables."""
+    x_mp, x_rc, x_mc = (np.asarray(x, dtype=float) for x in (x_mp, x_rc, x_mc))
+    kinds = [normalize_kind(k) for k in kinds]
     d = x_mp.shape[1]
     if x_rc.shape[1] != d or x_mc.shape[1] != d:
         raise SchemaError(
@@ -96,67 +105,52 @@ def _check_schema(x_mp, x_rc, x_mc, kinds):
         )
     if len(kinds) != d:
         raise SchemaError(f"got {len(kinds)} kinds for {d} variables")
+    return x_mp, x_rc, x_mc, kinds
 
 
-def _delta_project(x_hat_mc, x_mp, mc_margins, mp_margins, kinds):
+def _project(x_hat_mc, x_mp, x_mc, mp_margins, kinds) -> CorrectedSet:
+    """Delta-map calibration-scale rows onto the projection climate, per variable,
+    against margins fitted to the pooled model calibration rows ``x_mc``."""
     out = np.empty_like(x_hat_mc)
     for j, kind in enumerate(kinds):
         nonneg = kind != "interval"
-        out[:, j] = delta_map(x_hat_mc[:, j], x_mp[:, j], mc_margins[j], mp_margins[j],
-                              nonnegative=nonneg)
+        out[:, j] = delta_map(x_hat_mc[:, j], x_mp[:, j], fit_marginal(x_mc[:, j], kind),
+                              mp_margins[j], nonnegative=nonneg)
         if nonneg:
             out[:, j] = np.maximum(out[:, j], 0.0)
-    return out
+    return CorrectedSet(out)
 
 
-def _fit_margins(x, kinds):
-    return [fit_marginal(x[:, j], kinds[j]) for j in range(x.shape[1])]
-
-
-def vbc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig,
-                mp_fit=None, rc_fit=None) -> CorrectedSet:
+def vbc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig, mp_fit=None) -> CorrectedSet:
     """Multivariate vine-copula correction of the projection rows.
 
-    ``mp_fit``/``rc_fit`` optionally supply overlap-extended estimation sets;
-    the rows of ``x_mp`` are the ones corrected and returned, aligned and in
-    order.  ``x_mc`` pools all ensemble members of the calibration period and
-    only feeds the per-variable delta mapping.
+    The reference vine is fitted to ``x_rc``, the reference estimation sample;
+    ``mp_fit`` optionally supplies an overlap-extended estimation set for the
+    projection vine.  The rows of ``x_mp`` are the ones corrected and
+    returned, aligned and in order.  ``x_mc`` pools all ensemble members of
+    the calibration period and only feeds the per-variable delta mapping.
     """
-    x_mp = np.asarray(x_mp, dtype=float)
-    x_rc = np.asarray(x_rc, dtype=float)
-    x_mc = np.asarray(x_mc, dtype=float)
-    kinds = [normalize_kind(k) for k in kinds]
-    _check_schema(x_mp, x_rc, x_mc, kinds)
+    x_mp, x_rc, x_mc, kinds = _as_inputs(x_mp, x_rc, x_mc, kinds)
     fit_kwargs = config.vine_kwargs()
     vine_mp = fit_vine(mp_fit if mp_fit is not None else x_mp, kinds,
                        seed=subseed(config.seed, _MP_TAG), **fit_kwargs)
-    vine_rc = fit_vine(rc_fit if rc_fit is not None else x_rc, kinds,
-                       seed=subseed(config.seed, _RC_TAG), **fit_kwargs)
-    mc_margins = _fit_margins(x_mc, kinds)
+    vine_rc = fit_vine(x_rc, kinds, seed=subseed(config.seed, _RC_TAG), **fit_kwargs)
     noise = np.random.default_rng(subseed(config.seed, _NOISE_TAG)).uniform(size=x_mp.shape)
     v = rosenblatt_forward(vine_mp, x_mp, noise)
     v = np.clip(v, 1e-9, 1.0 - 1e-9)
     x_hat_mc = rosenblatt_inverse(vine_rc, v)
-    return CorrectedSet(_delta_project(x_hat_mc, x_mp, mc_margins, vine_mp.margins, kinds))
+    return _project(x_hat_mc, x_mp, x_mc, vine_mp.margins, kinds)
 
 
-def ubc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig,
-                mp_fit=None, rc_fit=None) -> CorrectedSet:
+def ubc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig, mp_fit=None) -> CorrectedSet:
     """Univariate quantile-delta-mapping baseline; preserves per-margin ranks.
 
     UBC has no settings of its own: ``config`` is taken so that both
     correctors share one signature.
     """
-    x_mp = np.asarray(x_mp, dtype=float)
-    x_rc = np.asarray(x_rc, dtype=float)
-    x_mc = np.asarray(x_mc, dtype=float)
-    kinds = [normalize_kind(k) for k in kinds]
-    _check_schema(x_mp, x_rc, x_mc, kinds)
-    mp_margins = _fit_margins(mp_fit if mp_fit is not None else x_mp, kinds)
-    rc_margins = _fit_margins(rc_fit if rc_fit is not None else x_rc, kinds)
-    mc_margins = _fit_margins(x_mc, kinds)
-    x_hat_mc = np.empty_like(x_mp)
-    for j in range(x_mp.shape[1]):
-        u = np.asarray(mp_margins[j].cdf(x_mp[:, j]))
-        x_hat_mc[:, j] = np.asarray(rc_margins[j].quantile(u))
-    return CorrectedSet(_delta_project(x_hat_mc, x_mp, mc_margins, mp_margins, kinds))
+    x_mp, x_rc, x_mc, kinds = _as_inputs(x_mp, x_rc, x_mc, kinds)
+    x_fit = mp_fit if mp_fit is not None else x_mp
+    mp_margins = [fit_marginal(x_fit[:, j], kind) for j, kind in enumerate(kinds)]
+    x_hat_mc = np.column_stack([fit_marginal(x_rc[:, j], kind).quantile(m.cdf(x_mp[:, j]))
+                                for j, (kind, m) in enumerate(zip(kinds, mp_margins))])
+    return _project(x_hat_mc, x_mp, x_mc, mp_margins, kinds)

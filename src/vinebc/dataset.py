@@ -9,6 +9,7 @@ months and the 3-hour slots bordering the diurnal window.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -276,16 +277,21 @@ def extend_overlap(chunk: Chunk, table: ClimateTable, fraction: float, seed: int
     return Chunk(chunk.key, chunk.core_rows.copy(), estimation)
 
 
+def _rows_digest(rows: np.ndarray) -> str:
+    return hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest()
+
+
 def chunk_manifest(chunks: dict) -> dict:
-    """JSON-ready audit record of the chunk partition."""
+    """JSON-ready audit record of the chunk partition: row counts, and a
+    SHA-256 of each row-index array (little-endian int64) in place of the rows."""
     return {
         key.label: {
             "season": key.season,
             "diurnal": key.diurnal,
             "n_core": int(chunk.core_rows.size),
             "n_estimation": int(chunk.estimation_rows.size),
-            "core_rows": chunk.core_rows.tolist(),
-            "estimation_rows": chunk.estimation_rows.tolist(),
+            "core_rows_sha256": _rows_digest(chunk.core_rows),
+            "estimation_rows_sha256": _rows_digest(chunk.estimation_rows),
         }
         for key, chunk in chunks.items()
     }

@@ -292,7 +292,9 @@ def test_data_error_exit_code(sim_dir, tmp_path):
     assert status == EXIT_DATA
 
 
-def test_partial_failure_exit_code(sim_dir, tmp_path, capsys):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_partial_failure_exit_code(sim_dir, tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setenv("VINEBC_WORKERS", workers)
     # append a third member with too few rows to fit anything in its one chunk
     src = (sim_dir["sim"] / "model_projection.csv").read_text().splitlines()
     extra = []
@@ -317,6 +319,44 @@ def test_partial_failure_exit_code(sim_dir, tmp_path, capsys):
     # the healthy members still produced corrected rows
     corr = load_table(tmp_path / "o" / "corrected_ubc.csv", _specs())
     assert set(np.unique(corr.members)) == {1, 2}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("family_set", ["gaussian", "nope"]), ("family_set", "gaussian"), ("truncation", "x"),
+     ("truncation", -1)],
+    ids=["unknown_family", "bare_string_family", "non_integer_truncation", "negative_truncation"],
+)
+def test_invalid_correction_value_exit_code(sim_dir, tmp_path, capsys, field, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**CONFIG, "correction": {field: value}}))
+    status = run_pipeline(
+        "correct",
+        str(cfg),
+        method="vbc",
+        mp_path=str(sim_dir["sim"] / "model_projection.csv"),
+        rc_path=str(sim_dir["sim"] / "reference_calibration.csv"),
+        mc_path=str(sim_dir["sim"] / "model_calibration.csv"),
+        out_dir=str(tmp_path / "o"),
+    )
+    assert status == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error: correction:" in err
+    assert field in err
+
+
+def test_unknown_correct_method_exit_code(sim_dir, tmp_path, capsys):
+    status = run_pipeline(
+        "correct",
+        sim_dir["cfg"],
+        method="qm",
+        mp_path=str(sim_dir["sim"] / "model_projection.csv"),
+        rc_path=str(sim_dir["sim"] / "reference_calibration.csv"),
+        mc_path=str(sim_dir["sim"] / "model_calibration.csv"),
+        out_dir=str(tmp_path / "o"),
+    )
+    assert status == EXIT_CONFIG
+    assert "qm" in capsys.readouterr().err
 
 
 def test_cli_main_parses_args(sim_dir, tmp_path):

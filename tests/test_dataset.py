@@ -223,3 +223,4 @@ def test_chunk_manifest_round_trips_json():
     blob = json.loads(json.dumps(manifest))
     assert set(blob) == {k.label for k in ALL_CHUNK_KEYS}
     assert sum(v["n_core"] for v in blob.values()) == len(table)
+    assert not any(isinstance(x, list) for v in blob.values() for x in v.values())
