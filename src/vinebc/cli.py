@@ -2,8 +2,9 @@
 
 A single JSON config file drives every command; environment variables
 ``VINEBC_SEED`` and ``VINEBC_WORKERS`` override only the master seed and the
-parallelism degree.  Correction units (one per chunk and member) carry seeds
-derived from (master seed, chunk, member), so outputs are byte-identical at
+parallelism degree.  Correction and evaluation units (one per chunk and
+member) carry seeds derived from (master seed, chunk, member), and
+``workers`` > 1 runs them on a process pool; outputs are byte-identical at
 any parallelism degree.  Exit codes: 0 success, 1 config error, 2 data
 error, 3 partial unit failure.
 """
@@ -53,6 +54,10 @@ EXIT_PARTIAL = 3
 _CORRECTION_FIELDS = tuple(f.name for f in dataclasses.fields(CorrectionConfig) if f.name != "seed")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _checked_int(cfg: dict, key: str, env: str, least: int) -> None:
     """Apply the environment override of ``cfg[key]``, then check the value."""
     source = key
@@ -63,7 +68,7 @@ def _checked_int(cfg: dict, key: str, env: str, least: int) -> None:
         except ValueError:
             raise ConfigError(f"{env}: not an integer: {os.environ[env]!r}") from None
     value = cfg.get(key, least)
-    if not isinstance(value, int) or value < least:
+    if not _is_int(value) or value < least:
         raise ConfigError(f"{source}: must be a {'nonnegative' if least == 0 else 'positive'} integer")
 
 
@@ -88,7 +93,10 @@ def _load_config(path: str) -> dict:
             raise ConfigError(f"variables[{i}].kind: {exc}") from None
     _checked_int(cfg, "seed", "VINEBC_SEED", 0)
     _checked_int(cfg, "workers", "VINEBC_WORKERS", 1)
-    unknown = set(cfg.get("correction", {})) - set(_CORRECTION_FIELDS)
+    correction = cfg.get("correction", {})
+    if not isinstance(correction, dict):
+        raise ConfigError("correction: must be a JSON object")
+    unknown = set(correction) - set(_CORRECTION_FIELDS)
     if unknown:
         raise ConfigError(f"correction: unknown fields {sorted(unknown)}")
     return cfg
@@ -159,6 +167,14 @@ def _units(table: ClimateTable, chunks: dict, seed: int):
             yield key, member, subseed(seed, ci, member), core[table.members[core] == member]
 
 
+def _map_units(fn, tasks: list, workers: int) -> list:
+    """``fn`` of each unit task, in task order; on a process pool when ``workers`` > 1."""
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 # -- correct -----------------------------------------------------------------
 
 
@@ -186,7 +202,6 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
     specs = _variable_specs(cfg)
     config = _correction_config(cfg)
     seed = cfg.get("seed", 0)
-    workers = cfg.get("workers", 1)
     corrector = {"vbc": vbc_correct, "ubc": ubc_correct}.get(method)
     if corrector is None:
         raise ConfigError(f"unknown method {method!r}")
@@ -211,11 +226,7 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
                       mc.values[mc_chunks[key].estimation_rows], mp.kinds,
                       config.with_seed(unit_seed), mp_fit))
 
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_correct_unit, tasks))
-    else:
-        results = [_correct_unit(t) for t in tasks]
+    results = _map_units(_correct_unit, tasks, cfg.get("workers", 1))
 
     corrected = np.full_like(mp.values, np.nan)
     chunk_col = np.empty(len(mp), dtype=object)
@@ -263,6 +274,18 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
 # -- evaluate ----------------------------------------------------------------
 
 
+def _evaluate_unit(task: tuple) -> tuple:
+    """Metrics of one (chunk, member) unit: W2 of the model and of the corrected
+    rows against the reference, per-margin IW2, copula IW2, the MCI series and
+    its mean."""
+    x_m, x_c, x_ref, seed = task
+    return (wasserstein2(x_m, x_ref, standardize=True, seed=seed),
+            wasserstein2(x_c, x_ref, standardize=True, seed=seed),
+            per_margin_iw2(x_c, x_m, x_ref),
+            copula_iw2(x_c, x_m, x_ref, seed=seed),
+            *mci(x_m, x_c))
+
+
 def cmd_evaluate(cfg: dict, model_path: str, corrected_path: str, ref_path: str,
                  out_dir: str) -> int:
     specs = _variable_specs(cfg)
@@ -277,20 +300,19 @@ def cmd_evaluate(cfg: dict, model_path: str, corrected_path: str, ref_path: str,
 
     method = "corrected"
     ref_chunks = make_chunks(ref)
-    report = MetricReport()
-    series_rows = []
+    plan, tasks = [], []
     for key, member, unit_seed, rows in _units(model, make_chunks(model), seed):
         ref_rows = ref_chunks[key].core_rows
         if rows.size == 0 or ref_rows.size == 0:
             continue
-        x_m = model.values[rows]
-        x_c = corrected.values[rows]
-        x_ref = ref.values[ref_rows]
-        w2_model = wasserstein2(x_m, x_ref, standardize=True, seed=unit_seed)
-        w2_corr = wasserstein2(x_c, x_ref, standardize=True, seed=unit_seed)
-        margin = per_margin_iw2(x_c, x_m, x_ref)
-        cop = copula_iw2(x_c, x_m, x_ref, seed=unit_seed)
-        series, mci_mean = mci(x_m, x_c)
+        plan.append((key, member, unit_seed, rows))
+        tasks.append((model.values[rows], corrected.values[rows], ref.values[ref_rows], unit_seed))
+
+    report = MetricReport()
+    series_rows = []
+    results = _map_units(_evaluate_unit, tasks, cfg.get("workers", 1))
+    for (key, member, unit_seed, rows), res in zip(plan, results):
+        w2_model, w2_corr, margin, cop, series, mci_mean = res
         report.add(
             UnitMetrics(
                 chunk=key.label,
@@ -438,7 +460,11 @@ def _simulate_spec(cfg: dict):
         dependence_scale=float(bias_cfg.get("dependence_scale", 1.0)),
     )
     members = sim.get("members", [1])
-    steps = int(sim.get("steps_per_member", 2920))
+    if not isinstance(members, list) or not members or not all(map(_is_int, members)):
+        raise ConfigError("simulate.members: must be a non-empty list of integers")
+    steps = sim.get("steps_per_member", 2920)
+    if not _is_int(steps) or steps < 1:
+        raise ConfigError("simulate.steps_per_member: must be a positive integer")
     start_c = sim.get("start", "2001-01-01T00:00:00")
     start_p = sim.get("projection_start", "2011-01-01T00:00:00")
     return specs, truth, bias, members, steps, start_c, start_p

@@ -171,6 +171,25 @@ def test_evaluate_report(sim_dir, corrected_dir):
     assert np.median(t_iw2) > 0.0
 
 
+def test_evaluate_parallel_matches_serial(sim_dir, corrected_dir, monkeypatch):
+    outputs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("VINEBC_WORKERS", workers)
+        out = sim_dir["tmp"] / f"eval_w{workers}"
+        status = run_pipeline(
+            "evaluate",
+            sim_dir["cfg"],
+            model_path=str(sim_dir["sim"] / "model_projection.csv"),
+            corrected_path=str(corrected_dir / "corrected_vbc.csv"),
+            ref_path=str(sim_dir["sim"] / "reference_projection.csv"),
+            out_dir=str(out),
+        )
+        assert status == EXIT_OK
+        outputs[workers] = [_digest(out / name)
+                            for name in ("report.csv", "report.json", "mci_series.csv")]
+    assert outputs["1"] == outputs["2"]
+
+
 def test_fit_writes_models_per_chunk(sim_dir):
     out = sim_dir["tmp"] / "models"
     status = run_pipeline(
@@ -237,6 +256,27 @@ def test_retired_correction_field_exit_code(tmp_path, capsys, field):
     cfg = _minimal_config(tmp_path, correction={field: value})
     assert run_pipeline("simulate", cfg, out_dir=str(tmp_path / "o")) == EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [(("correction",), None), (("correction",), 3), (("simulate", "members"), "ab"),
+     (("simulate", "steps_per_member"), "x"), (("workers",), True)],
+    ids=["null_correction", "number_correction", "string_members", "string_steps",
+         "boolean_workers"],
+)
+def test_invalid_config_value_exit_code(tmp_path, capsys, path, value):
+    cfg = json.loads(json.dumps(CONFIG))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_pipeline("simulate", str(cfg_path), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert ".".join(path) in err
 
 
 def test_unknown_command_exit_code(tmp_path, capsys):

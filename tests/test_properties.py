@@ -1,6 +1,6 @@
-"""Property tests for the pair-copula layer.
+"""Property tests for the pair-copula layer and the empirical joint CDF.
 
-Strategies are bounded to these parameter ranges:
+Pair-copula strategies are bounded to these parameter ranges:
 
 * Gaussian rho in [-0.999, 0.999], Clayton theta in [0.05, 50], Gumbel theta
   in [1, 50] (the fitted ranges), Frank theta in [-35, -0.1] or [0.1, 35];
@@ -10,12 +10,16 @@ Strategies are bounded to these parameter ranges:
   jump in [1e-3, 0.3] (well above ``MIN_DISCRETE_MASS``) placed anywhere in
   [0, 1].
 * Targets v and evaluation points in [1e-6, 1 - 1e-6].
+
+Joint-CDF samples have 1 to 70 rows of 1 to 5 columns, drawn from a few
+repeated values (0 among them, as an atom), floats in [-3, 3] and NaN.
 """
 import json
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from vinebc.copula import (
@@ -30,6 +34,7 @@ from vinebc.copula import (
     hfunc,
     hfunc_inverse,
 )
+from vinebc.evaluation import empirical_joint_cdf
 
 ROTATIONS = (0, 90, 180, 270)
 PROPERTY_SETTINGS = settings(deadline=None, max_examples=100)
@@ -137,3 +142,37 @@ def test_serialization_round_trip_is_exact(cop, points):
     assert type(clone) is type(cop) and clone.rotation == cop.rotation
     for method in ("cdf", "du", "dv"):
         assert np.array_equal(getattr(clone, method)(u, v), getattr(cop, method)(u, v))
+
+
+def brute_joint_cdf(data, x):
+    """Share of the rows of ``data`` componentwise <= each row of ``x``, by broadcasting."""
+    return np.array([(data <= q).all(axis=1).mean() for q in x])
+
+
+joint_values = st.sampled_from([0.0, 0.0, 0.5, 1.0, -1.0]) | st.floats(-3.0, 3.0) | st.just(np.nan)
+
+
+@st.composite
+def joint_samples(draw):
+    """Data with ties and an atom at 0, and query points on and off its rows."""
+    n, d = draw(st.integers(1, 70)), draw(st.integers(1, 5))
+    data = draw(arrays(float, (n, d), elements=joint_values))
+    on = data[draw(st.lists(st.integers(0, n - 1), max_size=20))].reshape(-1, d)
+    off = draw(arrays(float, (draw(st.integers(0, 20)), d), elements=joint_values))
+    return data, np.vstack([on, off])
+
+
+@PROPERTY_SETTINGS
+@given(joint_samples())
+def test_empirical_joint_cdf_equals_brute_force(sample):
+    data, x = sample
+    assert (empirical_joint_cdf(data, x) == brute_joint_cdf(data, x)).all()
+
+
+def test_empirical_joint_cdf_equals_brute_force_across_query_blocks():
+    # 5,003 rows: about 830 query points per 4 MB block, so 2,000 span three
+    rng = np.random.default_rng(17)
+    data = np.round(rng.normal(size=(5003, 3)), 1)
+    data[data[:, 1] < 0.3, 1] = 0.0
+    x = np.vstack([data[:1000], np.round(rng.normal(size=(1000, 3)), 2)])
+    assert (empirical_joint_cdf(data, x) == brute_joint_cdf(data, x)).all()
