@@ -2,11 +2,12 @@
 
 A single JSON config file drives every command; environment variables
 ``VINEBC_SEED`` and ``VINEBC_WORKERS`` override only the master seed and the
-parallelism degree.  Correction and evaluation units (one per chunk and
-member) carry seeds derived from (master seed, chunk, member), and
-``workers`` > 1 runs them on a process pool; outputs are byte-identical at
-any parallelism degree.  Exit codes: 0 success, 1 config error, 2 data
-error, 3 partial unit failure.
+parallelism degree.  Fit units (one per chunk) and correction and
+evaluation units (one per chunk and member) carry seeds derived from the
+master seed, and all of them run through one runner (``_map_units``):
+``workers`` > 1 runs them on a process pool, and a unit that fails on bad
+data fails alone.  Outputs are byte-identical at any parallelism degree.
+Exit codes: 0 success, 1 config error, 2 data error, 3 partial unit failure.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -52,6 +54,11 @@ EXIT_PARTIAL = 3
 
 # the config file's "correction" block; the seed comes from the top level
 _CORRECTION_FIELDS = tuple(f.name for f in dataclasses.fields(CorrectionConfig) if f.name != "seed")
+# CSV columns besides the variables; no variable may take one of these names
+_RESERVED_COLUMNS = ("timestamp", "member", "chunk", "method", "unit_seed")
+# a unit that raises one of these fails alone (ValueError covers numpy's
+# LinAlgError); any other exception is a programming error and propagates
+_UNIT_ERRORS = (VinebcError, ValueError, ArithmeticError)
 
 
 def _is_int(value) -> bool:
@@ -84,9 +91,17 @@ def _load_config(path: str) -> dict:
         raise ConfigError("config root must be a JSON object")
     if "variables" not in cfg or not isinstance(cfg["variables"], list) or not cfg["variables"]:
         raise ConfigError("variables: required non-empty list")
+    names = set()
     for i, v in enumerate(cfg["variables"]):
         if not isinstance(v, dict) or "name" not in v or "kind" not in v:
             raise ConfigError(f"variables[{i}]: need name and kind")
+        name = v["name"]
+        if not isinstance(name, str) or not name or any(c in name for c in ',"\'\r\n'):
+            raise ConfigError(f"variables[{i}].name: must be a non-empty string without "
+                              "commas, quotes or line breaks")
+        if name in _RESERVED_COLUMNS or name in names:
+            raise ConfigError(f"variables[{i}].name: {name!r} is reserved or already taken")
+        names.add(name)
         try:
             normalize_kind(v["kind"])
         except ValueError as exc:
@@ -138,9 +153,21 @@ def write_table_csv(path: str, table: ClimateTable, extra: dict | None = None) -
             fh.write(",".join(row) + "\n")
 
 
-def _write_manifest(path: str, payload: dict) -> None:
+def _write_manifest(path: str, command: str, cfg: dict, inputs: tuple, outputs: list,
+                    config: CorrectionConfig | None = None, **extra) -> None:
+    """Write a command's manifest: the keys every command shares, plus ``extra``.
+
+    The config snapshot takes its correction block from ``config`` when one is
+    given; input digests are recorded when the command reads inputs.
+    """
+    manifest = {"command": command, "version": __version__, "config": cfg,
+                "master_seed": cfg.get("seed", 0), "outputs": outputs, **extra}
+    if config is not None:
+        manifest["config"] = {**cfg, "correction": {f: getattr(config, f) for f in _CORRECTION_FIELDS}}
+    if inputs:
+        manifest["inputs"] = {p: _digest(p) for p in inputs}
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -157,38 +184,45 @@ def _exit_status(failures: dict) -> int:
 def _units(table: ClimateTable, chunks: dict, seed: int):
     """The (chunk, member) units in output order, empty ones included.
 
-    Yields (chunk key, member, unit seed, the member's core rows of the
-    chunk); the unit seed depends on (master seed, chunk, member) only.
+    Yields (unit name, chunk key, member, unit seed, the member's core rows of
+    the chunk); the unit seed depends on (master seed, chunk, member) only.
     """
     members = sorted(int(m) for m in np.unique(table.members))
     for ci, key in enumerate(ALL_CHUNK_KEYS):
         core = chunks[key].core_rows
         for member in members:
-            yield key, member, subseed(seed, ci, member), core[table.members[core] == member]
+            yield (f"{key.label}/m{member}", key, member, subseed(seed, ci, member),
+                   core[table.members[core] == member])
 
 
-def _map_units(fn, tasks: list, workers: int) -> list:
-    """``fn`` of each unit task, in task order; on a process pool when ``workers`` > 1."""
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+def _run_unit(task) -> tuple:
+    """(True, the task's result), or (False, the error a failing unit raised)."""
+    try:
+        return True, task()
+    except _UNIT_ERRORS as exc:
+        return False, f"{type(exc).__name__}: {exc}"
+
+
+def _map_units(tasks: dict, workers: int) -> tuple:
+    """Run every unit's task, a picklable callable of no arguments.
+
+    With ``workers`` > 1 the tasks run on a process pool of at most one
+    process per task.  Returns ({unit: result}, {unit: error message}), each
+    in task order.
+    """
+    n = min(workers, len(tasks))
+    if n > 1:
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            outcomes = list(pool.map(_run_unit, tasks.values()))
+    else:
+        outcomes = [_run_unit(t) for t in tasks.values()]
+    results, failures = {}, {}
+    for unit, (ok, value) in zip(tasks, outcomes):
+        (results if ok else failures)[unit] = value
+    return results, failures
 
 
 # -- correct -----------------------------------------------------------------
-
-
-def _correct_unit(task: tuple):
-    """Run one (chunk, member) correction unit; returns the corrected rows or an error."""
-    corrector, x_mp, x_rc, x_mc, kinds, config, mp_fit = task
-    try:
-        return corrector(x_mp, x_rc, x_mc, kinds, config, mp_fit=mp_fit).values
-    except VinebcError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _config_as_dict(config: CorrectionConfig) -> dict:
-    return {name: getattr(config, name) for name in _CORRECTION_FIELDS}
 
 
 def _extended_chunks(table: ClimateTable, overlap_fraction: float, seed: int, tag: int) -> dict:
@@ -213,30 +247,26 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
     rc_chunks = _extended_chunks(rc, config.overlap_fraction, seed, 2)
     mc_chunks = _extended_chunks(mc, config.overlap_fraction, seed, 3)
 
-    unit_seeds, plan, tasks = {}, [], []
-    for key, member, unit_seed, rows in _units(mp, mp_chunks, seed):
-        unit = f"{key.label}/m{member}"
+    unit_seeds, plan, tasks = {}, {}, {}
+    for unit, key, member, unit_seed, rows in _units(mp, mp_chunks, seed):
         unit_seeds[unit] = unit_seed
         if rows.size == 0:
             continue
         est_rows = mp_chunks[key].estimation_rows
-        mp_fit = mp.values[est_rows[mp.members[est_rows] == member]]
-        plan.append((unit, key, unit_seed, rows))
-        tasks.append((corrector, mp.values[rows], rc.values[rc_chunks[key].estimation_rows],
-                      mc.values[mc_chunks[key].estimation_rows], mp.kinds,
-                      config.with_seed(unit_seed), mp_fit))
+        plan[unit] = (key, unit_seed, rows)
+        tasks[unit] = partial(corrector, mp.values[rows], rc.values[rc_chunks[key].estimation_rows],
+                              mc.values[mc_chunks[key].estimation_rows], mp.kinds,
+                              config.with_seed(unit_seed),
+                              mp_fit=mp.values[est_rows[mp.members[est_rows] == member]])
 
-    results = _map_units(_correct_unit, tasks, cfg.get("workers", 1))
+    results, failures = _map_units(tasks, cfg.get("workers", 1))
 
     corrected = np.full_like(mp.values, np.nan)
     chunk_col = np.empty(len(mp), dtype=object)
     seed_col = np.zeros(len(mp), dtype=np.int64)
-    failures = {}
-    for (unit, key, unit_seed, rows), res in zip(plan, results):
-        if isinstance(res, str):
-            failures[unit] = res
-            continue
-        corrected[rows] = res
+    for unit, res in results.items():
+        key, unit_seed, rows = plan[unit]
+        corrected[rows] = res.values
         chunk_col[rows] = key.label
         seed_col[rows] = unit_seed
 
@@ -255,30 +285,20 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
             "unit_seed": seed_col[ok_rows],
         },
     )
-    manifest = {
-        "command": "correct",
-        "method": method,
-        "version": __version__,
-        "config": {**cfg, "correction": _config_as_dict(config)},
-        "inputs": {p: _digest(p) for p in (mp_path, rc_path, mc_path)},
-        "master_seed": seed,
-        "unit_seeds": {u: int(s) for u, s in unit_seeds.items()},
-        "failures": failures,
-        "outputs": [out_csv],
-        "chunks": {k.label: len(v.core_rows) for k, v in mp_chunks.items()},
-    }
-    _write_manifest(os.path.join(out_dir, f"manifest_correct_{method}.json"), manifest)
+    _write_manifest(os.path.join(out_dir, f"manifest_correct_{method}.json"), "correct", cfg,
+                    (mp_path, rc_path, mc_path), [out_csv], config, method=method,
+                    unit_seeds={u: int(s) for u, s in unit_seeds.items()}, failures=failures,
+                    chunks={k.label: len(v.core_rows) for k, v in mp_chunks.items()})
     return _exit_status(failures)
 
 
 # -- evaluate ----------------------------------------------------------------
 
 
-def _evaluate_unit(task: tuple) -> tuple:
+def _evaluate_unit(x_m, x_c, x_ref, seed: int) -> tuple:
     """Metrics of one (chunk, member) unit: W2 of the model and of the corrected
     rows against the reference, per-margin IW2, copula IW2, the MCI series and
     its mean."""
-    x_m, x_c, x_ref, seed = task
     return (wasserstein2(x_m, x_ref, standardize=True, seed=seed),
             wasserstein2(x_c, x_ref, standardize=True, seed=seed),
             per_margin_iw2(x_c, x_m, x_ref),
@@ -300,19 +320,20 @@ def cmd_evaluate(cfg: dict, model_path: str, corrected_path: str, ref_path: str,
 
     method = "corrected"
     ref_chunks = make_chunks(ref)
-    plan, tasks = [], []
-    for key, member, unit_seed, rows in _units(model, make_chunks(model), seed):
+    plan, tasks = {}, {}
+    for unit, key, member, unit_seed, rows in _units(model, make_chunks(model), seed):
         ref_rows = ref_chunks[key].core_rows
         if rows.size == 0 or ref_rows.size == 0:
             continue
-        plan.append((key, member, unit_seed, rows))
-        tasks.append((model.values[rows], corrected.values[rows], ref.values[ref_rows], unit_seed))
+        plan[unit] = (key, member, unit_seed, rows)
+        tasks[unit] = partial(_evaluate_unit, model.values[rows], corrected.values[rows],
+                              ref.values[ref_rows], unit_seed)
 
     report = MetricReport()
     series_rows = []
-    results = _map_units(_evaluate_unit, tasks, cfg.get("workers", 1))
-    for (key, member, unit_seed, rows), res in zip(plan, results):
-        w2_model, w2_corr, margin, cop, series, mci_mean = res
+    results, failures = _map_units(tasks, cfg.get("workers", 1))
+    for unit, (w2_model, w2_corr, margin, cop, series, mci_mean) in results.items():
+        key, member, unit_seed, rows = plan[unit]
         report.add(
             UnitMetrics(
                 chunk=key.label,
@@ -336,16 +357,10 @@ def cmd_evaluate(cfg: dict, model_path: str, corrected_path: str, ref_path: str,
         fh.write("method,chunk,member,timestamp,mci\n")
         for row in series_rows:
             fh.write(",".join(str(c) for c in row) + "\n")
-    manifest = {
-        "command": "evaluate",
-        "version": __version__,
-        "config": cfg,
-        "inputs": {p: _digest(p) for p in (model_path, corrected_path, ref_path)},
-        "master_seed": seed,
-        "outputs": paths + [series_path],
-    }
-    _write_manifest(os.path.join(out_dir, "manifest_evaluate.json"), manifest)
-    return EXIT_OK
+    _write_manifest(os.path.join(out_dir, "manifest_evaluate.json"), "evaluate", cfg,
+                    (model_path, corrected_path, ref_path), paths + [series_path],
+                    failures=failures)
+    return _exit_status(failures)
 
 
 def emit_report(report: MetricReport, out_dir: str) -> list:
@@ -379,38 +394,22 @@ def cmd_fit(cfg: dict, input_path: str, out_dir: str) -> int:
     seed = cfg.get("seed", 0)
     table = load_table(input_path, specs)
     chunks = _extended_chunks(table, config.overlap_fraction, seed, 1)
-    os.makedirs(out_dir, exist_ok=True)
-    outputs = []
-    failures = {}
+    tasks = {}
     for ci, key in enumerate(ALL_CHUNK_KEYS):
         rows = chunks[key].estimation_rows
-        if rows.size == 0:
-            continue
-        try:
-            model = fit_vine(
-                table.values[rows],
-                table.kinds,
-                seed=subseed(seed, 4, ci),
-                var_names=table.var_names,
-                **config.vine_kwargs(),
-            )
-        except VinebcError as exc:
-            failures[key.label] = f"{type(exc).__name__}: {exc}"
-            continue
-        path = os.path.join(out_dir, f"model_{key.label}.json")
+        if rows.size:
+            tasks[key.label] = partial(fit_vine, table.values[rows], table.kinds,
+                                       seed=subseed(seed, 4, ci), var_names=table.var_names,
+                                       **config.vine_kwargs())
+    models, failures = _map_units(tasks, cfg.get("workers", 1))
+    os.makedirs(out_dir, exist_ok=True)
+    outputs = []
+    for label, model in models.items():
+        path = os.path.join(out_dir, f"model_{label}.json")
         model.save(path)
         outputs.append(path)
-    manifest = {
-        "command": "fit",
-        "version": __version__,
-        "config": {**cfg, "correction": _config_as_dict(config)},
-        "inputs": {input_path: _digest(input_path)},
-        "master_seed": seed,
-        "chunks": chunk_manifest(chunks),
-        "failures": failures,
-        "outputs": outputs,
-    }
-    _write_manifest(os.path.join(out_dir, "manifest_fit.json"), manifest)
+    _write_manifest(os.path.join(out_dir, "manifest_fit.json"), "fit", cfg, (input_path,),
+                    outputs, config, chunks=chunk_manifest(chunks), failures=failures)
     return _exit_status(failures)
 
 
@@ -490,14 +489,7 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
         path = os.path.join(out_dir, f"{name}.csv")
         write_table_csv(path, table)
         outputs.append(path)
-    manifest = {
-        "command": "simulate",
-        "version": __version__,
-        "config": cfg,
-        "master_seed": seed,
-        "outputs": outputs,
-    }
-    _write_manifest(os.path.join(out_dir, "manifest_simulate.json"), manifest)
+    _write_manifest(os.path.join(out_dir, "manifest_simulate.json"), "simulate", cfg, (), outputs)
     return EXIT_OK
 
 

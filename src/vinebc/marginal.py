@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -188,15 +187,6 @@ class TransformedGridDensity:
         return cls(GridDensity.from_dict(d), d["transform"] == "log")
 
 
-@dataclass(frozen=True)
-class MarginalEvaluation:
-    """CDF, left-limit CDF and mixed density at one or more points."""
-
-    cdf: object
-    cdf_left: object
-    density: object
-
-
 class MixtureMarginal:
     """Finite atoms plus a continuous component with total mass one.
 
@@ -212,7 +202,7 @@ class MixtureMarginal:
         Support kind: interval, nonnegative or zero_inflated.
     """
 
-    def __init__(self, atoms, continuous, kind, bandwidth=None, degenerate_continuous=False):
+    def __init__(self, atoms, continuous, kind):
         kind = normalize_kind(kind)
         pairs = sorted((float(v), float(m)) for v, m in atoms)
         values = np.array([p[0] for p in pairs], dtype=float)
@@ -223,7 +213,6 @@ class MixtureMarginal:
             raise ValueError("atom masses must be in (0, 1] and sum to at most 1")
         cont_mass = max(0.0, 1.0 - masses.sum())
         if cont_mass < _MASS_TOL:
-            degenerate_continuous = True
             cont_mass = 0.0
             continuous = None
         elif continuous is None:
@@ -234,8 +223,11 @@ class MixtureMarginal:
         self.continuous = continuous
         self.continuous_mass = cont_mass
         self.kind = kind
-        self.bandwidth = bandwidth
-        self.degenerate_continuous = bool(degenerate_continuous)
+
+    @property
+    def degenerate_continuous(self) -> bool:
+        """True for a fully atomic margin, which has no continuous component."""
+        return self.continuous is None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -268,9 +260,6 @@ class MixtureMarginal:
             hit = self.atom_values[idx_c] == xa
             out = np.where(hit, self.atom_masses[idx_c], out)
         return maybe_scalar(out, x)
-
-    def evaluate(self, x) -> MarginalEvaluation:
-        return MarginalEvaluation(cdf=self.cdf(x), cdf_left=self.cdf_left(x), density=self.density(x))
 
     def quantile(self, v):
         """Generalized inverse: smallest x with F(x) >= v.
@@ -316,7 +305,8 @@ class MixtureMarginal:
             "version": 1,
             "kind": self.kind,
             "atoms": [[v, m] for v, m in zip(self.atom_values, self.atom_masses)],
-            "bandwidth": self.bandwidth,
+            # the KDE bandwidth is the grid's tail scale
+            "bandwidth": None if self.continuous is None else self.continuous.grid.tail_scale_lo,
             "degenerate_continuous": self.degenerate_continuous,
             "continuous": None if self.continuous is None else self.continuous.to_dict(),
         }
@@ -324,13 +314,7 @@ class MixtureMarginal:
     @classmethod
     def from_dict(cls, d: dict) -> "MixtureMarginal":
         cont = None if d["continuous"] is None else TransformedGridDensity.from_dict(d["continuous"])
-        return cls(
-            atoms=d["atoms"],
-            continuous=cont,
-            kind=d["kind"],
-            bandwidth=d["bandwidth"],
-            degenerate_continuous=d["degenerate_continuous"],
-        )
+        return cls(atoms=d["atoms"], continuous=cont, kind=d["kind"])
 
 
 # -- fitting ---------------------------------------------------------------
@@ -402,7 +386,7 @@ def fit_marginal(sample, kind: str) -> MixtureMarginal:
             atoms.append((float(cont[0]), cont.size / n))
         total = sum(m for _, m in atoms)
         atoms = [(v, m / total) for v, m in atoms]
-        return MixtureMarginal(atoms, None, kind, degenerate_continuous=True)
+        return MixtureMarginal(atoms, None, kind)
 
     z = np.log(cont) if log_scale else cont
     bw = _reference_bandwidth(z)
@@ -411,7 +395,7 @@ def fit_marginal(sample, kind: str) -> MixtureMarginal:
     pdf = _kde_on_grid(z, knots, bw)
     grid = GridDensity(knots, pdf, tail_scale_lo=bw, tail_scale_hi=bw)
     continuous = TransformedGridDensity(grid, log_scale)
-    return MixtureMarginal(atoms, continuous, kind, bandwidth=bw)
+    return MixtureMarginal(atoms, continuous, kind)
 
 
 # -- randomized probability integral transform ----------------------------

@@ -238,6 +238,7 @@ def test_criterion_07_delta_mapping():
 # -- criterion 8: end-to-end synthetic bias --------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_08_synthetic_bias_end_to_end():
     t0 = time.perf_counter()
     truth = GroundTruth5(TAU5)
@@ -300,6 +301,7 @@ def test_criterion_09_ubc_rank_preservation():
 # -- criterion 10: MCI -------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_10_mci():
     d = np.random.default_rng(100).normal(size=(500, 3))
     series, mean = mci(d, d.copy())

@@ -8,9 +8,12 @@ import re
 import numpy as np
 import pytest
 
+import vinebc.cli
+from vinebc._util import subseed
 from vinebc.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, emit_report, main, run_pipeline
 from vinebc.correction import CorrectionConfig
-from vinebc.dataset import VariableSpec, load_table
+from vinebc.dataset import ALL_CHUNK_KEYS, VariableSpec, load_table
+from vinebc.errors import NumericsError, VinebcError
 from vinebc.evaluation import MetricReport, UnitMetrics
 from vinebc.vine import VineModel
 
@@ -205,6 +208,142 @@ def test_fit_writes_models_per_chunk(sim_dir):
     assert model.d == 3
 
 
+def test_fit_parallel_matches_serial(sim_dir, monkeypatch):
+    outputs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("VINEBC_WORKERS", workers)
+        out = sim_dir["tmp"] / f"models_w{workers}"
+        status = run_pipeline(
+            "fit",
+            sim_dir["cfg"],
+            input_path=str(sim_dir["sim"] / "model_calibration.csv"),
+            out_dir=str(out),
+        )
+        assert status == EXIT_OK
+        manifest = json.load(open(out / "manifest_fit.json"))
+        assert manifest["config"].pop("workers") == int(workers)
+        manifest["outputs"] = [os.path.relpath(p, out) for p in manifest["outputs"]]
+        models = {p: _digest(out / p) for p in manifest["outputs"]}
+        assert len(models) == 8
+        outputs[workers] = (manifest, models)
+    assert outputs["1"] == outputs["2"]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size and maps serially."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_pool_never_exceeds_units(sim_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(vinebc.cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    results, failures = vinebc.cli._map_units({u: (lambda u=u: u * 2) for u in "abc"}, 64)
+    assert results == {"a": "aa", "b": "bb", "c": "cc"} and failures == {}
+    assert vinebc.cli._map_units({"a": lambda: 1}, 64) == ({"a": 1}, {})
+    assert RecordingPool.sizes == [3]  # one task runs in this process
+    monkeypatch.setenv("VINEBC_WORKERS", "64")
+    status = run_pipeline("fit", sim_dir["cfg"],
+                          input_path=str(sim_dir["sim"] / "reference_calibration.csv"),
+                          out_dir=str(tmp_path / "models"))
+    assert status == EXIT_OK
+    assert RecordingPool.sizes == [3, 8]  # one fit unit per chunk
+
+
+def _raise(exc):
+    raise exc
+
+
+def test_map_units_failure_rule():
+    tasks = {
+        "ok": lambda: 1.0,
+        "data": lambda: _raise(VinebcError("too few rows")),
+        "linalg": lambda: _raise(np.linalg.LinAlgError("singular matrix")),
+        "arith": lambda: 1 / 0,
+    }
+    results, failures = vinebc.cli._map_units(tasks, 1)
+    assert results == {"ok": 1.0}
+    assert failures == {"data": "VinebcError: too few rows",
+                        "linalg": "LinAlgError: singular matrix",
+                        "arith": "ZeroDivisionError: division by zero"}
+    with pytest.raises(TypeError):  # a programming error is not a unit failure
+        vinebc.cli._map_units({"bug": lambda: _raise(TypeError("bug"))}, 1)
+
+
+def test_correct_unit_linalg_error_exit_code(sim_dir, tmp_path, capsys, monkeypatch):
+    chunk = ALL_CHUNK_KEYS[2]
+    broken_seed = subseed(CONFIG["seed"], 2, 2)
+    ubc = vinebc.cli.ubc_correct
+
+    def failing_ubc(x_mp, x_rc, x_mc, kinds, config, mp_fit=None):
+        if config.seed == broken_seed:
+            raise np.linalg.LinAlgError("singular matrix")
+        return ubc(x_mp, x_rc, x_mc, kinds, config, mp_fit=mp_fit)
+
+    monkeypatch.setattr(vinebc.cli, "ubc_correct", failing_ubc)
+    out = tmp_path / "o"
+    status = run_pipeline(
+        "correct",
+        sim_dir["cfg"],
+        method="ubc",
+        mp_path=str(sim_dir["sim"] / "model_projection.csv"),
+        rc_path=str(sim_dir["sim"] / "reference_calibration.csv"),
+        mc_path=str(sim_dir["sim"] / "model_calibration.csv"),
+        out_dir=str(out),
+    )
+    assert status == EXIT_PARTIAL
+    unit = f"{chunk.label}/m2"
+    assert f"{unit}: LinAlgError: singular matrix" in capsys.readouterr().err
+    manifest = json.load(open(out / "manifest_correct_ubc.json"))
+    assert manifest["failures"] == {unit: "LinAlgError: singular matrix"}
+    rows = list(csv.DictReader(open(out / "corrected_ubc.csv")))
+    units = {(r["chunk"], r["member"]) for r in rows}
+    assert len(units) == 15 and (chunk.label, "2") not in units
+    assert (chunk.label, "1") in units
+
+
+def test_evaluate_unit_failure_exit_code(sim_dir, corrected_dir, tmp_path, capsys, monkeypatch):
+    chunk = ALL_CHUNK_KEYS[5]
+    broken_seed = subseed(CONFIG["seed"], 5, 1)
+    copula_iw2 = vinebc.cli.copula_iw2
+
+    def failing_copula_iw2(x_c, x_m, x_ref, seed):
+        if seed == broken_seed:
+            raise NumericsError("no convergence")
+        return copula_iw2(x_c, x_m, x_ref, seed=seed)
+
+    monkeypatch.setattr(vinebc.cli, "copula_iw2", failing_copula_iw2)
+    out = tmp_path / "eval"
+    status = run_pipeline(
+        "evaluate",
+        sim_dir["cfg"],
+        model_path=str(sim_dir["sim"] / "model_projection.csv"),
+        corrected_path=str(corrected_dir / "corrected_vbc.csv"),
+        ref_path=str(sim_dir["sim"] / "reference_projection.csv"),
+        out_dir=str(out),
+    )
+    assert status == EXIT_PARTIAL
+    unit = f"{chunk.label}/m1"
+    assert unit in capsys.readouterr().err
+    manifest = json.load(open(out / "manifest_evaluate.json"))
+    assert manifest["failures"] == {unit: "NumericsError: no convergence"}
+    units = {(r["chunk"], r["member"]) for r in csv.DictReader(open(out / "report.csv"))}
+    assert len(units) == 15 and (chunk.label, "1") not in units
+    assert json.load(open(out / "report.json"))["corrected"]["n_units"] == 15
+
+
 def test_emit_report_empty_headers_only(tmp_path):
     paths = emit_report(MetricReport(), str(tmp_path))
     lines = open(paths[0]).read().splitlines()
@@ -277,6 +416,22 @@ def test_invalid_config_value_exit_code(tmp_path, capsys, path, value):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert ".".join(path) in err
+
+
+@pytest.mark.parametrize(
+    "names",
+    [["d", "p", ""], ["d", "p", 3], ["d", "p", "t,x"], ["d", "p", 't"'], ["d", "p", "t\nx"],
+     ["d", "p", "d"], ["d", "p", "chunk"], ["timestamp", "p", "t"]],
+    ids=["empty", "number", "comma", "quote", "newline", "duplicate", "chunk", "timestamp"],
+)
+def test_invalid_variable_name_exit_code(tmp_path, capsys, names):
+    cfg = json.loads(json.dumps(CONFIG))
+    for var, name in zip(cfg["variables"], names):
+        var["name"] = name
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_pipeline("simulate", str(cfg_path), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: variables[")
 
 
 def test_unknown_command_exit_code(tmp_path, capsys):

@@ -85,14 +85,12 @@ def test_fit_degenerate_all_atomic():
 
 def test_eval_analytic_mixture_at_atom_and_continuous_point():
     m = analytic_zi_expon()
-    at0 = m.evaluate(0.0)
-    assert at0.cdf == pytest.approx(0.4, abs=1e-12)
-    assert at0.cdf_left == pytest.approx(0.0, abs=1e-12)
-    assert at0.density == pytest.approx(0.4, abs=1e-12)
-    at = m.evaluate(LN2)
-    assert at.cdf == pytest.approx(0.7, abs=1e-12)
-    assert at.cdf_left == pytest.approx(0.7, abs=1e-12)
-    assert at.density == pytest.approx(0.6 * 0.5, abs=1e-12)
+    assert m.cdf(0.0) == pytest.approx(0.4, abs=1e-12)
+    assert m.cdf_left(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert m.density(0.0) == pytest.approx(0.4, abs=1e-12)
+    assert m.cdf(LN2) == pytest.approx(0.7, abs=1e-12)
+    assert m.cdf_left(LN2) == pytest.approx(0.7, abs=1e-12)
+    assert m.density(LN2) == pytest.approx(0.6 * 0.5, abs=1e-12)
 
 
 def test_quantile_jump_interval_and_continuous():
