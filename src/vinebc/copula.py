@@ -346,22 +346,32 @@ class FrankCopula(BivariateCopula):
     def _params(self):
         return {"theta": self.theta}
 
+    # The closed forms cancel near (1, 1) at large |theta|.  Frank is radially
+    # symmetric, so each is evaluated at a point on the side u + v <= 1:
+    # C(u, v) = u + v - 1 + C(1-u, 1-v), c(u, v) = c(1-u, 1-v) and
+    # h(v|u) = 1 - h(1-v|1-u).
+
+    @staticmethod
+    def _radial(u, v):
+        """Whether u + v > 1, and the point mirrored through (1/2, 1/2) if so."""
+        flip = u + v > 1.0
+        return flip, np.where(flip, 1.0 - u, u), np.where(flip, 1.0 - v, v)
+
     def _cdf0(self, u, v):
         t = self.theta
-        return -np.log1p(np.expm1(-t * u) * np.expm1(-t * v) / math.expm1(-t)) / t
+        flip, x, y = self._radial(u, v)
+        c = -np.log1p(np.expm1(-t * x) * np.expm1(-t * y) / math.expm1(-t)) / t
+        return np.where(flip, u + v - 1.0 + c, c)
 
     def _pdf0(self, u, v):
         t = self.theta
-        d = math.expm1(-t) + np.expm1(-t * u) * np.expm1(-t * v)
-        return -t * math.expm1(-t) * np.exp(-t * (u + v)) / (d * d)
+        _, x, y = self._radial(u, v)
+        d = math.expm1(-t) + np.expm1(-t * x) * np.expm1(-t * y)
+        return -t * math.expm1(-t) * np.exp(-t * (x + y)) / (d * d)
 
     def _du0(self, u, v):
-        # the denominator cancels near (1, 1) at large |theta|; radial symmetry,
-        # h(v|u) = 1 - h(1-v|1-u), moves every point to the side u + v <= 1
         t = self.theta
-        flip = u + v > 1.0
-        x = np.where(flip, 1.0 - u, u)
-        y = np.where(flip, 1.0 - v, v)
+        flip, x, y = self._radial(u, v)
         h = np.exp(-t * x) * np.expm1(-t * y) / (math.expm1(-t) + np.expm1(-t * x) * np.expm1(-t * y))
         return np.where(flip, 1.0 - h, h)
 

@@ -96,6 +96,20 @@ def test_frank_inverse_holds_at_large_theta():
             assert np.abs(hfunc(cop, direction, t, cond) - v).max() <= 1e-6
 
 
+def test_frank_inverse_holds_with_discrete_conditioner_at_large_theta():
+    # the discrete h is a difference quotient of the Frank CDF, whose textbook
+    # form cancels near (1, 1); at theta 33 its inverse used to raise NumericsError
+    v = np.array([1e-6, 0.25, 0.5, 0.75, 1.0 - 1e-6])
+    for theta in (29.0, 33.0, 35.0):
+        cop = FrankCopula(theta)
+        for left in (0.7, 0.8, 0.9):
+            for jump in (0.01, 0.05, 0.1):
+                cond = PseudoObs(np.full(v.shape, left + jump), np.full(v.shape, left))
+                for direction in (1, 2):
+                    t = hfunc_inverse(cop, direction, v, cond)
+                    assert np.abs(hfunc(cop, direction, t, cond) - v).max() <= 1e-6
+
+
 def _rotation_identities(base, u, v):
     """The rotated CDF, partial derivatives and density from the unrotated copula."""
     return {
