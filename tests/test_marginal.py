@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,11 @@ from scipy import stats
 from conftest import analytic_zi_expon, sample_zi_expon
 from vinebc.errors import EstimationError
 from vinebc.marginal import (
+    GRID_SIZE,
+    GridDensity,
     MixtureMarginal,
+    _kde_on_grid,
+    _reference_bandwidth,
     fit_marginal,
     randomized_pit,
 )
@@ -62,6 +67,39 @@ def test_fitted_cdf_error_bound_large_sample():
     grid = np.linspace(0.0, 8.0, 400)
     err = np.abs(np.asarray(m.cdf(grid)) - mixture_cdf_oracle(grid))
     assert err.max() <= 0.02
+
+
+def exact_kde_on_grid(z, knots, bw):
+    """The Gaussian KDE summed over every (knot, point) pair."""
+    d = (knots[:, None] - z[None, :]) / bw
+    return np.exp(-0.5 * d * d).sum(axis=1) / (bw * math.sqrt(2.0 * math.pi) * z.size)
+
+
+@pytest.mark.parametrize(
+    "kind, n, tol",
+    [(kind, n, 1e-4) for kind in ("interval", "nonnegative", "zero_inflated")
+     for n in (30, 365, 730, 3_600, 11_000)]
+    + [("t3", n, 1e-3) for n in (365, 3_600, 11_000)],
+)
+def test_binned_kde_matches_exact_sum(kind, n, tol):
+    """The linearly binned KDE's CDF stays within ``tol`` of the exact sum's,
+    on a grid spanning the knots +- 3 bandwidths (the tails included)."""
+    rng = np.random.default_rng(n)
+    if kind == "interval":
+        z = rng.normal(size=n)
+    elif kind == "nonnegative":
+        z = np.log(rng.gamma(2.0, size=n))
+    elif kind == "zero_inflated":
+        x = sample_zi_expon(n, seed=n)
+        z = np.log(x[x > 0])
+    else:  # heavy tails spread the knots: spacing up to about half a bandwidth here
+        z = rng.standard_t(3, size=n)
+    bw = _reference_bandwidth(z)
+    knots = np.linspace(z.min() - 4.0 * bw, z.max() + 4.0 * bw, GRID_SIZE)
+    binned = GridDensity(knots, _kde_on_grid(z, knots, bw), bw, bw)
+    exact = GridDensity(knots, exact_kde_on_grid(z, knots, bw), bw, bw)
+    grid = np.linspace(knots[0] - 3.0 * bw, knots[-1] + 3.0 * bw, 4_001)
+    assert np.abs(binned.cdf(grid) - exact.cdf(grid)).max() <= tol
 
 
 def test_fit_rejects_small_and_negative_samples():

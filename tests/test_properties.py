@@ -1,4 +1,5 @@
-"""Property tests for the pair-copula layer and the empirical joint CDF.
+"""Property tests for the pair-copula layer, the fitted margins and the
+empirical joint CDF.
 
 Pair-copula strategies are bounded to these parameter ranges:
 
@@ -10,6 +11,10 @@ Pair-copula strategies are bounded to these parameter ranges:
   jump in [1e-3, 0.3] (well above ``MIN_DISCRETE_MASS``) placed anywhere in
   [0, 1].
 * Targets v and evaluation points in [1e-6, 1 - 1e-6].
+
+Margin samples have 30 to 4,000 draws of a normal (interval) or a gamma(2)
+(nonnegative and zero-inflated) variable, of which a share in [0, 0.7] is set
+to the atoms: -1 and 0.5 (interval), 1.25 (nonnegative) or 0 (zero-inflated).
 
 Joint-CDF samples have 1 to 70 rows of 1 to 5 columns, drawn from a few
 repeated values (0 among them, as an atom), floats in [-3, 3] and NaN.
@@ -35,6 +40,7 @@ from vinebc.copula import (
     hfunc_inverse,
 )
 from vinebc.evaluation import empirical_joint_cdf
+from vinebc.marginal import fit_marginal
 
 ROTATIONS = (0, 90, 180, 270)
 PROPERTY_SETTINGS = settings(deadline=None, max_examples=100)
@@ -190,3 +196,47 @@ def test_empirical_joint_cdf_equals_brute_force_across_query_blocks():
     data[data[:, 1] < 0.3, 1] = 0.0
     x = np.vstack([data[:1000], np.round(rng.normal(size=(1000, 3)), 2)])
     assert (empirical_joint_cdf(data, x) == brute_joint_cdf(data, x)).all()
+
+
+MARGIN_ATOMS = {"interval": (-1.0, 0.5), "nonnegative": (1.25,), "zero_inflated": (0.0,)}
+
+
+@st.composite
+def margin_samples(draw):
+    """A kind and a sample of it with atoms at the kind's atom values."""
+    kind = draw(st.sampled_from(sorted(MARGIN_ATOMS)))
+    n, share = draw(st.integers(30, 4_000)), draw(st.floats(0.0, 0.7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=n) if kind == "interval" else rng.gamma(2.0, size=n)
+    atoms = MARGIN_ATOMS[kind]
+    hit = rng.uniform(size=n) < share
+    x[hit] = rng.choice(atoms, size=int(hit.sum()))
+    return kind, x
+
+
+@PROPERTY_SETTINGS
+@given(margin_samples(), st.lists(unit, max_size=16))
+def test_fitted_margin_quantile_inverts_cdf(sample, extra_levels):
+    kind, x = sample
+    m = fit_marginal(x, kind)
+    jump_lo, jump_hi = np.asarray(m.cdf_left(m.atom_values)), np.asarray(m.cdf(m.atom_values))
+
+    # F(Q(v)) = v off the atoms' jumps [F-(a), F(a)]
+    v = np.concatenate([np.linspace(0.0, 1.0, 1_001)[1:-1], extra_levels])
+    off = ~((v[:, None] >= jump_lo) & (v[:, None] <= jump_hi)).any(axis=1)
+    assert np.abs(np.asarray(m.cdf(m.quantile(v[off]))) - v[off]).max(initial=0.0) <= 1e-12
+
+    # Q(v) = a on each jump (F-(a), F(a)]
+    for a, lo, hi in zip(m.atom_values, jump_lo, jump_hi):
+        on = np.array([np.nextafter(lo, 1.0), 0.5 * (lo + hi), hi])
+        assert (np.asarray(m.quantile(on)) == a).all()
+
+    # Q(F(x)) <= x where 0 < F(x) < 1 (below the support Q(0) is the lowest
+    # atom or -inf, and Q(1) is +inf), up to the x-resolution of the rounded
+    # F, one float step of F over the density
+    xs = np.concatenate([x, np.linspace(x.min() - 1.0, x.max() + 1.0, 501)])
+    f = np.asarray(m.cdf(xs))
+    xs, f = xs[(f > 0.0) & (f < 1.0)], f[(f > 0.0) & (f < 1.0)]
+    with np.errstate(divide="ignore"):
+        slack = 1e-12 * (1.0 + np.abs(xs)) + 1e-15 / np.asarray(m.density(xs))
+    assert (np.asarray(m.quantile(f)) <= xs + slack).all()
