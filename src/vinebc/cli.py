@@ -306,6 +306,19 @@ def _evaluate_unit(x_m, x_c, x_ref, seed: int) -> tuple:
             *mci(x_m, x_c))
 
 
+def _match_rows(model: ClimateTable, corrected: ClimateTable) -> np.ndarray:
+    """The model row of each corrected row, matched on (timestamp, member)."""
+    model_row = {key: i for i, key in enumerate(zip(model.timestamps.tolist(),
+                                                     model.members.tolist()))}
+    keys = list(zip(corrected.timestamps.tolist(), corrected.members.tolist()))
+    missing = [key for key in keys if key not in model_row]
+    if missing:
+        ts, member = missing[0]
+        raise VinebcError(f"{len(missing)} corrected row(s) are not in the model table, "
+                          f"the first at {ts.isoformat()} for member {member}")
+    return np.array([model_row[key] for key in keys], dtype=np.intp)
+
+
 def cmd_evaluate(cfg: dict, model_path: str, corrected_path: str, ref_path: str,
                  out_dir: str) -> int:
     specs = _variable_specs(cfg)
@@ -313,25 +326,34 @@ def cmd_evaluate(cfg: dict, model_path: str, corrected_path: str, ref_path: str,
     model = load_table(model_path, specs)
     corrected = load_table(corrected_path, specs)
     ref = load_table(ref_path, specs)
-    if len(model) != len(corrected) or np.any(model.members != corrected.members) or np.any(
-        model.timestamps != corrected.timestamps
-    ):
-        raise VinebcError("model and corrected tables are not row-aligned")
+    model_rows = _match_rows(model, corrected)
+    present = np.zeros(len(model), dtype=bool)
+    present[model_rows] = True
+    corrected_values = np.full_like(model.values, np.nan)
+    corrected_values[model_rows] = corrected.values
 
     method = "corrected"
     ref_chunks = make_chunks(ref)
-    plan, tasks = {}, {}
+    plan, tasks, not_corrected = {}, {}, {}
     for unit, key, member, unit_seed, rows in _units(model, make_chunks(model), seed):
         ref_rows = ref_chunks[key].core_rows
         if rows.size == 0 or ref_rows.size == 0:
             continue
+        n_present = int(present[rows].sum())
+        if n_present == 0:
+            not_corrected[unit] = "not corrected: the corrected table has none of its rows"
+            continue
+        if n_present < rows.size:
+            raise VinebcError(f"unit {unit} is only partly corrected: the corrected table has "
+                              f"{n_present} of its {rows.size} rows")
         plan[unit] = (key, member, unit_seed, rows)
-        tasks[unit] = partial(_evaluate_unit, model.values[rows], corrected.values[rows],
+        tasks[unit] = partial(_evaluate_unit, model.values[rows], corrected_values[rows],
                               ref.values[ref_rows], unit_seed)
 
     report = MetricReport()
     series_rows = []
     results, failures = _map_units(tasks, cfg.get("workers", 1))
+    failures.update(not_corrected)
     for unit, (w2_model, w2_corr, margin, cop, series, mci_mean) in results.items():
         key, member, unit_seed, rows = plan[unit]
         report.add(

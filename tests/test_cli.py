@@ -344,6 +344,92 @@ def test_evaluate_unit_failure_exit_code(sim_dir, corrected_dir, tmp_path, capsy
     assert json.load(open(out / "report.json"))["corrected"]["n_units"] == 15
 
 
+def _evaluate_lines(sim_dir, tmp_path, lines):
+    """Run evaluate on a corrected table made of these CSV lines (header first)."""
+    corrected = tmp_path / "corrected.csv"
+    corrected.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "eval"
+    status = run_pipeline(
+        "evaluate",
+        sim_dir["cfg"],
+        model_path=str(sim_dir["sim"] / "model_projection.csv"),
+        corrected_path=str(corrected),
+        ref_path=str(sim_dir["sim"] / "reference_projection.csv"),
+        out_dir=str(out),
+    )
+    return status, out
+
+
+def _unit_of(line):
+    """(chunk, member) of a corrected CSV line."""
+    cells = line.split(",")
+    return cells[5], cells[1]
+
+
+def test_evaluate_partially_corrected_table(sim_dir, corrected_dir, tmp_path, capsys):
+    # correct writes only the rows of the units that succeeded
+    header, *rows = (corrected_dir / "corrected_vbc.csv").read_text().splitlines()
+    dropped = (ALL_CHUNK_KEYS[5].label, "1")
+    kept = [r for r in rows if _unit_of(r) != dropped]
+    assert len(kept) < len(rows)
+    status, out = _evaluate_lines(sim_dir, tmp_path, [header] + kept)
+    assert status == EXIT_PARTIAL
+    unit = f"{dropped[0]}/m1"
+    assert unit in capsys.readouterr().err
+    manifest = json.load(open(out / "manifest_evaluate.json"))
+    assert manifest["failures"] == {unit: "not corrected: the corrected table has none of its rows"}
+    full = sim_dir["tmp"] / "eval_full"
+    assert run_pipeline("evaluate", sim_dir["cfg"],
+                        model_path=str(sim_dir["sim"] / "model_projection.csv"),
+                        corrected_path=str(corrected_dir / "corrected_vbc.csv"),
+                        ref_path=str(sim_dir["sim"] / "reference_projection.csv"),
+                        out_dir=str(full)) == EXIT_OK
+    # the other 15 units are evaluated exactly as in the full table
+    full_rows = [r for r in open(full / "report.csv") if f",{dropped[0]},1," not in r]
+    assert open(out / "report.csv").readlines() == full_rows
+    assert json.load(open(out / "report.json"))["corrected"]["n_units"] == 15
+
+
+def test_evaluate_matches_rows_not_positions(sim_dir, corrected_dir, tmp_path):
+    # member 2's rows first: the same rows in another order evaluate the same
+    header, *rows = (corrected_dir / "corrected_vbc.csv").read_text().splitlines()
+    reordered = sorted(rows, key=lambda r: _unit_of(r)[1] != "2")
+    assert reordered != rows
+    status, out = _evaluate_lines(sim_dir, tmp_path, [header] + reordered)
+    assert status == EXIT_OK
+    reference = tmp_path / "reference"
+    assert run_pipeline("evaluate", sim_dir["cfg"],
+                        model_path=str(sim_dir["sim"] / "model_projection.csv"),
+                        corrected_path=str(corrected_dir / "corrected_vbc.csv"),
+                        ref_path=str(sim_dir["sim"] / "reference_projection.csv"),
+                        out_dir=str(reference)) == EXIT_OK
+    for name in ("report.csv", "report.json", "mci_series.csv"):
+        assert _digest(out / name) == _digest(reference / name)
+
+
+@pytest.mark.parametrize("extra_row", [
+    "2011-01-01T03:00:00,9,0.0,0.0,0.0,DJF-night,vbc,0",  # a member the model lacks
+    "2099-01-01T00:00:00,1,0.0,0.0,0.0,DJF-night,vbc,0",  # a time the model lacks
+])
+def test_evaluate_corrected_row_without_model_row_exit_code(sim_dir, corrected_dir, tmp_path,
+                                                            capsys, extra_row):
+    lines = (corrected_dir / "corrected_vbc.csv").read_text().splitlines()
+    status, _ = _evaluate_lines(sim_dir, tmp_path, lines + [extra_row])
+    assert status == EXIT_DATA
+    assert "not in the model table" in capsys.readouterr().err
+
+
+def test_evaluate_partly_corrected_unit_exit_code(sim_dir, corrected_dir, tmp_path, capsys):
+    header, *rows = (corrected_dir / "corrected_vbc.csv").read_text().splitlines()
+    unit = (ALL_CHUNK_KEYS[2].label, "2")
+    in_unit = [i for i, r in enumerate(rows) if _unit_of(r) == unit]
+    drop = set(in_unit[::2])
+    status, _ = _evaluate_lines(sim_dir, tmp_path, [header] + [r for i, r in enumerate(rows)
+                                                               if i not in drop])
+    assert status == EXIT_DATA
+    assert f"unit {unit[0]}/m2 is only partly corrected" in capsys.readouterr().err
+
+
 def test_emit_report_empty_headers_only(tmp_path):
     paths = emit_report(MetricReport(), str(tmp_path))
     lines = open(paths[0]).read().splitlines()
