@@ -4,7 +4,7 @@ Every family exposes the copula CDF, both partial derivatives and the
 density.  On top of those primitives the module provides the generalized
 density (four branches by discreteness pattern), the conditional
 distributions ``hfunc`` (difference quotient for a discrete conditioner,
-partial derivative otherwise), their numerical inverses, and fitting from
+partial derivative otherwise), their inverses, and fitting from
 pseudo-observations that carry left limits.
 """
 from __future__ import annotations
@@ -20,6 +20,9 @@ from .errors import DomainError, EstimationError, NumericsError
 
 UNIT_EPS = 1e-12
 MIN_DISCRETE_MASS = 1e-12
+NEWTON_BRACKET = 2.0**-34  # a bracket this narrow pins the target below 1e-10
+NEWTON_STEP = 1e-13
+NEWTON_MAX_STEPS = 100
 MIN_SAMPLE = 30
 RHO_CAP = 0.999
 THETA_CAP_CLAYTON = 50.0
@@ -78,6 +81,47 @@ def _valid_rotation(rotation: int) -> int:
     return rotation
 
 
+def _safeguarded_newton(h_and_slope, w, t, lo: float, hi: float, *args) -> np.ndarray:
+    """Solve h(t, *args) = w for t in [lo, hi], h nondecreasing in t.
+
+    ``h_and_slope(t, *args)`` returns h and dh/dt.  Each row starts at its
+    first guess ``t`` clipped into the bracket and narrows the bracket by the
+    sign of h - w.  A Newton step is taken when it stays in the bracket and is at
+    most half the previous step, which stops Newton cycling across a kink;
+    otherwise the row bisects.  A row stops once its bracket is narrower than
+    2**-34, its Newton step is below 1e-13, or a Newton step below 2**-34
+    stops shrinking, which is h's rounding noise.  ``NEWTON_MAX_STEPS`` only
+    bounds the loop; the caller's residual check judges the result.
+    """
+    w = np.asarray(w, dtype=float)
+    t = np.clip(t, lo, hi)
+    lo = np.full_like(w, lo)
+    hi = np.full_like(w, hi)
+    last = hi - lo
+    out = t.copy()
+    rows = np.arange(w.size)
+    for _ in range(NEWTON_MAX_STEPS):
+        h, slope = h_and_slope(t, *args)
+        below = h < w
+        lo = np.where(below, t, lo)
+        hi = np.where(below, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = t + (w - h) / slope  # NaN or inf on a flat stretch: bisect
+        size = np.abs(nxt - t)
+        stalled = size > 0.5 * last
+        newton = (nxt >= lo) & (nxt <= hi) & (~stalled | (size < NEWTON_BRACKET))
+        done = (hi - lo < NEWTON_BRACKET) | (newton & (stalled | (size < NEWTON_STEP)))
+        nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+        last = np.abs(nxt - t)
+        out[rows] = nxt
+        if done.all():
+            break
+        keep = ~done
+        rows, t, w, lo, hi, last = rows[keep], nxt[keep], w[keep], lo[keep], hi[keep], last[keep]
+        args = [a[keep] for a in args]
+    return out
+
+
 class BivariateCopula:
     """Base class: rotation handling and exact boundary behaviour."""
 
@@ -96,6 +140,15 @@ class BivariateCopula:
 
     def _dv0(self, u, v):
         return self._du0(v, u)  # exchangeable families; the checkerboard has its own
+
+    def _du0_inv(self, u, w):
+        """The v with _du0(u, v) = w: safeguarded Newton on the density where a
+        family has no closed form."""
+        return _safeguarded_newton(lambda v, u: (self._du0(u, v), self._pdf0(u, v)),
+                                   w, w, UNIT_EPS, 1.0 - UNIT_EPS, u)
+
+    def _dv0_inv(self, v, w):
+        return self._du0_inv(v, w)  # exchangeable families; the checkerboard has its own
 
     def _params(self) -> dict:
         return {}
@@ -158,6 +211,26 @@ class BivariateCopula:
         d = np.where(u >= 1.0, 1.0, d)
         return np.clip(d, 0.0, 1.0)
 
+    # The inverses of du and dv in their second and first argument, for levels
+    # 0 < w < 1.  The conditioner is clipped and flipped as du/dv do it, the
+    # unrotated family solves, and the result is kept inside the same clip.
+
+    def du_inverse(self, u, w):
+        """The v with du(u, v) = w."""
+        flip_u, flip_v = self._flips
+        x = np.clip(u, UNIT_EPS, 1.0 - UNIT_EPS)
+        y = self._du0_inv(1.0 - x if flip_u else x, 1.0 - w if flip_v else w)
+        y = np.clip(y, UNIT_EPS, 1.0 - UNIT_EPS)
+        return 1.0 - y if flip_v else y
+
+    def dv_inverse(self, v, w):
+        """The u with dv(u, v) = w."""
+        flip_u, flip_v = self._flips
+        y = np.clip(v, UNIT_EPS, 1.0 - UNIT_EPS)
+        x = self._dv0_inv(1.0 - y if flip_v else y, 1.0 - w if flip_u else w)
+        x = np.clip(x, UNIT_EPS, 1.0 - UNIT_EPS)
+        return 1.0 - x if flip_u else x
+
     def loglik(self, u, v) -> float:
         return float(np.log(np.maximum(self.pdf(u, v), 1e-300)).sum())
 
@@ -176,6 +249,9 @@ class IndependenceCopula(BivariateCopula):
 
     def _du0(self, u, v):
         return np.asarray(v, dtype=float)
+
+    def _du0_inv(self, u, w):
+        return np.asarray(w, dtype=float)
 
 
 def _bvn_cdf(h, k, rho: float):
@@ -228,6 +304,10 @@ class GaussianCopula(BivariateCopula):
         y = stats.norm.ppf(v)
         return stats.norm.cdf((y - self.rho * x) / math.sqrt(1.0 - self.rho**2))
 
+    def _du0_inv(self, u, w):
+        r = self.rho
+        return special.ndtr(math.sqrt(1.0 - r * r) * special.ndtri(w) + r * special.ndtri(u))
+
     @staticmethod
     def tau_to_param(tau: float) -> float:
         return float(np.clip(math.sin(math.pi * tau / 2.0), -RHO_CAP, RHO_CAP))
@@ -269,6 +349,14 @@ class ClaytonCopula(BivariateCopula):
     def _du0(self, u, v):
         t = self.theta
         return np.exp(-(t + 1.0) * np.log(u) - (1.0 / t + 1.0) * self._log_s(u, v))
+
+    def _du0_inv(self, u, w):
+        # v^-t = 1 + u^-t expm1(-t/(1+t) log w), in logs so u^-t cannot overflow
+        t = self.theta
+        d = -t / (1.0 + t) * np.log(w)
+        with np.errstate(divide="ignore", over="ignore"):  # w = 1 gives v = 1
+            log_s = np.logaddexp(0.0, -t * np.log(u) + np.log(np.expm1(d)))
+        return np.exp(-log_s / t)
 
     @staticmethod
     def tau_to_param(tau: float) -> float:
@@ -346,34 +434,38 @@ class FrankCopula(BivariateCopula):
     def _params(self):
         return {"theta": self.theta}
 
-    # The closed forms cancel near (1, 1) at large |theta|.  Frank is radially
-    # symmetric, so each is evaluated at a point on the side u + v <= 1:
-    # C(u, v) = u + v - 1 + C(1-u, 1-v), c(u, v) = c(1-u, 1-v) and
-    # h(v|u) = 1 - h(1-v|1-u).
+    # The textbook denominator expm1(-t) + expm1(-t u) expm1(-t v) cancels
+    # wherever both terms are near 1 in size (large |theta|, away from the
+    # corner (0, 0)).  It equals e^(-t u) expm1(-t v) + e^(-t v) expm1(-t (1-v)),
+    # a sum of two terms of one sign, which every primitive below uses.
 
-    @staticmethod
-    def _radial(u, v):
-        """Whether u + v > 1, and the point mirrored through (1/2, 1/2) if so."""
-        flip = u + v > 1.0
-        return flip, np.where(flip, 1.0 - u, u), np.where(flip, 1.0 - v, v)
+    def _denom(self, u, v):
+        t = self.theta
+        return np.exp(-t * u) * np.expm1(-t * v) + np.exp(-t * v) * np.expm1(-t * (1.0 - v))
 
     def _cdf0(self, u, v):
+        # C = -log1p(q) / t, with 1 + q = denom / expm1(-t) taken directly near q = -1
         t = self.theta
-        flip, x, y = self._radial(u, v)
-        c = -np.log1p(np.expm1(-t * x) * np.expm1(-t * y) / math.expm1(-t)) / t
-        return np.where(flip, u + v - 1.0 + c, c)
+        q = np.expm1(-t * u) * np.expm1(-t * v) / math.expm1(-t)
+        return -np.where(q > -0.5, np.log1p(q), np.log(self._denom(u, v) / math.expm1(-t))) / t
 
     def _pdf0(self, u, v):
         t = self.theta
-        _, x, y = self._radial(u, v)
-        d = math.expm1(-t) + np.expm1(-t * x) * np.expm1(-t * y)
-        return -t * math.expm1(-t) * np.exp(-t * (x + y)) / (d * d)
+        d = self._denom(u, v)
+        return -t * math.expm1(-t) * np.exp(-t * (u + v)) / (d * d)
 
     def _du0(self, u, v):
         t = self.theta
-        flip, x, y = self._radial(u, v)
-        h = np.exp(-t * x) * np.expm1(-t * y) / (math.expm1(-t) + np.expm1(-t * x) * np.expm1(-t * y))
-        return np.where(flip, 1.0 - h, h)
+        return np.exp(-t * u) * np.expm1(-t * v) / self._denom(u, v)
+
+    def _du0_inv(self, u, w):
+        # e^(-t v) - 1 = r, with 1 + r = z taken directly near r = -1
+        t = self.theta
+        a = np.exp(-t * u)
+        den = w + (1.0 - w) * a
+        r = w * math.expm1(-t) / den
+        z = (w * math.exp(-t) + (1.0 - w) * a) / den
+        return -np.where(r > -0.5, np.log1p(r), np.log(z)) / t
 
     @staticmethod
     def tau_to_param(tau: float) -> float:
@@ -467,6 +559,29 @@ class CheckerboardCopula(BivariateCopula):
         k, alpha = self._cells(u)
         l, _ = self._cells(v)
         return self.m * (self._colcum[k, l] + alpha * self.weights[k, l])
+
+    def _du0_inv(self, u, w):
+        k, _ = self._cells(u)
+        return self._invert_knots(self.m * self._rowcum[k], w)
+
+    def _dv0_inv(self, v, w):
+        l, _ = self._cells(v)
+        return self._invert_knots(self.m * self._colcum[:, l].T, w)
+
+    @staticmethod
+    def _invert_knots(knots, w):
+        """The least t with h(t) = w, h linear between h(j/m) = knots[:, j].
+
+        Row by row, the count of knots below w is ``searchsorted(side="left")``,
+        so a level on a flat (zero-mass) stretch gives the stretch's left end.
+        """
+        m = knots.shape[1] - 1
+        j = np.clip(np.sum(knots < w[:, None], axis=1) - 1, 0, m - 1)
+        rows = np.arange(w.size)
+        left = knots[rows, j]
+        with np.errstate(divide="ignore"):  # an empty last cell, when w rounds past 1
+            frac = np.clip((w - left) / (knots[rows, j + 1] - left), 0.0, 1.0)
+        return (j + frac) / m
 
     @classmethod
     def fit(cls, x, y, resolution: int = CHECKERBOARD_RESOLUTION) -> "CheckerboardCopula":
@@ -582,32 +697,63 @@ def hfunc(copula: BivariateCopula, direction: int, target_u, conditioner: Pseudo
     return np.clip(out, 0.0, 1.0)
 
 
+def _discrete_inverse(copula: BivariateCopula, direction: int, w, cu, cl) -> np.ndarray:
+    """The target in [0, 1] at which the difference quotient of the copula CDF
+    over the conditioner's jump [cl, cu] equals w.
+
+    Safeguarded Newton from the inverse at the jump's midpoint: the slope is
+    the difference of ``du`` (direction 1) or ``dv`` (direction 2) across the
+    jump, over the jump.
+    """
+    partial = copula.du if direction == 1 else copula.dv
+    midpoint = copula.dv_inverse if direction == 1 else copula.du_inverse
+
+    def at(t, c):  # copula arguments with the target in its coordinate
+        return (t, c) if direction == 1 else (c, t)
+
+    def h_and_slope(t, cu, cl):
+        gap = cu - cl
+        return ((copula.cdf(*at(t, cu)) - copula.cdf(*at(t, cl))) / gap,
+                (partial(*at(t, cu)) - partial(*at(t, cl))) / gap)
+
+    return _safeguarded_newton(h_and_slope, w, midpoint(0.5 * (cu + cl), w), 0.0, 1.0, cu, cl)
+
+
 def hfunc_inverse(copula: BivariateCopula, direction: int, v,
                   conditioner: PseudoObs) -> np.ndarray:
-    """Invert ``hfunc`` in the (continuous) target coordinate by bisection to 1e-10."""
+    """Invert ``hfunc`` in the (continuous) target coordinate.
+
+    Rows with a continuous conditioner are solved in the family's unrotated
+    frame (``dv_inverse`` for direction 1, ``du_inverse`` for direction 2):
+    in closed form for independence, Gaussian, Clayton, Frank and the
+    checkerboard, by safeguarded Newton on the density for Gumbel.  Rows with
+    a discrete conditioner are solved by safeguarded Newton inside [0, 1].
+    Levels 0 and 1 map to 0 and 1.  A residual above 1e-4 at an interior
+    level raises ``NumericsError``.
+    """
+    if direction not in (1, 2):
+        raise ValueError("direction must be 1 or 2")
     v = np.clip(as_float_array(v), 0.0, 1.0)
-    if isinstance(copula, IndependenceCopula):
-        return v.copy()
-    v_b, cu, cl = np.broadcast_arrays(v, conditioner.u, conditioner.u_left)
-    cond = PseudoObs(cu, cl)
-    lo = np.zeros_like(v_b)
-    hi = np.ones_like(v_b)
-    for _ in range(34):  # halves the bracket to 2**-34, below 1e-10
-        mid = 0.5 * (lo + hi)
-        h = hfunc(copula, direction, mid, cond)
-        go_up = h < v_b
-        lo = np.where(go_up, mid, lo)
-        hi = np.where(go_up, hi, mid)
-    out = 0.5 * (lo + hi)
-    resid = np.abs(hfunc(copula, direction, out, cond) - v_b)
-    interior = (v_b > 1e-9) & (v_b < 1.0 - 1e-9)
+    v, cu, cl = np.broadcast_arrays(v, conditioner.u, conditioner.u_left)
+    gap = cu - cl
+    disc = gap > 0.0
+    _check_jumps(gap, disc)
+    out = v.copy()
+    inner = (v > 0.0) & (v < 1.0)
+    cont = inner & ~disc
+    if np.any(cont):
+        solve = copula.dv_inverse if direction == 1 else copula.du_inverse
+        out[cont] = solve(cu[cont], v[cont])
+    disc &= inner
+    if np.any(disc):
+        out[disc] = _discrete_inverse(copula, direction, v[disc], cu[disc], cl[disc])
+    resid = np.abs(hfunc(copula, direction, out, PseudoObs(cu, cl)) - v)
+    interior = (v > 1e-9) & (v < 1.0 - 1e-9)
     if np.any(resid[interior] > 1e-4):
         raise NumericsError(
             f"h-function inversion did not converge (family={copula.family}, "
             f"max residual {resid[interior].max():.3g}); h may not be monotone"
         )
-    out = np.where(v_b <= 0.0, 0.0, out)
-    out = np.where(v_b >= 1.0, 1.0, out)
     return out
 
 

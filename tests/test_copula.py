@@ -263,8 +263,11 @@ def test_hfunc_inverse_flat_h_raises_diagnostic():
     class FlatH(BivariateCopula):
         family = "flat"
 
-        def _dv0(self, u, v):
+        def _du0(self, u, v):
             return np.full_like(u, 0.5)  # not a valid conditional CDF
+
+        def _pdf0(self, u, v):
+            return np.zeros_like(u)
 
     with pytest.raises(NumericsError, match="monotone"):
         hfunc_inverse(FlatH(), 1, 0.9, PseudoObs(0.4))
@@ -277,6 +280,116 @@ def test_hfunc_inverse_roundtrip_discrete_conditioner():
     v = hfunc(cop, 1, targets, cond)
     back = hfunc_inverse(cop, 1, v, cond)
     assert np.abs(back - targets).max() < 1e-8
+
+
+def test_hfunc_inverse_independence_broadcasts_and_checks_jumps():
+    # a scalar level with a 5-row conditioner gives 5 rows, as for every family
+    cond = PseudoObs(np.linspace(0.1, 0.9, 5))
+    for cop in (IndependenceCopula(), GaussianCopula(0.5)):
+        assert hfunc_inverse(cop, 1, 0.3, cond).shape == (5,)
+        assert hfunc(cop, 1, 0.3, cond).shape == (5,)
+    # a jump too small to difference raises for every family
+    tiny = PseudoObs(0.5 + 1e-13, 0.5)
+    for cop in all_test_copulas():
+        with pytest.raises(DomainError):
+            hfunc_inverse(cop, 1, 0.3, tiny)
+
+
+def _bisection_inverse(copula, direction, v, conditioner):
+    """The 34-round bisection that hfunc_inverse used before its closed forms."""
+    v = np.clip(np.atleast_1d(np.asarray(v, dtype=float)), 0.0, 1.0)
+    v_b, cu, cl = np.broadcast_arrays(v, conditioner.u, conditioner.u_left)
+    cond = PseudoObs(cu, cl)
+    lo = np.zeros_like(v_b)
+    hi = np.ones_like(v_b)
+    for _ in range(34):
+        mid = 0.5 * (lo + hi)
+        go_up = hfunc(copula, direction, mid, cond) < v_b
+        lo = np.where(go_up, mid, lo)
+        hi = np.where(go_up, hi, mid)
+    out = 0.5 * (lo + hi)
+    out = np.where(v_b <= 0.0, 0.0, out)
+    return np.where(v_b >= 1.0, 1.0, out)
+
+
+def _target_density(copula, direction, t, cond):
+    """Slope of the h-function in its target: the generalized density at (t, cond)."""
+    target = PseudoObs(t)
+    return gen_density(copula, target, cond) if direction == 1 else gen_density(copula, cond, target)
+
+
+ORACLE_COPULAS = [
+    IndependenceCopula(),
+    *(GaussianCopula(r) for r in (0.3, -0.8, 0.99)),
+    *(ClaytonCopula(th, rotation=r) for th in (0.5, 5.0, 40.0) for r in (0, 90, 180, 270)),
+    *(GumbelCopula(th, rotation=r) for th in (1.5, 8.0, 40.0) for r in (0, 90, 180, 270)),
+    *(FrankCopula(th) for th in (3.0, -8.0, 30.0, -35.0)),
+    all_test_copulas()[-1],  # a fitted 16 x 16 checkerboard
+]
+ORACLE_CONDITIONERS = [
+    *(PseudoObs(u) for u in (0.03, 0.5, 0.97)),
+    *(PseudoObs(right, left) for left, right in ((0.0, 0.3), (0.45, 0.46), (0.85, 1.0),
+                                                 (0.2, 0.201))),
+]
+
+
+@pytest.mark.parametrize("cop", ORACLE_COPULAS, ids=repr)
+def test_hfunc_inverse_no_less_accurate_than_bisection(cop):
+    v = np.concatenate([[1e-6, 1e-3], np.linspace(0.02, 0.98, 25), [1.0 - 1e-3, 1.0 - 1e-6]])
+    for cond in ORACLE_CONDITIONERS:
+        cond = PseudoObs(np.full(v.shape, cond.u[0]), np.full(v.shape, cond.u_left[0]))
+        for direction in (1, 2):
+            t = hfunc_inverse(cop, direction, v, cond)
+            t_old = _bisection_inverse(cop, direction, v, cond)
+            resid = np.abs(hfunc(cop, direction, t, cond) - v)
+            resid_old = np.abs(hfunc(cop, direction, t_old, cond) - v)
+            assert np.all(resid <= resid_old + 1e-12)
+            steep = _target_density(cop, direction, t_old, cond) >= 1e-2
+            assert np.all(np.abs(t - t_old)[steep] <= 2.0**-33)
+
+
+def test_checkerboard_inverse_takes_left_end_of_flat_stretch():
+    # row and column 1 hold mass only in cells 0 and 2, so with the conditioner
+    # in cell 1 the h-function is flat at 1/2 for targets in [1/4, 1/2]
+    cop = CheckerboardCopula(np.array([[0.5, 0.5, 0.0, 0.0],
+                                       [0.5, 0.0, 0.5, 0.0],
+                                       [0.0, 0.5, 0.0, 0.5],
+                                       [0.0, 0.0, 0.5, 0.5]]) / 4.0)
+    cond = PseudoObs(0.3)
+    for direction in (1, 2):
+        assert hfunc(cop, direction, np.array([0.25, 0.4, 0.5]), cond) == pytest.approx(0.5)
+        assert hfunc_inverse(cop, direction, 0.5, cond)[0] == 0.25
+        assert _bisection_inverse(cop, direction, 0.5, cond)[0] == pytest.approx(0.25, abs=2.0**-33)
+
+
+def test_hfunc_inverse_closed_forms_call_hfunc_once(monkeypatch):
+    # with continuous conditioners every family but Gumbel solves in closed form:
+    # one hfunc call (the residual check) and no Newton iteration
+    from vinebc import copula as copula_module
+
+    calls = {"hfunc": 0, "newton": 0}
+    hfunc_real = copula_module.hfunc
+    newton_real = copula_module._safeguarded_newton
+
+    def counted_hfunc(*args, **kwargs):
+        calls["hfunc"] += 1
+        return hfunc_real(*args, **kwargs)
+
+    def counted_newton(*args, **kwargs):
+        calls["newton"] += 1
+        return newton_real(*args, **kwargs)
+
+    monkeypatch.setattr(copula_module, "hfunc", counted_hfunc)
+    monkeypatch.setattr(copula_module, "_safeguarded_newton", counted_newton)
+    cond = PseudoObs(np.linspace(0.05, 0.95, 7))
+    v = np.linspace(0.1, 0.9, 7)
+    for cop in ORACLE_COPULAS:
+        if isinstance(cop, GumbelCopula):
+            continue
+        for direction in (1, 2):
+            calls.update(hfunc=0, newton=0)
+            hfunc_inverse(cop, direction, v, cond)
+            assert calls == {"hfunc": 1, "newton": 0}, repr(cop)
 
 
 # -- copula CDF properties -----------------------------------------------------------

@@ -87,7 +87,7 @@ def conditioners(draw):
 def test_hfunc_inverts_hfunc_inverse(cop, direction, cond, v):
     cond = PseudoObs(np.full(v.shape, cond.u[0]), np.full(v.shape, cond.u_left[0]))
     t = hfunc_inverse(cop, direction, v, cond)
-    assert np.abs(hfunc(cop, direction, t, cond) - v).max() <= 1e-6
+    assert np.abs(hfunc(cop, direction, t, cond) - v).max() <= 1e-9
 
 
 def test_frank_inverse_holds_at_large_theta():
@@ -99,7 +99,7 @@ def test_frank_inverse_holds_at_large_theta():
         cop = FrankCopula(theta)
         for direction in (1, 2):
             t = hfunc_inverse(cop, direction, v, cond)
-            assert np.abs(hfunc(cop, direction, t, cond) - v).max() <= 1e-6
+            assert np.abs(hfunc(cop, direction, t, cond) - v).max() <= 1e-9
 
 
 def test_frank_inverse_holds_with_discrete_conditioner_at_large_theta():
@@ -113,7 +113,7 @@ def test_frank_inverse_holds_with_discrete_conditioner_at_large_theta():
                 cond = PseudoObs(np.full(v.shape, left + jump), np.full(v.shape, left))
                 for direction in (1, 2):
                     t = hfunc_inverse(cop, direction, v, cond)
-                    assert np.abs(hfunc(cop, direction, t, cond) - v).max() <= 1e-6
+                    assert np.abs(hfunc(cop, direction, t, cond) - v).max() <= 1e-9
 
 
 def _rotation_identities(base, u, v):
