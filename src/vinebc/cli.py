@@ -19,6 +19,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -140,17 +141,25 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _cells(column) -> list:
+    """The CSV cells of an array column.  ``str`` of a Python float is its
+    ``repr``, the shortest string that reads back to the same float."""
+    return list(map(str, np.asarray(column).tolist()))
+
+
+def _write_csv(path: str, header: list, rows) -> None:
+    """Write a CSV file of the header and the rows, each a sequence of cell strings."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
 def write_table_csv(path: str, table: ClimateTable, extra: dict | None = None) -> None:
     extra = extra or {}
-    with open(path, "w") as fh:
-        cols = ["timestamp", "member"] + table.var_names + list(extra)
-        fh.write(",".join(cols) + "\n")
-        ts = table.timestamps.astype("datetime64[s]").astype(str)
-        for i in range(len(table)):
-            row = [ts[i], str(int(table.members[i]))]
-            row += [_fmt(v) for v in table.values[i]]
-            row += [str(extra[k][i]) for k in extra]
-            fh.write(",".join(row) + "\n")
+    columns = [_cells(table.timestamps.astype(str)), _cells(table.members)]
+    columns += [_cells(column) for column in table.values.T]
+    columns += [_cells(v) for v in extra.values()]
+    _write_csv(path, ["timestamp", "member"] + table.var_names + list(extra), zip(*columns))
 
 
 def _write_manifest(path: str, command: str, cfg: dict, inputs: tuple, outputs: list,
@@ -307,16 +316,27 @@ def _evaluate_unit(x_m, x_c, x_ref, seed: int) -> tuple:
 
 
 def _match_rows(model: ClimateTable, corrected: ClimateTable) -> np.ndarray:
-    """The model row of each corrected row, matched on (timestamp, member)."""
-    model_row = {key: i for i, key in enumerate(zip(model.timestamps.tolist(),
-                                                     model.members.tolist()))}
-    keys = list(zip(corrected.timestamps.tolist(), corrected.members.tolist()))
-    missing = [key for key in keys if key not in model_row]
-    if missing:
-        ts, member = missing[0]
-        raise VinebcError(f"{len(missing)} corrected row(s) are not in the model table, "
-                          f"the first at {ts.isoformat()} for member {member}")
-    return np.array([model_row[key] for key in keys], dtype=np.intp)
+    """The model row of each corrected row, matched on (timestamp, member).
+
+    Both tables' (member, timestamp) pairs are numbered densely into one int64
+    key, and each corrected key is looked up among the sorted model keys.
+    """
+    n = len(model)
+    _, ts_ids = np.unique(np.concatenate([model.timestamps, corrected.timestamps]),
+                          return_inverse=True)
+    _, member_ids = np.unique(np.concatenate([model.members, corrected.members]),
+                              return_inverse=True)
+    keys = member_ids.astype(np.int64) * (int(ts_ids.max()) + 1) + ts_ids
+    model_keys, corrected_keys = keys[:n], keys[n:]
+    order = np.argsort(model_keys)
+    rows = order[np.minimum(np.searchsorted(model_keys, corrected_keys, sorter=order), n - 1)]
+    missing = np.flatnonzero(model_keys[rows] != corrected_keys)
+    if missing.size:
+        first = missing[0]
+        raise VinebcError(f"{missing.size} corrected row(s) are not in the model table, the "
+                          f"first at {corrected.timestamps[first].item().isoformat()} for "
+                          f"member {int(corrected.members[first])}")
+    return rows
 
 
 def cmd_evaluate(cfg: dict, model_path: str, corrected_path: str, ref_path: str,
@@ -369,16 +389,14 @@ def cmd_evaluate(cfg: dict, model_path: str, corrected_path: str, ref_path: str,
                 seed=unit_seed,
             )
         )
-        ts = model.timestamps[rows].astype("datetime64[s]").astype(str)
-        series_rows.extend((method, key.label, member, t, _fmt(v)) for t, v in zip(ts, series))
+        series_rows.append(zip(repeat(method), repeat(key.label), repeat(str(member)),
+                               _cells(model.timestamps[rows].astype(str)), _cells(series)))
 
     os.makedirs(out_dir, exist_ok=True)
     paths = emit_report(report, out_dir)
     series_path = os.path.join(out_dir, "mci_series.csv")
-    with open(series_path, "w") as fh:
-        fh.write("method,chunk,member,timestamp,mci\n")
-        for row in series_rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
+    _write_csv(series_path, ["method", "chunk", "member", "timestamp", "mci"],
+               chain.from_iterable(series_rows))
     _write_manifest(os.path.join(out_dir, "manifest_evaluate.json"), "evaluate", cfg,
                     (model_path, corrected_path, ref_path), paths + [series_path],
                     failures=failures)
@@ -388,18 +406,14 @@ def cmd_evaluate(cfg: dict, model_path: str, corrected_path: str, ref_path: str,
 def emit_report(report: MetricReport, out_dir: str) -> list:
     """Write the metric report as long-format CSV rows and a JSON aggregate."""
     csv_path = os.path.join(out_dir, "report.csv")
-    with open(csv_path, "w") as fh:
-        fh.write("method,chunk,member,metric,value\n")
-        for u in report.sorted_units():
-            base = f"{u.method},{u.chunk},{u.member}"
-            fh.write(f"{base},w2_model,{_fmt(u.w2_model)}\n")
-            fh.write(f"{base},w2_corrected,{_fmt(u.w2_corrected)}\n")
-            fh.write(f"{base},iw2,{_fmt(u.iw2)}\n")
-            fh.write(f"{base},copula_iw2,{_fmt(u.copula_iw2)}\n")
-            fh.write(f"{base},mci_mean,{_fmt(u.mci_mean)}\n")
-            fh.write(f"{base},non_invasive,{int(u.non_invasive)}\n")
-            for name, val in u.margin_iw2.items():
-                fh.write(f"{base},iw2_margin_{name},{_fmt(val)}\n")
+    rows = []
+    for u in report.sorted_units():
+        metrics = [("w2_model", _fmt(u.w2_model)), ("w2_corrected", _fmt(u.w2_corrected)),
+                   ("iw2", _fmt(u.iw2)), ("copula_iw2", _fmt(u.copula_iw2)),
+                   ("mci_mean", _fmt(u.mci_mean)), ("non_invasive", str(int(u.non_invasive)))]
+        metrics += [(f"iw2_margin_{name}", _fmt(val)) for name, val in u.margin_iw2.items()]
+        rows += [(u.method, u.chunk, str(u.member), name, value) for name, value in metrics]
+    _write_csv(csv_path, ["method", "chunk", "member", "metric", "value"], rows)
     json_path = os.path.join(out_dir, "report.json")
     with open(json_path, "w") as fh:
         json.dump(report.aggregates(), fh, indent=2, sort_keys=True)

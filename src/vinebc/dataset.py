@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
+from operator import itemgetter
 
 import numpy as np
 
@@ -30,6 +30,8 @@ _SEASON_OF_MONTH = {
     6: "JJA", 7: "JJA", 8: "JJA",
     9: "SON", 10: "SON", 11: "SON",
 }
+# the index in SEASONS of each month's season, indexed by month number
+_SEASON_NO_OF_MONTH = np.array([-1] + [SEASONS.index(_SEASON_OF_MONTH[m]) for m in range(1, 13)])
 _SEASON_MONTHS = {
     "DJF": (12, 1, 2),
     "MAM": (3, 4, 5),
@@ -90,7 +92,7 @@ class Chunk:
     def __post_init__(self):
         self.core_rows = np.asarray(self.core_rows, dtype=int)
         self.estimation_rows = np.asarray(self.estimation_rows, dtype=int)
-        if not set(self.core_rows) <= set(self.estimation_rows):
+        if not np.isin(self.core_rows, self.estimation_rows).all():
             raise ValueError("core rows must be a subset of the estimation rows")
 
 
@@ -150,7 +152,8 @@ def load_table(path, schema) -> ClimateTable:
     """Parse a CSV against variable descriptors.
 
     The header must contain ``timestamp``, ``member`` and every schema name;
-    extra columns are ignored.  Parse failures cite the 1-based data row.
+    extra columns are ignored.  Parse failures cite the 1-based data row
+    (blank rows count); the first bad row in file order is the one cited.
     """
     specs = [v if isinstance(v, VariableSpec) else VariableSpec(**v) for v in schema]
     try:
@@ -168,32 +171,105 @@ def load_table(path, schema) -> ClimateTable:
         for required in ["timestamp", "member"] + [v.name for v in specs]:
             if required not in col:
                 raise SchemaError(f"{path}: missing column {required!r}")
-        ts_i = col["timestamp"]
-        mem_i = col["member"]
-        var_i = [col[v.name] for v in specs]
-        timestamps, members, rows = [], [], []
-        for row_no, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                timestamps.append(np.datetime64(datetime.fromisoformat(row[ts_i].strip()), "s"))
-            except (ValueError, IndexError):
-                raise TableFormatError(
-                    f"{path}: cannot parse timestamp {row[ts_i]!r} in row {row_no}"
-                ) from None
-            try:
-                members.append(int(row[mem_i]))
-                rows.append([float(row[i]) for i in var_i])
-            except (ValueError, IndexError) as exc:
-                raise TableFormatError(f"{path}: non-numeric cell in row {row_no}: {exc}") from None
-            for spec, value in zip(specs, rows[-1]):
-                if not math.isfinite(value):
-                    raise TableFormatError(
-                        f"{path}: non-finite value {value} in column {spec.name!r}, row {row_no}"
-                    )
-    if not rows:
+        rows = list(reader)
+    row_nos = [k for k, row in enumerate(rows, start=1) if "".join(row).strip()]
+    if not row_nos:
         raise TableFormatError(f"{path}: no data rows")
-    return ClimateTable(specs, timestamps, members, np.asarray(rows))
+    if len(row_nos) < len(rows):
+        rows = [rows[k - 1] for k in row_nos]
+    needed = [col["timestamp"], col["member"]] + [col[v.name] for v in specs]
+
+    # Each check below looks only at the rows before the first bad row found
+    # so far, so the error left at the end is the first in file order, and
+    # within a row the first in the order checked.
+    error, limit = None, len(rows)
+    try:
+        cells = list(zip(*map(itemgetter(*needed), rows)))
+    except IndexError:
+        limit = next(k for k, row in enumerate(rows) if len(row) <= max(needed))
+        error = (f"row {row_nos[limit]} has {len(rows[limit])} cells, "
+                 f"the header has {len(header)}")
+        cells = list(zip(*map(itemgetter(*needed), rows[:limit]))) or [()] * len(needed)
+    del rows
+    ts_cells, member_cells, *value_cells = cells
+    timestamps, bad = _parse_timestamps(list(map(str.strip, ts_cells[:limit])))
+    if bad is not None:
+        limit = len(timestamps)
+        error = f"cannot parse timestamp {ts_cells[limit]!r} in row {row_nos[limit]}"
+    columns = []
+    for cell_list, convert in [(member_cells, int)] + [(c, float) for c in value_cells]:
+        column, bad = _convert(cell_list[:limit], convert)
+        if bad is not None:
+            limit = len(column)
+            error = f"non-numeric cell in row {row_nos[limit]}: {bad}"
+        columns.append(column)
+    members, values = columns[0][:limit], np.column_stack([c[:limit] for c in columns[1:]])
+    non_finite = ~np.isfinite(values)
+    if non_finite.any():
+        k = int(non_finite.any(axis=1).argmax())
+        j = int(non_finite[k].argmax())
+        error = (f"non-finite value {values[k, j]} in column {specs[j].name!r}, "
+                 f"row {row_nos[k]}")
+    if error is not None:
+        raise TableFormatError(f"{path}: {error}")
+    return ClimateTable(specs, timestamps, members, values)
+
+
+def _convert(cells, convert):
+    """``convert`` (``int`` or ``float``, which also names the dtype) applied to
+    each cell, as an array, up to the first cell it rejects.
+
+    Returns (the converted cells before the first rejected one, its error),
+    or (all of them, None); an integer beyond the dtype's range is rejected
+    too.  The cells are scanned one by one only after a conversion of the
+    whole column failed.
+    """
+    try:
+        return np.fromiter(map(convert, cells), dtype=convert, count=len(cells)), None
+    except (ValueError, OverflowError):
+        pass
+    out = []
+    for cell in cells:
+        try:
+            out.append(np.array(convert(cell), dtype=convert))
+        except (ValueError, OverflowError) as exc:
+            return np.array(out, dtype=convert), exc
+
+
+# the canonical timestamp form as UCS4 code points, a 0 for each digit
+_ISO_TEMPLATE = np.array(["0000-00-00T00:00:00"]).view(np.uint32)
+_ISO_DIGIT = _ISO_TEMPLATE == ord("0")
+_ISO_FIRST = np.datetime64("0001-01-01T00:00:00", "s")
+
+
+def _parse_timestamps(cells):
+    """``datetime64[s]`` values of stripped timestamp cells, up to the first bad one.
+
+    Returns (the values before the first cell that does not parse, its
+    ValueError), or (all of them, None).  Cells in the canonical
+    ``YYYY-MM-DDTHH:MM:SS`` form, which ``write_table_csv`` writes, take
+    numpy's vectorised parse; every other cell goes through
+    ``datetime.fromisoformat``, which decides what is accepted.
+    """
+    n, width = len(cells), _ISO_TEMPLATE.size
+    text = np.array(cells, dtype=str)
+    canonical = np.fromiter(map(len, cells), dtype=np.intp, count=n) == width
+    out = np.empty(n, dtype="datetime64[s]")
+    if text.dtype.itemsize >= _ISO_TEMPLATE.nbytes and canonical.any():
+        codes = text.view(np.uint32).reshape(n, -1)[:, :width]
+        canonical &= np.where(_ISO_DIGIT, codes - ord("0") < 10, codes == _ISO_TEMPLATE).all(axis=1)
+        try:
+            out[canonical] = text[canonical].astype("datetime64[s]")
+            # numpy takes year 0, which fromisoformat does not
+            canonical[canonical] = out[canonical] >= _ISO_FIRST
+        except ValueError:  # a field out of range; fromisoformat finds the row
+            canonical[:] = False
+    for k in np.flatnonzero(~canonical):
+        try:
+            out[k] = np.datetime64(datetime.fromisoformat(cells[k]), "s")
+        except ValueError as exc:
+            return out[:k], exc
+    return out, None
 
 
 def chunk_key_of(timestamp) -> ChunkKey:
@@ -214,12 +290,12 @@ def make_chunks(table: ClimateTable) -> dict:
         raise TableFormatError("table is empty")
     months = table.months()
     hours = table.hours()
-    season = np.array([_SEASON_OF_MONTH[m] for m in months])
+    season = _SEASON_NO_OF_MONTH[months]
     is_day = (hours >= 6) & (hours < 18)
     chunks = {}
     for key in ALL_CHUNK_KEYS:
-        mask = (season == key.season) & (is_day if key.diurnal == "day" else ~is_day)
-        idx = np.flatnonzero(mask)
+        in_window = is_day if key.diurnal == "day" else ~is_day
+        idx = np.flatnonzero((season == SEASONS.index(key.season)) & in_window)
         chunks[key] = Chunk(key=key, core_rows=idx, estimation_rows=idx.copy())
     return chunks
 

@@ -223,7 +223,8 @@ class VineModel:
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+            # json.dumps takes the C encoder; json.dump always runs the Python one
+            fh.write(json.dumps(self.to_dict()))
 
     @classmethod
     def load(cls, path) -> "VineModel":

@@ -419,6 +419,18 @@ def test_evaluate_corrected_row_without_model_row_exit_code(sim_dir, corrected_d
     assert "not in the model table" in capsys.readouterr().err
 
 
+def test_evaluate_names_first_corrected_row_without_model_row(sim_dir, corrected_dir, tmp_path,
+                                                              capsys):
+    lines = (corrected_dir / "corrected_vbc.csv").read_text().splitlines()
+    status, _ = _evaluate_lines(sim_dir, tmp_path, lines + [
+        "2099-01-01T00:00:00,1,0.0,0.0,0.0,DJF-night,vbc,0",
+        "2011-01-01T03:00:00,9,0.0,0.0,0.0,DJF-night,vbc,0",
+    ])
+    assert status == EXIT_DATA
+    assert ("data error: 2 corrected row(s) are not in the model table, the first at "
+            "2099-01-01T00:00:00 for member 1") in capsys.readouterr().err
+
+
 def test_evaluate_partly_corrected_unit_exit_code(sim_dir, corrected_dir, tmp_path, capsys):
     header, *rows = (corrected_dir / "corrected_vbc.csv").read_text().splitlines()
     unit = (ALL_CHUNK_KEYS[2].label, "2")
@@ -571,6 +583,15 @@ def test_data_error_exit_code(sim_dir, tmp_path):
         out_dir=str(tmp_path / "o"),
     )
     assert status == EXIT_DATA
+
+
+def test_short_row_exit_code(tmp_path, capsys):
+    table = tmp_path / "in.csv"
+    table.write_text("member,x,timestamp\n1,3.0\n")
+    status = main(["fit", "--config", _minimal_config(tmp_path), "--input", str(table),
+                   "--output-dir", str(tmp_path / "o")])
+    assert status == EXIT_DATA
+    assert f"data error: {table}: row 1 has 2 cells, the header has 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -1,8 +1,13 @@
+import re
+import warnings
+from datetime import datetime
+
 import numpy as np
 import pytest
 
 from vinebc.dataset import (
     ALL_CHUNK_KEYS,
+    Chunk,
     ChunkKey,
     ClimateTable,
     VariableSpec,
@@ -87,6 +92,133 @@ def test_load_table_non_finite_cell_cites_column_and_row(tmp_path, cell):
         load_table(path, SCHEMA5)
 
 
+def test_load_table_error_rows_count_blank_lines(tmp_path):
+    path = tmp_path / "in.csv"
+    lines = [",".join(str(c) for c in r) for r in hourly_rows(6)]
+    lines[4] = lines[4].replace(",3.0,", ",x,")
+    path.write_text("timestamp,member,d,p,r,w,t\n" + "\n".join(
+        lines[:2] + ["", " , ,", "   "] + lines[2:]) + "\n")
+    with pytest.raises(TableFormatError) as err:
+        load_table(path, SCHEMA5)
+    assert str(err.value) == (f"{path}: non-numeric cell in row 8: "
+                              "could not convert string to float: 'x'")
+
+
+# (row index, column index, cell) edits of hourly_rows(8), and the expected
+# message; the first bad row in file order wins, and within a row the
+# timestamp, then the member, then the variables in schema order
+LOAD_ERRORS = {
+    "bad timestamp": ([(3, 0, "2019-13-01T00:00:00")],
+                      "cannot parse timestamp '2019-13-01T00:00:00' in row 4"),
+    "bad member": ([(2, 1, "x")],
+                   "non-numeric cell in row 3: invalid literal for int() with base 10: 'x'"),
+    "non-numeric cell": ([(5, 3, "abc")],
+                         "non-numeric cell in row 6: could not convert string to float: 'abc'"),
+    "non-finite after an earlier bad row": ([(2, 4, "?"), (5, 5, "nan")],
+                                            "non-numeric cell in row 3: could not convert "
+                                            "string to float: '?'"),
+    "bad cell after an earlier non-finite one": ([(1, 6, "inf"), (4, 2, "?")],
+                                                 "non-finite value inf in column 't', row 2"),
+    "bad timestamp before a bad cell in the same row": (
+        [(3, 0, "x"), (3, 2, "?")], "cannot parse timestamp 'x' in row 4"),
+    "bad member before a bad cell in the same row": (
+        [(3, 1, "1.5"), (3, 2, "?")],
+        "non-numeric cell in row 4: invalid literal for int() with base 10: '1.5'"),
+    "cells in schema order": ([(3, 6, "?"), (3, 3, "!")],
+                              "non-numeric cell in row 4: could not convert string to float: '!'"),
+    "bad cell before non-finite in the same row": (
+        [(3, 3, "-inf"), (3, 6, "?")],
+        "non-numeric cell in row 4: could not convert string to float: '?'"),
+    "non-finite cells in schema order": ([(3, 6, "nan"), (3, 3, "-inf")],
+                                         "non-finite value -inf in column 'p', row 4"),
+    "bad timestamp after an earlier bad cell": ([(5, 0, "x"), (2, 6, "?")],
+                                                "non-numeric cell in row 3: could not convert "
+                                                "string to float: '?'"),
+    "member beyond int64": ([(2, 1, 2**63), (5, 3, "?")],
+                            "non-numeric cell in row 3: Python int too large to convert to C long"),
+}
+
+
+@pytest.mark.parametrize("edits, message", LOAD_ERRORS.values(), ids=list(LOAD_ERRORS))
+def test_load_table_error_messages(tmp_path, edits, message):
+    path = tmp_path / "in.csv"
+    rows = hourly_rows(8)
+    for i, j, cell in edits:
+        rows[i][j] = cell
+    write_csv(path, rows)
+    with pytest.raises(TableFormatError) as err:
+        load_table(path, SCHEMA5)
+    assert str(err.value) == f"{path}: {message}"
+
+
+SHORT_ROWS = {
+    "short of the timestamp": ("member,t,timestamp", ["1,3.0,2000-01-01T00:00:00", "1,3.0"],
+                               "row 2 has 2 cells, the header has 3"),
+    "short of the member": ("timestamp,t,member", ["2000-01-01T00:00:00,3.0"],
+                            "row 1 has 2 cells, the header has 3"),
+    "short of a variable": ("timestamp,member,t", ["2000-01-01T00:00:00,1,3.0", "",
+                                                   "2000-01-01T03:00:00,1"],
+                            "row 3 has 2 cells, the header has 3"),
+    "before a later bad cell": ("timestamp,member,t", ["2000-01-01T00:00:00", "x,y,z"],
+                                "row 1 has 1 cells, the header has 3"),
+    "after an earlier bad cell": ("timestamp,member,t", ["2000-01-01T00:00:00,1,x", "y"],
+                                  "non-numeric cell in row 1: could not convert string to "
+                                  "float: 'x'"),
+}
+
+
+@pytest.mark.parametrize("header, lines, message", SHORT_ROWS.values(), ids=list(SHORT_ROWS))
+def test_load_table_short_row_names_row_and_cell_counts(tmp_path, header, lines, message):
+    path = tmp_path / "in.csv"
+    path.write_text("\n".join([header] + lines) + "\n")
+    with pytest.raises(TableFormatError) as err:
+        load_table(path, [VariableSpec("t", "interval")])
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_load_table_ignores_missing_extra_cells(tmp_path):
+    """A row may end before the columns the schema does not need."""
+    path = tmp_path / "in.csv"
+    path.write_text("timestamp,member,t,note\n2000-01-01T00:00:00,1,3.0\n")
+    table = load_table(path, [VariableSpec("t", "interval")])
+    assert table.values.tolist() == [[3.0]]
+
+
+def _fromisoformat_s(cell):
+    """A timestamp cell's value as parsed one cell at a time."""
+    return np.datetime64(datetime.fromisoformat(cell.strip()), "s")
+
+
+@pytest.mark.parametrize("form", [
+    "2000-01-01T03:00:00", " 2000-01-01T03:00:00 ", "2000-01-01 03:00:00",
+    "2000-01-01T03:00:00+01:00", "2000-01-01T03:00:00.7", "2000-01-01T03",
+    "20000101T030000", "NaT", "now", "0000-01-01T03:00:00", "10000-01-01T03:00:00",
+    "2000-01-01T24:00:00", "2000-02-30T03:00:00", "2000-01-01T03:00:00Z",
+])
+def test_load_table_timestamp_forms_match_fromisoformat(tmp_path, form):
+    """Every form parses to what ``datetime.fromisoformat`` gives on this Python,
+    and a form it rejects is a data error."""
+    path = tmp_path / "in.csv"
+    rows = hourly_rows(3, start="1999-12-31T21:00:00")
+    rows[2][0] = "2000-01-01T06:00:00"
+    rows[1][0] = form
+    write_csv(path, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns on a timezone offset
+        try:
+            expected = [_fromisoformat_s(r[0]) for r in rows]
+        except ValueError:
+            expected = None
+        if expected is None:
+            message = re.escape(f"cannot parse timestamp {form!r} in row 2")
+            with pytest.raises(TableFormatError, match=message):
+                load_table(path, SCHEMA5)
+        else:
+            table = load_table(path, SCHEMA5)
+            assert table.timestamps.dtype == np.dtype("datetime64[s]")
+            assert table.timestamps.tolist() == [e.item() for e in expected]
+
+
 def test_load_table_non_monotone_timestamps(tmp_path):
     path = tmp_path / "in.csv"
     rows = hourly_rows(5)
@@ -128,6 +260,14 @@ def test_make_chunks_partitions_exactly(tmp_path):
     for key, chunk in chunks.items():
         for i in chunk.core_rows[:20]:
             assert chunk_key_of(table.timestamps[i]) == key
+
+
+def test_chunk_core_rows_must_be_estimation_rows():
+    key = ChunkKey("DJF", "day")
+    Chunk(key, [1, 3], [0, 1, 2, 3])
+    Chunk(key, [], [5])
+    with pytest.raises(ValueError, match="subset"):
+        Chunk(key, [1, 4], [0, 1, 2, 3])
 
 
 def test_make_chunks_pure_function_of_timestamp():

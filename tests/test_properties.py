@@ -1,5 +1,5 @@
-"""Property tests for the pair-copula layer, the fitted margins and the
-empirical joint CDF.
+"""Property tests for the pair-copula layer, the fitted margins, the
+empirical joint CDF and the CSV round trip of a table.
 
 Pair-copula strategies are bounded to these parameter ranges:
 
@@ -18,8 +18,14 @@ to the atoms: -1 and 0.5 (interval), 1.25 (nonnegative) or 0 (zero-inflated).
 
 Joint-CDF samples have 1 to 70 rows of 1 to 5 columns, drawn from a few
 repeated values (0 among them, as an atom), floats in [-3, 3] and NaN.
+
+Climate tables written to CSV and read back have 1 to 3 interval variables
+holding any finite float (-0.0, the smallest subnormal and the largest float
+among them), 1 to 3 members and timestamps anywhere in years 1 to 9999.
 """
 import json
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -39,6 +45,8 @@ from vinebc.copula import (
     hfunc,
     hfunc_inverse,
 )
+from vinebc.cli import write_table_csv
+from vinebc.dataset import ALL_CHUNK_KEYS, ClimateTable, VariableSpec, load_table
 from vinebc.evaluation import empirical_joint_cdf
 from vinebc.marginal import fit_marginal
 
@@ -240,3 +248,44 @@ def test_fitted_margin_quantile_inverts_cdf(sample, extra_levels):
     with np.errstate(divide="ignore"):
         slack = 1e-12 * (1.0 + np.abs(xs)) + 1e-15 / np.asarray(m.density(xs))
     assert (np.asarray(m.quantile(f)) <= xs + slack).all()
+
+
+FIRST_SECOND = int(np.datetime64("0001-01-01T00:00:00", "s").astype(np.int64))
+LAST_SECOND = int(np.datetime64("9999-12-31T23:59:59", "s").astype(np.int64))
+EDGE_FLOATS = (-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@st.composite
+def climate_tables(draw):
+    """A table of 1 to 3 interval variables and 1 to 3 members, each with 1 to 12
+    distinct timestamps anywhere in years 1 to 9999, with provenance columns."""
+    d = draw(st.integers(1, 3))
+    members = draw(st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=3, unique=True))
+    seconds = [sorted(draw(st.lists(st.integers(FIRST_SECOND, LAST_SECOND), min_size=1,
+                                    max_size=12, unique=True))) for _ in members]
+    n = sum(map(len, seconds))
+    cells = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(arrays(float, (n, d), elements=cells))
+    table = ClimateTable([VariableSpec(f"v{j}", "interval") for j in range(d)],
+                         np.concatenate(seconds).astype("datetime64[s]"),
+                         np.repeat(members, list(map(len, seconds))), values)
+    extra = {"chunk": np.array(draw(st.lists(st.sampled_from([k.label for k in ALL_CHUNK_KEYS]),
+                                             min_size=n, max_size=n)), dtype=object),
+             "method": np.full(n, "vbc", dtype=object),
+             "unit_seed": np.array(draw(st.lists(st.integers(0, 2**63 - 1), min_size=n,
+                                                 max_size=n)), dtype=np.int64)}
+    return table, extra
+
+
+@PROPERTY_SETTINGS
+@given(climate_tables())
+def test_written_table_loads_bit_identical(sample):
+    table, extra = sample
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        write_table_csv(path, table, extra)
+        loaded = load_table(path, table.variables)
+    assert loaded.timestamps.dtype == table.timestamps.dtype
+    assert np.array_equal(loaded.timestamps, table.timestamps)
+    assert np.array_equal(loaded.members, table.members)
+    assert np.array_equal(loaded.values.view(np.uint64), table.values.view(np.uint64))
