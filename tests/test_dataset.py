@@ -11,6 +11,7 @@ from vinebc.dataset import (
     ChunkKey,
     ClimateTable,
     VariableSpec,
+    _convert,
     chunk_key_of,
     chunk_manifest,
     extend_overlap,
@@ -135,7 +136,7 @@ LOAD_ERRORS = {
                                                 "non-numeric cell in row 3: could not convert "
                                                 "string to float: '?'"),
     "member beyond int64": ([(2, 1, 2**63), (5, 3, "?")],
-                            "non-numeric cell in row 3: Python int too large to convert to C long"),
+                            f"member out of range in row 3: '{2**63}'"),
 }
 
 
@@ -182,6 +183,17 @@ def test_load_table_ignores_missing_extra_cells(tmp_path):
     path.write_text("timestamp,member,t,note\n2000-01-01T00:00:00,1,3.0\n")
     table = load_table(path, [VariableSpec("t", "interval")])
     assert table.values.tolist() == [[3.0]]
+
+
+def test_convert_cell_scan_returns_whole_column(monkeypatch):
+    """The cell-by-cell scan, which runs only after the whole-column conversion
+    failed, returns every cell when none fails on its own."""
+    def reject(*args, **kwargs):
+        raise ValueError("whole column rejected")
+    monkeypatch.setattr(np, "fromiter", reject)
+    column, bad = _convert(["1", " 2", "3 "], int)
+    assert bad is None
+    assert column.dtype == np.dtype(int) and column.tolist() == [1, 2, 3]
 
 
 def _fromisoformat_s(cell):
