@@ -2,16 +2,18 @@
 
 A single JSON config file drives every command; environment variables
 ``VINEBC_SEED`` and ``VINEBC_WORKERS`` override only the master seed and the
-parallelism degree.  Fit units (one per chunk) and correction and
-evaluation units (one per chunk and member) carry seeds derived from the
-master seed, and all of them run through one runner (``_map_units``):
-``workers`` > 1 runs them on a process pool, and a unit that fails on bad
-data fails alone.  Outputs are byte-identical at any parallelism degree.
+parallelism degree.  Fit units and the reference fits of ``correct`` (one
+per chunk) and correction and evaluation units (one per chunk and member)
+carry seeds derived from the master seed, and all of them run through one
+runner (``_map_units``): ``workers`` > 1 runs them on a process pool, and a
+unit that fails on bad data fails alone.  Outputs are byte-identical at any
+parallelism degree.
 Exit codes: 0 success, 1 config error, 2 data error, 3 partial unit failure.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from ._util import subseed
-from .correction import CorrectionConfig, ubc_correct, vbc_correct
+from .correction import CorrectionConfig, apply_correction, fit_reference
 from .dataset import (
     ALL_CHUNK_KEYS,
     ClimateTable,
@@ -57,6 +59,10 @@ EXIT_PARTIAL = 3
 _CORRECTION_FIELDS = tuple(f.name for f in dataclasses.fields(CorrectionConfig) if f.name != "seed")
 # CSV columns besides the variables; no variable may take one of these names
 _RESERVED_COLUMNS = ("timestamp", "member", "chunk", "method", "unit_seed")
+# tag of each chunk's reference-fit seed, subseed(seed, _REFERENCE_TAG, chunk
+# index): no chunk index (0-7, which leads every unit seed), overlap tag (1-3)
+# or fit tag (4) takes it
+_REFERENCE_TAG = 8
 # a unit that raises one of these fails alone (ValueError covers numpy's
 # LinAlgError); any other exception is a programming error and propagates
 _UNIT_ERRORS = (VinebcError, ValueError, ArithmeticError)
@@ -212,19 +218,29 @@ def _run_unit(task) -> tuple:
         return False, f"{type(exc).__name__}: {exc}"
 
 
-def _map_units(tasks: dict, workers: int) -> tuple:
-    """Run every unit's task, a picklable callable of no arguments.
-
-    With ``workers`` > 1 the tasks run on a process pool of at most one
-    process per task.  Returns ({unit: result}, {unit: error message}), each
-    in task order.
-    """
-    n = min(workers, len(tasks))
+@contextlib.contextmanager
+def _unit_pool(workers: int, n_tasks: int):
+    """A process pool of at most ``workers`` processes and one per task, or
+    None when the tasks run in this process."""
+    n = min(workers, n_tasks)
     if n > 1:
         with ProcessPoolExecutor(max_workers=n) as pool:
-            outcomes = list(pool.map(_run_unit, tasks.values()))
+            yield pool
     else:
-        outcomes = [_run_unit(t) for t in tasks.values()]
+        yield None
+
+
+def _map_units(tasks: dict, workers: int, pool=None) -> tuple:
+    """Run every unit's task, a picklable callable of no arguments.
+
+    With ``workers`` > 1 the tasks run on ``pool``, an open ``_unit_pool``
+    that a command shares between its stages, or else on a pool of their own.
+    Returns ({unit: result}, {unit: error message}), each in task order.
+    """
+    if pool is None and min(workers, len(tasks)) > 1:
+        with _unit_pool(workers, len(tasks)) as pool:
+            return _map_units(tasks, workers, pool)
+    outcomes = list((map if pool is None else pool.map)(_run_unit, tasks.values()))
     results, failures = {}, {}
     for unit, (ok, value) in zip(tasks, outcomes):
         (results if ok else failures)[unit] = value
@@ -242,11 +258,16 @@ def _extended_chunks(table: ClimateTable, overlap_fraction: float, seed: int, ta
 
 def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str,
                 out_dir: str) -> int:
+    """Correct in two stages: fit each chunk's reference once (``fit_reference``),
+    then correct each (chunk, member) unit against it (``apply_correction``).
+
+    A chunk whose reference fit fails fails each of its units with that error.
+    """
     specs = _variable_specs(cfg)
     config = _correction_config(cfg)
     seed = cfg.get("seed", 0)
-    corrector = {"vbc": vbc_correct, "ubc": ubc_correct}.get(method)
-    if corrector is None:
+    workers = cfg.get("workers", 1)
+    if method not in ("vbc", "ubc"):
         raise ConfigError(f"unknown method {method!r}")
     mp = load_table(mp_path, specs)
     rc = load_table(rc_path, specs)
@@ -256,26 +277,43 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
     rc_chunks = _extended_chunks(rc, config.overlap_fraction, seed, 2)
     mc_chunks = _extended_chunks(mc, config.overlap_fraction, seed, 3)
 
-    unit_seeds, plan, tasks = {}, {}, {}
+    unit_seeds, plan = {}, {}
     for unit, key, member, unit_seed, rows in _units(mp, mp_chunks, seed):
         unit_seeds[unit] = unit_seed
-        if rows.size == 0:
-            continue
-        est_rows = mp_chunks[key].estimation_rows
-        plan[unit] = (key, unit_seed, rows)
-        tasks[unit] = partial(corrector, mp.values[rows], rc.values[rc_chunks[key].estimation_rows],
-                              mc.values[mc_chunks[key].estimation_rows], mp.kinds,
-                              config.with_seed(unit_seed),
-                              mp_fit=mp.values[est_rows[mp.members[est_rows] == member]])
+        if rows.size:
+            plan[unit] = (key, member, unit_seed, rows)
 
-    results, failures = _map_units(tasks, cfg.get("workers", 1))
+    planned = {key for key, *_ in plan.values()}
+    reference_seeds, reference_tasks = {}, {}
+    for ci, key in enumerate(ALL_CHUNK_KEYS):
+        if key in planned:
+            reference_seeds[key.label] = subseed(seed, _REFERENCE_TAG, ci)
+            reference_tasks[key.label] = partial(
+                fit_reference, method, rc.values[rc_chunks[key].estimation_rows],
+                mc.values[mc_chunks[key].estimation_rows], mp.kinds,
+                config.with_seed(reference_seeds[key.label]))
+    # one pool serves both stages: with a pool per stage, the second pool start
+    # ate what UBC saves by sharing its reference fits
+    with _unit_pool(workers, len(plan)) as pool:
+        references, reference_failures = _map_units(reference_tasks, workers, pool)
+        tasks, unit_failures = {}, {}
+        for unit, (key, member, unit_seed, rows) in plan.items():
+            if key.label in reference_failures:
+                unit_failures[unit] = reference_failures[key.label]
+                continue
+            est_rows = mp_chunks[key].estimation_rows
+            tasks[unit] = partial(apply_correction, mp.values[rows], references[key.label],
+                                  config.with_seed(unit_seed),
+                                  mp_fit=mp.values[est_rows[mp.members[est_rows] == member]])
+        results, failures = _map_units(tasks, workers, pool)
+    failures.update(unit_failures)
 
     corrected = np.full_like(mp.values, np.nan)
     chunk_col = np.empty(len(mp), dtype=object)
     seed_col = np.zeros(len(mp), dtype=np.int64)
-    for unit, res in results.items():
-        key, unit_seed, rows = plan[unit]
-        corrected[rows] = res.values
+    for unit, values in results.items():
+        key, _, unit_seed, rows = plan[unit]
+        corrected[rows] = values
         chunk_col[rows] = key.label
         seed_col[rows] = unit_seed
 
@@ -296,7 +334,8 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
     )
     _write_manifest(os.path.join(out_dir, f"manifest_correct_{method}.json"), "correct", cfg,
                     (mp_path, rc_path, mc_path), [out_csv], config, method=method,
-                    unit_seeds={u: int(s) for u, s in unit_seeds.items()}, failures=failures,
+                    unit_seeds={u: int(s) for u, s in unit_seeds.items()},
+                    reference_seeds=reference_seeds, failures=failures,
                     chunks={k.label: len(v.core_rows) for k, v in mp_chunks.items()})
     return _exit_status(failures)
 

@@ -7,6 +7,12 @@ Rosenblatt transform of the reference fit, and finally applies per-variable
 delta mapping against the pooled model calibration margins.  The univariate
 baseline applies quantile mapping plus the same delta step per margin with
 no cross-variable coupling.
+
+Both correctors run in two steps.  ``fit_reference`` fits what depends on
+the reference and calibration rows alone (the reference vine or margins, and
+the calibration margins); ``apply_correction`` fits the projection model and
+corrects the projection rows against it, so the members of one chunk can
+share the first step.
 """
 from __future__ import annotations
 
@@ -93,32 +99,83 @@ def delta_map(x_hat_mc, x_mp, marginal_mc: MixtureMarginal, marginal_mp: Mixture
     return maybe_scalar(out, x_hat_mc, x_mp)
 
 
-def _as_inputs(x_mp, x_rc, x_mc, kinds):
-    """Float arrays and normalized kinds, checked to describe the same variables."""
-    x_mp, x_rc, x_mc = (np.asarray(x, dtype=float) for x in (x_mp, x_rc, x_mc))
-    kinds = [normalize_kind(k) for k in kinds]
-    d = x_mp.shape[1]
-    if x_rc.shape[1] != d or x_mc.shape[1] != d:
-        raise SchemaError(
-            f"variable count mismatch: projection {d}, reference {x_rc.shape[1]}, "
-            f"calibration {x_mc.shape[1]}"
-        )
-    if len(kinds) != d:
-        raise SchemaError(f"got {len(kinds)} kinds for {d} variables")
-    return x_mp, x_rc, x_mc, kinds
+@dataclass(frozen=True)
+class ReferenceFit:
+    """What a correction fits to the reference and calibration rows alone.
+
+    ``model`` is the reference vine (VBC) or the reference margins, one per
+    variable (UBC); ``mc_margins`` are the margins of the pooled model
+    calibration rows, which feed the delta mapping.  None of it depends on the
+    projection rows, so every member of a chunk can be corrected against one.
+    """
+
+    method: str
+    kinds: tuple
+    model: object
+    mc_margins: tuple
 
 
-def _project(x_hat_mc, x_mp, x_mc, mp_margins, kinds) -> CorrectedSet:
-    """Delta-map calibration-scale rows onto the projection climate, per variable,
-    against margins fitted to the pooled model calibration rows ``x_mc``."""
+def fit_reference(method: str, x_rc, x_mc, kinds, config: CorrectionConfig) -> ReferenceFit:
+    """The first step of ``vbc_correct`` (``method="vbc"``) or ``ubc_correct`` (``"ubc"``).
+
+    The reference vine is fitted to ``x_rc``, the reference estimation sample,
+    with the seed ``subseed(config.seed, 13)``; UBC fits its margins, which
+    take no seed.  ``x_mc`` pools all ensemble members of the calibration
+    period.
+    """
+    if method not in ("vbc", "ubc"):
+        raise ValueError(f"unknown method {method!r}")
+    x_rc, x_mc = (np.asarray(x, dtype=float) for x in (x_rc, x_mc))
+    kinds = tuple(normalize_kind(k) for k in kinds)
+    if x_rc.shape[1] != len(kinds) or x_mc.shape[1] != len(kinds):
+        raise SchemaError(f"variable count mismatch: {len(kinds)} kinds, reference "
+                          f"{x_rc.shape[1]}, calibration {x_mc.shape[1]}")
+    if method == "vbc":
+        model = fit_vine(x_rc, kinds, seed=subseed(config.seed, _RC_TAG), **config.vine_kwargs())
+    else:
+        model = tuple(fit_marginal(x_rc[:, j], kind) for j, kind in enumerate(kinds))
+    mc_margins = tuple(fit_marginal(x_mc[:, j], kind) for j, kind in enumerate(kinds))
+    return ReferenceFit(method, kinds, model, mc_margins)
+
+
+def apply_correction(x_mp, reference: ReferenceFit, config: CorrectionConfig,
+                     mp_fit=None) -> np.ndarray:
+    """The second step: correct the projection rows ``x_mp`` against ``reference``.
+
+    The projection model (a vine seeded by ``subseed(config.seed, 12)`` for
+    VBC, margins for UBC) is fitted to ``mp_fit``, an optional
+    overlap-extended estimation set, or else to ``x_mp``.  Returns the
+    corrected rows, aligned with ``x_mp`` and in order.
+    """
+    x_mp = np.asarray(x_mp, dtype=float)
+    kinds = reference.kinds
+    if x_mp.shape[1] != len(kinds):
+        raise SchemaError(f"variable count mismatch: projection {x_mp.shape[1]}, "
+                          f"reference {len(kinds)}")
+    x_fit = x_mp if mp_fit is None else np.asarray(mp_fit, dtype=float)
+    if reference.method == "vbc":
+        vine_mp = fit_vine(x_fit, kinds, seed=subseed(config.seed, _MP_TAG), **config.vine_kwargs())
+        noise = np.random.default_rng(subseed(config.seed, _NOISE_TAG)).uniform(size=x_mp.shape)
+        v = np.clip(rosenblatt_forward(vine_mp, x_mp, noise), 1e-9, 1.0 - 1e-9)
+        x_hat_mc = rosenblatt_inverse(reference.model, v)
+        mp_margins = vine_mp.margins
+    else:
+        mp_margins = [fit_marginal(x_fit[:, j], kind) for j, kind in enumerate(kinds)]
+        x_hat_mc = np.column_stack([m_rc.quantile(m.cdf(x_mp[:, j])) for j, (m, m_rc)
+                                    in enumerate(zip(mp_margins, reference.model))])
+    return _project(x_hat_mc, x_mp, reference.mc_margins, mp_margins, kinds)
+
+
+def _project(x_hat_mc, x_mp, mc_margins, mp_margins, kinds) -> np.ndarray:
+    """Delta-map calibration-scale rows onto the projection climate, per variable."""
     out = np.empty_like(x_hat_mc)
     for j, kind in enumerate(kinds):
         nonneg = kind != "interval"
-        out[:, j] = delta_map(x_hat_mc[:, j], x_mp[:, j], fit_marginal(x_mc[:, j], kind),
-                              mp_margins[j], nonnegative=nonneg)
+        out[:, j] = delta_map(x_hat_mc[:, j], x_mp[:, j], mc_margins[j], mp_margins[j],
+                              nonnegative=nonneg)
         if nonneg:
             out[:, j] = np.maximum(out[:, j], 0.0)
-    return CorrectedSet(out)
+    return out
 
 
 def vbc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig, mp_fit=None) -> CorrectedSet:
@@ -129,28 +186,18 @@ def vbc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig, mp_fit=None) 
     projection vine.  The rows of ``x_mp`` are the ones corrected and
     returned, aligned and in order.  ``x_mc`` pools all ensemble members of
     the calibration period and only feeds the per-variable delta mapping.
+    This is ``fit_reference`` followed by ``apply_correction``.
     """
-    x_mp, x_rc, x_mc, kinds = _as_inputs(x_mp, x_rc, x_mc, kinds)
-    fit_kwargs = config.vine_kwargs()
-    vine_mp = fit_vine(mp_fit if mp_fit is not None else x_mp, kinds,
-                       seed=subseed(config.seed, _MP_TAG), **fit_kwargs)
-    vine_rc = fit_vine(x_rc, kinds, seed=subseed(config.seed, _RC_TAG), **fit_kwargs)
-    noise = np.random.default_rng(subseed(config.seed, _NOISE_TAG)).uniform(size=x_mp.shape)
-    v = rosenblatt_forward(vine_mp, x_mp, noise)
-    v = np.clip(v, 1e-9, 1.0 - 1e-9)
-    x_hat_mc = rosenblatt_inverse(vine_rc, v)
-    return _project(x_hat_mc, x_mp, x_mc, vine_mp.margins, kinds)
+    reference = fit_reference("vbc", x_rc, x_mc, kinds, config)
+    return CorrectedSet(apply_correction(x_mp, reference, config, mp_fit=mp_fit))
 
 
 def ubc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig, mp_fit=None) -> CorrectedSet:
     """Univariate quantile-delta-mapping baseline; preserves per-margin ranks.
 
     UBC has no settings of its own: ``config`` is taken so that both
-    correctors share one signature.
+    correctors share one signature.  This is ``fit_reference`` followed by
+    ``apply_correction``.
     """
-    x_mp, x_rc, x_mc, kinds = _as_inputs(x_mp, x_rc, x_mc, kinds)
-    x_fit = mp_fit if mp_fit is not None else x_mp
-    mp_margins = [fit_marginal(x_fit[:, j], kind) for j, kind in enumerate(kinds)]
-    x_hat_mc = np.column_stack([fit_marginal(x_rc[:, j], kind).quantile(m.cdf(x_mp[:, j]))
-                                for j, (kind, m) in enumerate(zip(kinds, mp_margins))])
-    return _project(x_hat_mc, x_mp, x_mc, mp_margins, kinds)
+    reference = fit_reference("ubc", x_rc, x_mc, kinds, config)
+    return CorrectedSet(apply_correction(x_mp, reference, config, mp_fit=mp_fit))

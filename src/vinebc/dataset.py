@@ -273,9 +273,16 @@ def _parse_timestamps(cells):
             canonical[:] = False
     for k in np.flatnonzero(~canonical):
         try:
-            out[k] = np.datetime64(datetime.fromisoformat(cells[k]), "s")
+            stamp = datetime.fromisoformat(cells[k])
         except ValueError as exc:
             return out[:k], exc
+        out[k] = np.datetime64(stamp.replace(tzinfo=None), "s")
+        offset = stamp.utcoffset()
+        if offset:
+            # UTC as numpy gives it for an aware datetime (the offset in whole
+            # minutes), without numpy's timezone warning; numpy's arithmetic,
+            # unlike datetime's, reaches past years 1 and 9999
+            out[k] -= np.timedelta64(int(offset.total_seconds() / 60), "m")
     return out, None
 
 

@@ -4,14 +4,16 @@ import hashlib
 import json
 import os
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import vinebc.cli
+import vinebc.correction
 from vinebc._util import subseed
 from vinebc.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, emit_report, main, run_pipeline
-from vinebc.correction import CorrectionConfig
+from vinebc.correction import CorrectionConfig, fit_reference
 from vinebc.dataset import ALL_CHUNK_KEYS, VariableSpec, load_table
 from vinebc.errors import NumericsError, VinebcError
 from vinebc.evaluation import MetricReport, UnitMetrics
@@ -61,6 +63,14 @@ def sim_dir(tmp_path_factory):
 
 def _specs():
     return [VariableSpec(v["name"], v["kind"], v["units"]) for v in CONFIG["variables"]]
+
+
+def _correct(sim_dir, method, out):
+    return run_pipeline("correct", sim_dir["cfg"], method=method,
+                        mp_path=str(sim_dir["sim"] / "model_projection.csv"),
+                        rc_path=str(sim_dir["sim"] / "reference_calibration.csv"),
+                        mc_path=str(sim_dir["sim"] / "model_calibration.csv"),
+                        out_dir=str(out))
 
 
 def test_simulate_outputs_are_loadable(sim_dir):
@@ -260,6 +270,9 @@ def test_pool_never_exceeds_units(sim_dir, tmp_path, monkeypatch):
                           out_dir=str(tmp_path / "models"))
     assert status == EXIT_OK
     assert RecordingPool.sizes == [3, 8]  # one fit unit per chunk
+    # both stages of correct share one pool: 8 reference fits, then 16 units
+    assert _correct(sim_dir, "ubc", tmp_path / "corrected") == EXIT_OK
+    assert RecordingPool.sizes == [3, 8, 16]
 
 
 def _raise(exc):
@@ -285,14 +298,14 @@ def test_map_units_failure_rule():
 def test_correct_unit_linalg_error_exit_code(sim_dir, tmp_path, capsys, monkeypatch):
     chunk = ALL_CHUNK_KEYS[2]
     broken_seed = subseed(CONFIG["seed"], 2, 2)
-    ubc = vinebc.cli.ubc_correct
+    apply = vinebc.cli.apply_correction
 
-    def failing_ubc(x_mp, x_rc, x_mc, kinds, config, mp_fit=None):
+    def failing_apply(x_mp, reference, config, mp_fit=None):
         if config.seed == broken_seed:
             raise np.linalg.LinAlgError("singular matrix")
-        return ubc(x_mp, x_rc, x_mc, kinds, config, mp_fit=mp_fit)
+        return apply(x_mp, reference, config, mp_fit=mp_fit)
 
-    monkeypatch.setattr(vinebc.cli, "ubc_correct", failing_ubc)
+    monkeypatch.setattr(vinebc.cli, "apply_correction", failing_apply)
     out = tmp_path / "o"
     status = run_pipeline(
         "correct",
@@ -312,6 +325,80 @@ def test_correct_unit_linalg_error_exit_code(sim_dir, tmp_path, capsys, monkeypa
     units = {(r["chunk"], r["member"]) for r in rows}
     assert len(units) == 15 and (chunk.label, "2") not in units
     assert (chunk.label, "1") in units
+
+
+def test_correct_vbc_fits_one_reference_vine_per_chunk(sim_dir, tmp_path, monkeypatch):
+    monkeypatch.delenv("VINEBC_WORKERS", raising=False)
+    seeds = []
+    fit_vine = vinebc.correction.fit_vine
+
+    def counted_fit_vine(data, kinds, seed=0, **kwargs):
+        seeds.append(seed)
+        return fit_vine(data, kinds, seed=seed, **kwargs)
+
+    monkeypatch.setattr(vinebc.correction, "fit_vine", counted_fit_vine)
+    assert _correct(sim_dir, "vbc", tmp_path / "o") == EXIT_OK
+    # the reference vine of chunk ci is seeded by subseed(subseed(seed, 8, ci), 13),
+    # the model vine of unit (ci, member) by subseed(subseed(seed, ci, member), 12)
+    seed = CONFIG["seed"]
+    reference = [subseed(subseed(seed, 8, ci), 13) for ci in range(8)]
+    model = [subseed(subseed(seed, ci, m), 12) for ci in range(8) for m in (1, 2)]
+    assert Counter(seeds) == Counter(reference + model)  # 24 fits, each once
+
+
+def test_correct_ubc_fits_each_chunk_margin_once(sim_dir, tmp_path, monkeypatch):
+    monkeypatch.delenv("VINEBC_WORKERS", raising=False)
+    samples = Counter()
+    fit_marginal = vinebc.correction.fit_marginal
+
+    def counted_fit_marginal(sample, kind):
+        samples[np.ascontiguousarray(sample).tobytes()] += 1
+        return fit_marginal(sample, kind)
+
+    monkeypatch.setattr(vinebc.correction, "fit_marginal", counted_fit_marginal)
+    assert _correct(sim_dir, "ubc", tmp_path / "o") == EXIT_OK
+    seed, overlap = CONFIG["seed"], CONFIG["correction"]["overlap_fraction"]
+    for name, tag in (("reference_calibration", 2), ("model_calibration", 3)):
+        table = load_table(sim_dir["sim"] / f"{name}.csv", _specs())
+        chunks = vinebc.cli._extended_chunks(table, overlap, seed, tag)
+        for key in ALL_CHUNK_KEYS:
+            x = table.values[chunks[key].estimation_rows]
+            assert [samples[x[:, j].tobytes()] for j in range(3)] == [1, 1, 1], (name, key)
+    # 8 chunks x 3 variables x (reference + calibration), and 16 units x 3 model margins
+    assert sum(samples.values()) == 8 * 3 * 2 + 16 * 3
+
+
+# chunk 3's reference fit fails; a module-level stub can be sent to pool workers
+_BROKEN_REFERENCE_SEED = subseed(CONFIG["seed"], 8, 3)
+
+
+def _failing_fit_reference(method, x_rc, x_mc, kinds, config):
+    if config.seed == _BROKEN_REFERENCE_SEED:
+        raise NumericsError("reference fit diverged")
+    return fit_reference(method, x_rc, x_mc, kinds, config)
+
+
+def test_correct_reference_failure_fails_its_chunks_units(sim_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(vinebc.cli, "fit_reference", _failing_fit_reference)
+    chunk = ALL_CHUNK_KEYS[3]
+    message = "NumericsError: reference fit diverged"
+    failed = {f"{chunk.label}/m{m}": message for m in (1, 2)}
+    runs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("VINEBC_WORKERS", workers)
+        out = tmp_path / f"o{workers}"
+        assert _correct(sim_dir, "vbc", out) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert all(f"{unit}: {message}" in err for unit in failed)
+        manifest = json.load(open(out / "manifest_correct_vbc.json"))
+        assert manifest["failures"] == failed
+        rows = list(csv.DictReader(open(out / "corrected_vbc.csv")))
+        units = {(r["chunk"], r["member"]) for r in rows}
+        assert len(units) == 14 and all(c != chunk.label for c, _ in units)
+        assert manifest["config"].pop("workers") == int(workers)
+        manifest["outputs"] = [os.path.relpath(p, out) for p in manifest["outputs"]]
+        runs[workers] = (manifest, _digest(out / "corrected_vbc.csv"))
+    assert runs["1"] == runs["2"]
 
 
 def test_evaluate_unit_failure_exit_code(sim_dir, corrected_dir, tmp_path, capsys, monkeypatch):

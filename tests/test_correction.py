@@ -3,7 +3,14 @@ import pytest
 from scipy import stats
 
 from conftest import PARAMETRIC_FAMILIES, analytic_uniform, analytic_zi_expon
-from vinebc.correction import CorrectionConfig, delta_map, ubc_correct, vbc_correct
+from vinebc.correction import (
+    CorrectionConfig,
+    apply_correction,
+    delta_map,
+    fit_reference,
+    ubc_correct,
+    vbc_correct,
+)
 from vinebc.errors import SchemaError
 from vinebc.evaluation import improvement_iw2, mci
 from vinebc.marginal import fit_marginal
@@ -117,6 +124,24 @@ def test_vbc_schema_mismatch_raises(truth5):
     x = truth5.sample(500, 31)
     with pytest.raises(SchemaError):
         vbc_correct(x, x[:, :4], x, KINDS5, CFG)
+
+
+@pytest.mark.parametrize("method, corrector", [("vbc", vbc_correct), ("ubc", ubc_correct)])
+def test_correctors_are_the_two_steps(truth5, biased5, method, corrector):
+    """A corrector gives bit for bit what its two steps give by hand, and one
+    reference fit serves several projection sets, as it serves every member of
+    a chunk in ``vinebc correct``."""
+    x_rc, x_mc, x_mp = truth5.sample(1500, 51), biased5.sample(1500, 52), biased5.sample(1200, 53)
+    cfg = CFG.with_seed(4)
+    reference = fit_reference(method, x_rc, x_mc, KINDS5, cfg)
+    for rows, mp_fit in ((slice(0, 600), None), (slice(600, 1200), x_mp)):
+        by_hand = apply_correction(x_mp[rows], reference, cfg, mp_fit=mp_fit)
+        whole = corrector(x_mp[rows], x_rc, x_mc, KINDS5, cfg, mp_fit=mp_fit).values
+        assert by_hand.tobytes() == whole.tobytes()
+    with pytest.raises(SchemaError):
+        apply_correction(x_mp[:, :4], reference, cfg)
+    with pytest.raises(ValueError, match="unknown method"):
+        fit_reference("qm", x_rc, x_mc, KINDS5, cfg)
 
 
 # -- ubc -------------------------------------------------------------------------

@@ -231,6 +231,23 @@ def test_load_table_timestamp_forms_match_fromisoformat(tmp_path, form):
             assert table.timestamps.tolist() == [e.item() for e in expected]
 
 
+@pytest.mark.parametrize("form, utc", [
+    ("2000-01-01T03:00:00+01:00", "2000-01-01T02:00:00"),
+    ("2000-01-01T00:30:00-02:00", "2000-01-01T02:30:00"),
+    ("2000-01-01T03:00:00Z", "2000-01-01T03:00:00"),
+])
+def test_load_table_utc_offset_loads_as_utc_without_warning(tmp_path, form, utc):
+    path = tmp_path / "in.csv"
+    rows = hourly_rows(3, start="1999-12-31T21:00:00")
+    rows[2][0] = "2000-01-01T06:00:00"
+    rows[1][0] = form
+    write_csv(path, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = load_table(path, SCHEMA5)
+    assert table.timestamps[1] == np.datetime64(utc)
+
+
 def test_load_table_non_monotone_timestamps(tmp_path):
     path = tmp_path / "in.csv"
     rows = hourly_rows(5)
