@@ -823,25 +823,33 @@ def _parametric_candidates(tau: float, family_set) -> list:
     return cands
 
 
-def fit_pair(a: PseudoObs, b: PseudoObs, family_set=DEFAULT_FAMILY_SET,
-             seed: int = 0) -> BivariateCopula:
-    """Select and fit a pair copula from jitter-resolved pseudo-observations.
+def check_family_set(family_set) -> tuple:
+    """The family set as a tuple; a bare string or an unknown family raises ValueError."""
+    if isinstance(family_set, str) or not set(family_set) <= set(_FAMILY_CLASSES):
+        raise ValueError(f"family_set must list families among {list(_FAMILY_CLASSES)}")
+    return tuple(family_set)
+
+
+def jitter_pair(a: PseudoObs, b: PseudoObs, seed: int):
+    """The one jitter of a pair: the jittered sample (x, y) and its Kendall's tau."""
+    if len(a) != len(b):
+        raise EstimationError(f"paired pseudo-observations differ in length: {len(a)} and {len(b)}")
+    x, y = randomize_pseudo(a, b, np.random.default_rng(seed))
+    return x, y, kendall_tau(x, y)
+
+
+def fit_jittered(x, y, tau: float, family_set) -> BivariateCopula:
+    """Select and fit a pair copula from a jittered sample and its tau.
 
     Parametric families are fitted by tau inversion; the checkerboard mass
     grid comes from a histogram of the jittered sample.  Independence is kept
     whenever the tau significance test fails to reject at the 5% level;
     otherwise the highest log-likelihood among admissible candidates wins.
+    ``family_set`` is taken as checked (``check_family_set``).
     """
-    n = len(a)
-    if n < MIN_SAMPLE or len(b) != n:
+    n = len(x)
+    if n < MIN_SAMPLE:
         raise EstimationError(f"need at least {MIN_SAMPLE} paired pseudo-observations")
-    family_set = tuple(family_set)
-    unknown = set(family_set) - set(_FAMILY_CLASSES)
-    if unknown:
-        raise ValueError(f"unknown families: {sorted(unknown)}")
-    rng = np.random.default_rng(seed)
-    x, y = randomize_pseudo(a, b, rng)
-    tau = kendall_tau(x, y)
     if "independence" in family_set and not tau_independence_test(tau, n):
         return IndependenceCopula()
     candidates = _parametric_candidates(tau, family_set)
@@ -851,3 +859,10 @@ def fit_pair(a: PseudoObs, b: PseudoObs, family_set=DEFAULT_FAMILY_SET,
         return IndependenceCopula()
     scores = [c.loglik(x, y) for c in candidates]
     return candidates[int(np.argmax(scores))]
+
+
+def fit_pair(a: PseudoObs, b: PseudoObs, family_set=DEFAULT_FAMILY_SET,
+             seed: int = 0) -> BivariateCopula:
+    """Jitter a pair of pseudo-observations once, then select and fit its copula."""
+    family_set = check_family_set(family_set)
+    return fit_jittered(*jitter_pair(a, b, seed), family_set)

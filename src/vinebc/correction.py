@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._util import as_float_array, maybe_scalar, subseed
-from .copula import DEFAULT_FAMILY_SET
+from .copula import DEFAULT_FAMILY_SET, check_family_set
 from .errors import SchemaError
 from .marginal import MixtureMarginal, fit_marginal, normalize_kind
 from .vine import fit_vine, rosenblatt_forward, rosenblatt_inverse
@@ -42,9 +42,7 @@ class CorrectionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.family_set, str) or not set(self.family_set) <= set(DEFAULT_FAMILY_SET):
-            raise ValueError(f"family_set must list families among {list(DEFAULT_FAMILY_SET)}")
-        object.__setattr__(self, "family_set", tuple(self.family_set))
+        object.__setattr__(self, "family_set", check_family_set(self.family_set))
         if not 0.0 <= self.overlap_fraction <= 1.0:
             raise ValueError("overlap_fraction must lie in [0, 1]")
         t = self.truncation

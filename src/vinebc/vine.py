@@ -4,7 +4,10 @@ The vine couples fitted margins with a tree sequence of pair copulas.  All
 conditional pseudo-observations are propagated as (u, u_left) pairs so the
 generalized density and the randomized Rosenblatt transform stay exact for
 atoms at every tree depth.  Structure selection follows the tree-by-tree
-maximum spanning tree on absolute Kendall's tau.
+maximum spanning tree on absolute Kendall's tau.  Each candidate pair is
+jittered once, jointly, across its atoms' jumps; its tau and, if the pair is
+chosen, its copula fit share that one draw, so the structure does not depend
+on the order of the rows.
 """
 from __future__ import annotations
 
@@ -21,19 +24,18 @@ from .copula import (
     BivariateCopula,
     IndependenceCopula,
     PseudoObs,
+    check_family_set,
     copula_from_dict,
-    fit_pair,
+    fit_jittered,
     gen_density,
     hfunc,
     hfunc_inverse,
-    kendall_tau,
-    randomize_pseudo,
+    jitter_pair,
 )
 from .errors import EstimationError
 from .marginal import MixtureMarginal, fit_marginal, normalize_kind
 
-_SEL_TAG = 101  # seed-derivation tags
-_FIT_TAG = 202
+_PAIR_TAG = 202  # seed-derivation tag of each candidate pair's jitter
 
 
 def count_structures(d: int) -> int:
@@ -346,20 +348,15 @@ def _build_vine(store, family_set, seed, truncation):
     """Dissmann-style sequential construction; returns list-of-trees of Edges.
 
     ``store`` holds the tree-0 inputs and gains every new edge's outputs.
+    Each candidate pair is jittered once; its tau weighs it in the maximum
+    spanning tree and, if chosen, its jittered sample and tau fit its copula.
     """
     trees = []
     constraints = [frozenset([j]) for j in range(len(store))]  # of the nodes of tree t
     for t in range(len(store) - 1):
         k = len(constraints)
-        # jitter each stream once per tree for the selection weights
-        jittered = {}
-        for i in range(k):
-            for var, (su, sul) in store[(t - 1, i)].items():
-                rng = np.random.default_rng(subseed(seed, _SEL_TAG, t, i, var))
-                po = PseudoObs(su, sul)
-                jittered[(i, var)], _ = randomize_pseudo(po, po, rng)
         weights = np.full((k, k), -np.inf)
-        pair_info = {}
+        candidates = {}
         for i in range(k):
             for j in range(i + 1, k):
                 ci, cj = constraints[i], constraints[j]
@@ -368,42 +365,25 @@ def _build_vine(store, family_set, seed, truncation):
                 sym = ci ^ cj
                 if len(sym) != 2:
                     continue
-                a = next(iter(sym & ci))
-                b = next(iter(sym & cj))
-                tau = kendall_tau(jittered[(i, a)], jittered[(j, b)])
-                weights[i, j] = weights[j, i] = abs(tau)
-                pair_info[(i, j)] = (a, b)
+                edge = Edge(a=next(iter(sym & ci)), b=next(iter(sym & cj)), cond=ci & cj,
+                            child_a=i if t > 0 else None, child_b=j if t > 0 else None)
+                obs = (_edge_input(store, t, edge, edge.a), _edge_input(store, t, edge, edge.b))
+                jittered = jitter_pair(*obs, subseed(seed, _PAIR_TAG, t, i, j))
+                weights[i, j] = weights[j, i] = abs(jittered[2])
+                candidates[(i, j)] = (edge, obs, jittered)
         mst = _max_spanning_tree(weights)
         tree = []
         for e_idx, (i, j) in enumerate(sorted(tuple(sorted(p)) for p in mst)):
-            a, b = pair_info[(i, j)]
-            edge = Edge(a=a, b=b, cond=constraints[i] & constraints[j],
-                        child_a=i if t > 0 else None, child_b=j if t > 0 else None)
-            obs = (_edge_input(store, t, edge, a), _edge_input(store, t, edge, b))
+            edge, obs, jittered = candidates[(i, j)]
             if truncation is not None and t >= truncation:
                 edge.copula = IndependenceCopula()
             else:
-                edge.copula = fit_pair(*obs, family_set, seed=subseed(seed, _FIT_TAG, t, e_idx))
+                edge.copula = fit_jittered(*jittered, family_set)
             _eval_edge(store, t, e_idx, edge, obs)
             tree.append(edge)
         trees.append(tree)
         constraints = [e.constraint for e in tree]
     return trees
-
-
-def select_structure(u, u_left=None, family_set=DEFAULT_FAMILY_SET,
-                     seed: int = 0) -> VineStructure:
-    """Dissmann's tree-by-tree maximum spanning tree on absolute Kendall's tau."""
-    u = np.asarray(u, dtype=float)
-    ul = u.copy() if u_left is None else np.asarray(u_left, dtype=float)
-    n, d = u.shape
-    if n < 30 or d < 2:
-        raise EstimationError("need n >= 30 and d >= 2 for structure selection")
-    store = {(-1, j): {j: (u[:, j], ul[:, j])} for j in range(d)}
-    trees = _build_vine(store, family_set, seed, truncation=None)
-    structure = VineStructure(d=d, trees=trees)
-    structure.validate()
-    return structure
 
 
 def fit_vine(
@@ -415,6 +395,7 @@ def fit_vine(
     var_names=None,
 ) -> VineModel:
     """Fit margins, select the structure and estimate all pair copulas."""
+    family_set = check_family_set(family_set)
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
         raise EstimationError("data must be a 2-d array (rows x variables)")

@@ -127,6 +127,20 @@ def test_fit_pair_requires_minimum_sample():
         fit_pair(PseudoObs(u[:, 0]), PseudoObs(u[:, 1]))
 
 
+def test_fit_pair_length_mismatch_has_its_own_message():
+    u = np.random.default_rng(17).uniform(size=100)
+    with pytest.raises(EstimationError, match="differ in length: 100 and 50"):
+        fit_pair(PseudoObs(u), PseudoObs(u[:50]))
+
+
+@pytest.mark.parametrize("family_set", [("gaussian", "bogus"), "gaussian"],
+                         ids=["unknown", "bare_string"])
+def test_fit_pair_rejects_bad_family_set(family_set):
+    u = np.random.default_rng(18).uniform(size=(100, 2))
+    with pytest.raises(ValueError, match="family_set must list families among"):
+        fit_pair(PseudoObs(u[:, 0]), PseudoObs(u[:, 1]), family_set=family_set)
+
+
 def test_frank_tau_inversion_consistency():
     theta = FrankCopula.tau_to_param(0.4)
     assert _frank_tau(theta) == pytest.approx(0.4, abs=1e-6)

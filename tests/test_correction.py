@@ -19,6 +19,17 @@ KINDS5 = ["interval", "zero_inflated", "zero_inflated", "nonnegative", "interval
 CFG = CorrectionConfig(family_set=PARAMETRIC_FAMILIES, seed=0)
 
 
+@pytest.mark.parametrize("family_set", [("gaussian", "bogus"), "gaussian"],
+                         ids=["unknown", "bare_string"])
+def test_config_rejects_bad_family_set(family_set):
+    with pytest.raises(ValueError, match="family_set must list families among"):
+        CorrectionConfig(family_set=family_set)
+
+
+def test_config_stores_family_set_as_tuple():
+    assert CorrectionConfig(family_set=["gaussian", "frank"]).family_set == ("gaussian", "frank")
+
+
 # -- delta mapping --------------------------------------------------------------
 
 

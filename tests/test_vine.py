@@ -5,19 +5,28 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import PARAMETRIC_FAMILIES, FrozenContinuous, analytic_zi_expon, nearest_correlation
-from vinebc.copula import GaussianCopula, IndependenceCopula, PseudoObs, gen_density
+import vinebc.copula
+from conftest import (
+    PARAMETRIC_FAMILIES,
+    TAU5,
+    FrozenContinuous,
+    GroundTruth5,
+    analytic_zi_expon,
+    nearest_correlation,
+)
+from vinebc.copula import GaussianCopula, IndependenceCopula, PseudoObs, _frank_tau, gen_density
 from vinebc.errors import EstimationError
-from vinebc.marginal import MixtureMarginal
+from vinebc.marginal import MixtureMarginal, fit_marginal
 from vinebc.vine import (
     Edge,
     VineModel,
     VineStructure,
+    _build_vine,
+    _marginal_pseudo,
     count_structures,
     fit_vine,
     rosenblatt_forward,
     rosenblatt_inverse,
-    select_structure,
     vine_log_density,
     vine_sample,
 )
@@ -136,22 +145,22 @@ def _gaussian_copula_uniforms(tau, n, seed):
     return np.clip(stats.norm.cdf(z), 1e-12, 1 - 1e-12)
 
 
-def test_select_structure_three_vars_forced_mst():
+def test_structure_three_vars_forced_mst():
     tau = np.array([[0.0, 0.8, 0.3], [0.8, 0.0, 0.6], [0.3, 0.6, 0.0]])
     u = _gaussian_copula_uniforms(tau, 3000, seed=20)
-    structure = select_structure(u, family_set=PARAMETRIC_FAMILIES, seed=1)
+    structure = fit_vine(u, ["interval"] * 3, family_set=PARAMETRIC_FAMILIES, seed=1).structure
     t1 = {frozenset((e.a, e.b)) for e in structure.trees[0]}
     assert t1 == {frozenset((0, 1)), frozenset((1, 2))}
 
 
-def test_select_structure_two_vars():
+def test_structure_two_vars():
     u = np.random.default_rng(21).uniform(size=(200, 2))
-    structure = select_structure(u, seed=0, family_set=PARAMETRIC_FAMILIES)
+    structure = fit_vine(u, ["interval"] * 2, seed=0, family_set=PARAMETRIC_FAMILIES).structure
     assert len(structure.trees) == 1
     assert {structure.trees[0][0].a, structure.trees[0][0].b} == {0, 1}
 
 
-def test_select_structure_star_dominant_first_tree():
+def test_structure_star_dominant_first_tree():
     # variables: d=0, t=1, p=2, r=3, w=4; tau(d,t), tau(t,p), tau(p,r), tau(p,w) dominate
     tau = np.full((5, 5), 0.05)
     np.fill_diagonal(tau, 0.0)
@@ -160,9 +169,40 @@ def test_select_structure_star_dominant_first_tree():
     tau[2, 3] = tau[3, 2] = 0.55
     tau[2, 4] = tau[4, 2] = 0.50
     u = _gaussian_copula_uniforms(tau, 4000, seed=22)
-    structure = select_structure(u, family_set=PARAMETRIC_FAMILIES, seed=2)
+    structure = fit_vine(u, ["interval"] * 5, family_set=PARAMETRIC_FAMILIES, seed=2).structure
     t1 = {frozenset((e.a, e.b)) for e in structure.trees[0]}
     assert t1 == {frozenset((0, 1)), frozenset((1, 2)), frozenset((2, 3)), frozenset((2, 4))}
+
+
+@pytest.mark.parametrize("sample_seed", [2, 7, 13])
+def test_structure_and_pair_copulas_ignore_row_order(sample_seed):
+    # the margins are held fixed: only the pairing of tied atom rows could move
+    x = GroundTruth5(TAU5).sample(730, seed=sample_seed)
+    margins = [fit_marginal(x[:, j], kind) for j, kind in enumerate(GroundTruth5.KINDS)]
+    perm = np.random.default_rng(sample_seed).permutation(len(x))
+
+    def edges(rows):
+        trees = _build_vine(_marginal_pseudo(margins, rows), PARAMETRIC_FAMILIES, 3, None)
+        return [[(e.a, e.b, e.cond, e.child_a, e.child_b, e.copula.to_dict()) for e in tree]
+                for tree in trees]
+
+    assert edges(x[perm]) == edges(x)
+
+
+def test_fit_vine_d3_jitters_and_taus_each_candidate_pair_once(monkeypatch):
+    calls = {"kendall_tau": 0, "randomize_pseudo": 0}
+    for name in calls:
+        original = getattr(vinebc.copula, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(vinebc.copula, name, counted)
+    u = _gaussian_copula_uniforms(np.full((3, 3), 0.4), 500, seed=19)
+    fit_vine(u, ["interval"] * 3, seed=0)
+    # three tree-0 candidates and the one tree-1 candidate
+    assert calls == {"kendall_tau": 4, "randomize_pseudo": 4}
 
 
 # -- fitting ---------------------------------------------------------------------
@@ -262,6 +302,13 @@ def test_fit_vine_truncation_sets_independence():
     model = fit_vine(x, ["interval"] * 4, family_set=PARAMETRIC_FAMILIES, seed=6, truncation=1)
     assert all(isinstance(e.copula, IndependenceCopula) for t in model.structure.trees[1:] for e in t)
     assert model.structure.n_edges() == 6
+
+
+@pytest.mark.parametrize("family_set", [("bogus",), "gaussian"], ids=["unknown", "bare_string"])
+def test_fit_vine_rejects_bad_family_set(family_set):
+    x = np.random.default_rng(0).normal(size=(100, 2))
+    with pytest.raises(ValueError, match=r"family_set must list families among \['independence'"):
+        fit_vine(x, ["interval"] * 2, family_set=family_set, truncation=0)
 
 
 def test_fit_vine_degenerate_margin_names_variable():
@@ -432,6 +479,22 @@ def test_sample_reproduces_atom_share(mixed_model):
     assert (samp[:, 0] == 0.0).mean() == pytest.approx(fitted_share, abs=0.02)
 
 
+def _copula_tau(cop):
+    """Kendall's tau of a parametric pair copula, from its parameter."""
+    if cop.family == "independence":
+        return 0.0
+    if cop.family == "gaussian":
+        return 2 / np.pi * np.arcsin(cop.rho)
+    if cop.family == "frank":
+        return _frank_tau(cop.theta)
+    sign = -1.0 if cop.rotation in (90, 270) else 1.0
+    if cop.family == "clayton":
+        return sign * cop.theta / (cop.theta + 2.0)
+    if cop.family == "gumbel":
+        return sign * (1.0 - 1.0 / cop.theta)
+    raise ValueError(f"no tau formula for {cop.family}")
+
+
 def test_sample_reproduces_pairwise_taus(mixed_model):
     samp = vine_sample(mixed_model, 10_000, seed=45)
     fit2 = fit_vine(samp, ["zero_inflated", "interval", "nonnegative"],
@@ -439,9 +502,7 @@ def test_sample_reproduces_pairwise_taus(mixed_model):
     tau_model = {}
     tau_samp = {}
     for e in mixed_model.structure.trees[0]:
-        tau_model[frozenset((e.a, e.b))] = 2 / np.pi * np.arcsin(
-            e.copula.rho if hasattr(e.copula, "rho") else 0.0
-        )
+        tau_model[frozenset((e.a, e.b))] = _copula_tau(e.copula)
     for e in fit2.structure.trees[0]:
         tau_samp[frozenset((e.a, e.b))] = 2 / np.pi * np.arcsin(e.copula.rho)
     shared = set(tau_model) & set(tau_samp)
