@@ -259,11 +259,11 @@ def _bvn_cdf(h, k, rho: float):
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
     if rho == 0.0:
-        return stats.norm.cdf(h) * stats.norm.cdf(k)
+        return special.ndtr(h) * special.ndtr(k)
     if rho >= 1.0 - 1e-12:
-        return stats.norm.cdf(np.minimum(h, k))
+        return special.ndtr(np.minimum(h, k))
     if rho <= -1.0 + 1e-12:
-        return np.maximum(stats.norm.cdf(h) + stats.norm.cdf(k) - 1.0, 0.0)
+        return np.maximum(special.ndtr(h) + special.ndtr(k) - 1.0, 0.0)
     # nudge exact zeros; the CDF is continuous so the limit is recovered
     hs = np.where(np.abs(h) < 1e-15, 1e-15, h)
     ks = np.where(np.abs(k) < 1e-15, 1e-15, k)
@@ -271,8 +271,8 @@ def _bvn_cdf(h, k, rho: float):
     t1 = special.owens_t(hs, (ks - rho * hs) / (hs * denom))
     t2 = special.owens_t(ks, (hs - rho * ks) / (ks * denom))
     beta = np.where(hs * ks < 0, 0.5, 0.0)
-    phi_h = stats.norm.cdf(h)
-    phi_k = stats.norm.cdf(k)
+    phi_h = special.ndtr(h)
+    phi_k = special.ndtr(k)
     out = 0.5 * (phi_h + phi_k) - t1 - t2 - beta
     return np.clip(out, np.maximum(phi_h + phi_k - 1.0, 0.0), np.minimum(phi_h, phi_k))
 
@@ -290,19 +290,19 @@ class GaussianCopula(BivariateCopula):
         return {"rho": self.rho}
 
     def _cdf0(self, u, v):
-        return _bvn_cdf(stats.norm.ppf(u), stats.norm.ppf(v), self.rho)
+        return _bvn_cdf(special.ndtri(u), special.ndtri(v), self.rho)
 
     def _pdf0(self, u, v):
-        x = stats.norm.ppf(u)
-        y = stats.norm.ppf(v)
+        x = special.ndtri(u)
+        y = special.ndtri(v)
         r = self.rho
         s = 1.0 - r * r
         return np.exp(-(r * r * (x * x + y * y) - 2.0 * r * x * y) / (2.0 * s)) / math.sqrt(s)
 
     def _du0(self, u, v):
-        x = stats.norm.ppf(u)
-        y = stats.norm.ppf(v)
-        return stats.norm.cdf((y - self.rho * x) / math.sqrt(1.0 - self.rho**2))
+        x = special.ndtri(u)
+        y = special.ndtri(v)
+        return special.ndtr((y - self.rho * x) / math.sqrt(1.0 - self.rho**2))
 
     def _du0_inv(self, u, w):
         r = self.rho
@@ -798,7 +798,7 @@ def tau_independence_test(tau: float, n: int, level: float = 0.05) -> bool:
         return False
     var = 2.0 * (2.0 * n + 5.0) / (9.0 * n * (n - 1.0))
     z = abs(tau) / math.sqrt(var)
-    return z > stats.norm.ppf(1.0 - level / 2.0)
+    return z > special.ndtri(1.0 - level / 2.0)
 
 
 def _parametric_candidates(tau: float, family_set) -> list:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass
 from datetime import datetime
@@ -152,10 +153,13 @@ def load_table(path, schema) -> ClimateTable:
     """Parse a CSV against variable descriptors.
 
     The header must contain ``timestamp``, ``member`` and every schema name;
-    extra columns are ignored.  Parse failures cite the 1-based data row
-    (blank rows count); the first bad row in file order is the one cited.
+    extra columns are ignored.  The columns are parsed whole; only if that
+    fails or finds a non-finite value does ``_first_row_error`` scan the rows
+    in file order for the 1-based data row (blank rows count) to report.
     """
     specs = [v if isinstance(v, VariableSpec) else VariableSpec(**v) for v in schema]
+    if not specs:
+        raise SchemaError("need at least one variable")
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -172,72 +176,50 @@ def load_table(path, schema) -> ClimateTable:
             if required not in col:
                 raise SchemaError(f"{path}: missing column {required!r}")
         rows = list(reader)
-    row_nos = [k for k, row in enumerate(rows, start=1) if "".join(row).strip()]
-    if not row_nos:
+    data = [row for row in rows if "".join(row).strip()]
+    if not data:
         raise TableFormatError(f"{path}: no data rows")
-    if len(row_nos) < len(rows):
-        rows = [rows[k - 1] for k in row_nos]
     needed = [col["timestamp"], col["member"]] + [col[v.name] for v in specs]
-
-    # Each check below looks only at the rows before the first bad row found
-    # so far, so the error left at the end is the first in file order, and
-    # within a row the first in the order checked.
-    error, limit = None, len(rows)
     try:
-        cells = list(zip(*map(itemgetter(*needed), rows)))
-    except IndexError:
-        limit = next(k for k, row in enumerate(rows) if len(row) <= max(needed))
-        error = (f"row {row_nos[limit]} has {len(rows[limit])} cells, "
-                 f"the header has {len(header)}")
-        cells = list(zip(*map(itemgetter(*needed), rows[:limit]))) or [()] * len(needed)
-    del rows
-    ts_cells, member_cells, *value_cells = cells
-    timestamps, bad = _parse_timestamps(list(map(str.strip, ts_cells[:limit])))
-    if bad is not None:
-        limit = len(timestamps)
-        error = f"cannot parse timestamp {ts_cells[limit]!r} in row {row_nos[limit]}"
-    columns = []
-    for cell_list, convert in [(member_cells, int)] + [(c, float) for c in value_cells]:
-        column, bad = _convert(cell_list[:limit], convert)
-        if isinstance(bad, OverflowError):  # only an int column can overflow
-            limit = len(column)
-            error = f"member out of range in row {row_nos[limit]}: {cell_list[limit]!r}"
-        elif bad is not None:
-            limit = len(column)
-            error = f"non-numeric cell in row {row_nos[limit]}: {bad}"
-        columns.append(column)
-    members, values = columns[0][:limit], np.column_stack([c[:limit] for c in columns[1:]])
-    non_finite = ~np.isfinite(values)
-    if non_finite.any():
-        k = int(non_finite.any(axis=1).argmax())
-        j = int(non_finite[k].argmax())
-        error = (f"non-finite value {values[k, j]} in column {specs[j].name!r}, "
-                 f"row {row_nos[k]}")
-    if error is not None:
-        raise TableFormatError(f"{path}: {error}")
+        ts_cells, member_cells, *value_cells = zip(*map(itemgetter(*needed), data))
+        timestamps = _parse_timestamps(list(map(str.strip, ts_cells)))
+        members = np.fromiter(map(int, member_cells), dtype=int, count=len(data))
+        values = np.column_stack(
+            [np.fromiter(map(float, cells), dtype=float, count=len(data)) for cells in value_cells])
+    except (IndexError, ValueError, OverflowError):
+        values = None
+    if values is None or not np.isfinite(values).all():
+        raise TableFormatError(f"{path}: {_first_row_error(rows, needed, len(header), specs)}")
     return ClimateTable(specs, timestamps, members, values)
 
 
-def _convert(cells, convert):
-    """``convert`` (``int`` or ``float``, which also names the dtype) applied to
-    each cell, as an array, up to the first cell it rejects.
-
-    Returns (the converted cells before the first rejected one, its error),
-    or (all of them, None); an integer beyond the dtype's range is rejected
-    with an OverflowError.  The cells are scanned one by one only after a
-    conversion of the whole column failed.
+def _first_row_error(rows, needed, n_header, specs) -> str:
+    """The error of the first bad row in file order (blank rows count), and of
+    the first check it fails: its length, the timestamp, the member, each
+    variable in ``specs``, then each one's finiteness.  ``needed`` holds the
+    columns of the timestamp, the member and the variables.
     """
-    try:
-        return np.fromiter(map(convert, cells), dtype=convert, count=len(cells)), None
-    except (ValueError, OverflowError):
-        pass
-    out = []
-    for cell in cells:
+    ts_col, member_col, *value_cols = needed
+    last = max(needed)
+    for row_no, row in enumerate(rows, start=1):
+        if not "".join(row).strip():
+            continue
+        if len(row) <= last:
+            return f"row {row_no} has {len(row)} cells, the header has {n_header}"
         try:
-            out.append(np.array(convert(cell), dtype=convert))
-        except (ValueError, OverflowError) as exc:
-            return np.array(out, dtype=convert), exc
-    return np.array(out, dtype=convert), None
+            datetime.fromisoformat(row[ts_col].strip())
+        except ValueError:
+            return f"cannot parse timestamp {row[ts_col]!r} in row {row_no}"
+        try:
+            if not -2**63 <= int(row[member_col]) < 2**63:  # numpy's int64 range
+                return f"member out of range in row {row_no}: {row[member_col]!r}"
+            values = [float(row[j]) for j in value_cols]
+        except ValueError as exc:
+            return f"non-numeric cell in row {row_no}: {exc}"
+        for spec, value in zip(specs, values):
+            if not math.isfinite(value):
+                return f"non-finite value {value} in column {spec.name!r}, row {row_no}"
+    raise AssertionError("the columnar parse failed on rows that each parse")
 
 
 # the canonical timestamp form as UCS4 code points, a 0 for each digit
@@ -247,16 +229,16 @@ _ISO_FIRST = np.datetime64("0001-01-01T00:00:00", "s")
 
 
 def _parse_timestamps(cells):
-    """``datetime64[s]`` values of stripped timestamp cells, up to the first bad one.
+    """``datetime64[s]`` values of stripped timestamp cells; a cell that does
+    not parse raises ValueError.
 
-    Returns (the values before the first cell that does not parse, its
-    ValueError), or (all of them, None).  Cells in the canonical
-    ``YYYY-MM-DDTHH:MM:SS`` form, which ``write_table_csv`` writes, take
-    numpy's vectorised parse; every other cell goes through
-    ``datetime.fromisoformat``, which decides what is accepted.  (Sending
-    every cell through ``fromisoformat`` is one path, but numpy converts the
-    resulting ``datetime`` objects one by one, about 1.5 us each on a 2-vCPU
-    Xeon, which made ``correct``'s UBC stage 12% slower on ``ensemble_d3``.)
+    Cells in the canonical ``YYYY-MM-DDTHH:MM:SS`` form, which
+    ``write_table_csv`` writes, take numpy's vectorised parse; every other
+    cell goes through ``datetime.fromisoformat``, which decides what is
+    accepted.  (Sending every cell through ``fromisoformat`` is one path, but
+    numpy converts the resulting ``datetime`` objects one by one, about 1.5 us
+    each on a 2-vCPU Xeon, which made ``correct``'s UBC stage 12% slower on
+    ``ensemble_d3``.)
     """
     n, width = len(cells), _ISO_TEMPLATE.size
     text = np.array(cells, dtype=str)
@@ -272,10 +254,7 @@ def _parse_timestamps(cells):
         except ValueError:  # a field out of range; fromisoformat finds the row
             canonical[:] = False
     for k in np.flatnonzero(~canonical):
-        try:
-            stamp = datetime.fromisoformat(cells[k])
-        except ValueError as exc:
-            return out[:k], exc
+        stamp = datetime.fromisoformat(cells[k])
         out[k] = np.datetime64(stamp.replace(tzinfo=None), "s")
         offset = stamp.utcoffset()
         if offset:
@@ -283,7 +262,7 @@ def _parse_timestamps(cells):
             # minutes), without numpy's timezone warning; numpy's arithmetic,
             # unlike datetime's, reaches past years 1 and 9999
             out[k] -= np.timedelta64(int(offset.total_seconds() / 60), "m")
-    return out, None
+    return out
 
 
 def chunk_key_of(timestamp) -> ChunkKey:

@@ -231,22 +231,19 @@ class MixtureMarginal:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _cont_cdf(self, x):
-        if self.continuous is None:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        return self.continuous.cdf(x)
+    def _cdfs(self, x, sides):
+        """F(x) at the right ("right") and/or left ("left") end of each atom's
+        jump, one array per side; the continuous CDF is evaluated once."""
+        xa = as_float_array(x)
+        cont = 0.0 if self.continuous is None else self.continuous_mass * self.continuous.cdf(xa)
+        return [np.clip(self._atom_csum[np.searchsorted(self.atom_values, xa, side=side)] + cont,
+                        0.0, 1.0) for side in sides]
 
     def cdf(self, x):
-        xa = as_float_array(x)
-        below = self._atom_csum[np.searchsorted(self.atom_values, xa, side="right")]
-        out = below + self.continuous_mass * self._cont_cdf(xa)
-        return maybe_scalar(np.clip(out, 0.0, 1.0), x)
+        return maybe_scalar(self._cdfs(x, ["right"])[0], x)
 
     def cdf_left(self, x):
-        xa = as_float_array(x)
-        below = self._atom_csum[np.searchsorted(self.atom_values, xa, side="left")]
-        out = below + self.continuous_mass * self._cont_cdf(xa)
-        return maybe_scalar(np.clip(out, 0.0, 1.0), x)
+        return maybe_scalar(self._cdfs(x, ["left"])[0], x)
 
     def density(self, x):
         """Mixed density: atom mass at atoms, scaled continuous pdf elsewhere."""
@@ -269,10 +266,7 @@ class MixtureMarginal:
         va = np.clip(as_float_array(v), 0.0, 1.0)
         out = np.empty_like(va)
         if self.atom_values.size:
-            jump_hi = self.cdf(self.atom_values)
-            jump_lo = self.cdf_left(self.atom_values)
-            jump_hi = np.atleast_1d(jump_hi)
-            jump_lo = np.atleast_1d(jump_lo)
+            jump_hi, jump_lo = self._cdfs(self.atom_values, ["right", "left"])
             idx = np.searchsorted(jump_lo, va, side="right") - 1
             idx_c = np.clip(idx, 0, self.atom_values.size - 1)
             on_atom = (idx >= 0) & (va <= jump_hi[idx_c] + 1e-15)
@@ -293,8 +287,7 @@ class MixtureMarginal:
 
     def pseudo_obs(self, x):
         """Return (F(x), F_left(x)) as a pair of arrays."""
-        xa = as_float_array(x)
-        return np.asarray(self.cdf(xa)), np.asarray(self.cdf_left(xa))
+        return tuple(self._cdfs(x, ["right", "left"]))
 
     # -- serialization ------------------------------------------------------
 

@@ -220,8 +220,11 @@ class VineModel:
             ]
             for tree in d["trees"]
         ]
-        return cls(margins=margins, structure=VineStructure(d=d["d"], trees=trees),
-                   var_names=d.get("var_names"))
+        structure = VineStructure(d=d["d"], trees=trees)
+        structure.validate()
+        if len(margins) != structure.d:
+            raise ValueError(f"expected {structure.d} margins, got {len(margins)}")
+        return cls(margins=margins, structure=structure, var_names=d.get("var_names"))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -4,6 +4,8 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vinebc.dataset import (
     ALL_CHUNK_KEYS,
@@ -11,7 +13,6 @@ from vinebc.dataset import (
     ChunkKey,
     ClimateTable,
     VariableSpec,
-    _convert,
     chunk_key_of,
     chunk_manifest,
     extend_overlap,
@@ -177,23 +178,84 @@ def test_load_table_short_row_names_row_and_cell_counts(tmp_path, header, lines,
     assert str(err.value) == f"{path}: {message}"
 
 
+# the cell faults the property test below places, each as (the columns it may
+# hit, its cells, the rank of its check within a row less its column, its
+# message for a cell in column j at a 1-based row number); a short row ranks 0
+CELL_FAULTS = [
+    ([0], ["x", "2019-13-01T00:00:00"], 1,
+     lambda cell, j, row_no: f"cannot parse timestamp {cell!r} in row {row_no}"),
+    ([1], ["x", "1.5"], 1,
+     lambda cell, j, row_no: (f"non-numeric cell in row {row_no}: "
+                              f"invalid literal for int() with base 10: {cell!r}")),
+    ([1], [str(2**63), str(-2**63 - 1)], 1,
+     lambda cell, j, row_no: f"member out of range in row {row_no}: {cell!r}"),
+    (range(2, 7), ["?", "abc"], 1,
+     lambda cell, j, row_no: (f"non-numeric cell in row {row_no}: "
+                              f"could not convert string to float: {cell!r}")),
+    (range(2, 7), ["nan", "inf", "-inf"], 6,
+     lambda cell, j, row_no: (f"non-finite value {float(cell)} in column "
+                              f"{SCHEMA5[j - 2].name!r}, row {row_no}")),
+]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data())
+def test_load_table_reports_first_fault_in_row_and_check_order(tmp_path_factory, data):
+    """With 1-3 faults anywhere in a table with blank lines, the error is the
+    fault of the smallest (row number, check): the row's length, the
+    timestamp, the member, each variable in schema order, then each
+    variable's finiteness in schema order."""
+    n = data.draw(st.integers(8, 40), label="rows")
+    rows = [[str(c) for c in row] for row in hourly_rows(n)]
+    cells, short = {}, {}  # (row, column) -> (fault, cell); row -> cells kept
+    # most faults share one row, so that the order of checks within a row counts
+    hot = data.draw(st.integers(0, n - 1), label="shared row")
+    for _ in range(data.draw(st.integers(1, 3), label="faults")):
+        i = hot if data.draw(st.integers(0, 3)) else data.draw(st.integers(0, n - 1), label="row")
+        j = data.draw(st.integers(-1, 6), label="column")  # -1 cuts the row short
+        if j < 0:
+            short[i] = min(short.get(i, 6), data.draw(st.integers(1, 6), label="kept"))
+        else:
+            fault = data.draw(st.sampled_from([f for f in CELL_FAULTS if j in f[0]]), label="fault")
+            cells[i, j] = fault, data.draw(st.sampled_from(fault[1]), label="cell")
+    for (i, j), (_, cell) in cells.items():
+        rows[i][j] = cell
+    for i, kept in short.items():
+        rows[i] = rows[i][:kept]
+    blanks = data.draw(st.lists(st.tuples(st.integers(0, n), st.sampled_from(["", " , ,", "   "])),
+                                max_size=6), label="blanks")
+    lines, row_nos = [], []
+    for i in range(n + 1):
+        lines += [blank for at, blank in blanks if at == i]
+        if i < n:
+            lines.append(",".join(rows[i]))
+            row_nos.append(len(lines))
+
+    found = [(row_nos[i], 0, f"row {row_nos[i]} has {kept} cells, the header has 7")
+             for i, kept in short.items()]
+    found += [(row_nos[i], rank + j, message(cell, j, row_nos[i]))
+              for (i, j), ((_, _, rank, message), cell) in cells.items()
+              if j < short.get(i, 7)]
+    path = tmp_path_factory.mktemp("faults") / "in.csv"
+    path.write_text("\n".join(["timestamp,member,d,p,r,w,t"] + lines) + "\n")
+    with pytest.raises(TableFormatError) as err:
+        load_table(path, SCHEMA5)
+    assert str(err.value) == f"{path}: {min(found)[2]}"
+
+
+def test_load_table_empty_schema_is_a_schema_error(tmp_path):
+    path = tmp_path / "in.csv"
+    write_csv(path, hourly_rows(3))
+    with pytest.raises(SchemaError, match="at least one variable"):
+        load_table(path, [])
+
+
 def test_load_table_ignores_missing_extra_cells(tmp_path):
     """A row may end before the columns the schema does not need."""
     path = tmp_path / "in.csv"
     path.write_text("timestamp,member,t,note\n2000-01-01T00:00:00,1,3.0\n")
     table = load_table(path, [VariableSpec("t", "interval")])
     assert table.values.tolist() == [[3.0]]
-
-
-def test_convert_cell_scan_returns_whole_column(monkeypatch):
-    """The cell-by-cell scan, which runs only after the whole-column conversion
-    failed, returns every cell when none fails on its own."""
-    def reject(*args, **kwargs):
-        raise ValueError("whole column rejected")
-    monkeypatch.setattr(np, "fromiter", reject)
-    column, bad = _convert(["1", " 2", "3 "], int)
-    assert bad is None
-    assert column.dtype == np.dtype(int) and column.tolist() == [1, 2, 3]
 
 
 def _fromisoformat_s(cell):

@@ -525,3 +525,24 @@ def test_model_save_load_bit_exact(tmp_path, mixed_model):
     blob1 = json.dumps(mixed_model.to_dict(), sort_keys=True)
     blob2 = json.dumps(clone.to_dict(), sort_keys=True)
     assert blob1 == blob2
+
+
+# corruptions of a saved d=3 model record
+MODEL_CORRUPTIONS = {
+    "tree-1 edge with one child twice": lambda r: r["trees"][1][0].update(
+        child_b=r["trees"][1][0]["child_a"]),
+    "tree-0 edge joining a node to itself": lambda r: r["trees"][0][0].update(
+        b=r["trees"][0][0]["a"]),
+    "tree-0 edge dropped": lambda r: r["trees"][0].pop(),
+    "margin dropped": lambda r: r["margins"].pop(),
+}
+
+
+@pytest.mark.parametrize("corrupt", MODEL_CORRUPTIONS.values(), ids=list(MODEL_CORRUPTIONS))
+def test_model_load_rejects_malformed_record(tmp_path, mixed_model, corrupt):
+    record = mixed_model.to_dict()
+    corrupt(record)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError):
+        VineModel.load(path)
