@@ -17,6 +17,7 @@ from scipy import integrate, optimize, special, stats
 
 from ._util import as_float_array
 from .errors import DomainError, EstimationError, NumericsError
+from .marginal import PseudoObs
 
 UNIT_EPS = 1e-12
 MIN_DISCRETE_MASS = 1e-12
@@ -32,40 +33,6 @@ CHECKERBOARD_RESOLUTION = 32
 CHECKERBOARD_PSEUDO_COUNT = 0.5
 
 DEFAULT_FAMILY_SET = ("independence", "gaussian", "clayton", "gumbel", "frank", "checkerboard")
-
-
-class PseudoObs:
-    """A batch of pseudo-observations u = F(x) with left limits u_left = F_left(x).
-
-    A coordinate is discrete exactly where u_left < u; the jump u - u_left
-    equals the (conditional) probability mass at the observed value.
-    """
-
-    __slots__ = ("u", "u_left")
-
-    def __init__(self, u, u_left=None):
-        u = as_float_array(u)
-        if u_left is None:
-            u_left = u.copy()
-        else:
-            u_left = as_float_array(u_left)
-        u, u_left = np.broadcast_arrays(u, u_left)
-        u = np.clip(np.asarray(u, dtype=float), 0.0, 1.0)
-        u_left = np.clip(np.asarray(u_left, dtype=float), 0.0, 1.0)
-        if np.any(u_left > u + 1e-9):
-            raise DomainError("u_left must not exceed u")
-        self.u = u
-        self.u_left = np.minimum(u_left, u)
-
-    @property
-    def discrete(self) -> np.ndarray:
-        return self.u - self.u_left > 0.0
-
-    def __len__(self) -> int:
-        return self.u.size
-
-    def __getitem__(self, idx) -> "PseudoObs":
-        return PseudoObs(self.u[idx], self.u_left[idx])
 
 
 # -- family primitives -------------------------------------------------------
@@ -255,15 +222,11 @@ class IndependenceCopula(BivariateCopula):
 
 
 def _bvn_cdf(h, k, rho: float):
-    """Standard bivariate normal CDF via Owen's T function."""
+    """Standard bivariate normal CDF via Owen's T function, for |rho| <= ``RHO_CAP``."""
     h = np.asarray(h, dtype=float)
     k = np.asarray(k, dtype=float)
     if rho == 0.0:
         return special.ndtr(h) * special.ndtr(k)
-    if rho >= 1.0 - 1e-12:
-        return special.ndtr(np.minimum(h, k))
-    if rho <= -1.0 + 1e-12:
-        return np.maximum(special.ndtr(h) + special.ndtr(k) - 1.0, 0.0)
     # nudge exact zeros; the CDF is continuous so the limit is recovered
     hs = np.where(np.abs(h) < 1e-15, 1e-15, h)
     ks = np.where(np.abs(k) < 1e-15, 1e-15, k)
@@ -376,18 +339,20 @@ class GumbelCopula(BivariateCopula):
     def _params(self):
         return {"theta": self.theta}
 
-    def _cdf0(self, u, v):
+    def _xy_log_s(self, u, v):
+        # x = -log u, y = -log v and log(x^t + y^t)
         t = self.theta
         x = -np.log(u)
         y = -np.log(v)
-        log_s = np.logaddexp(t * np.log(x), t * np.log(y))
-        return np.exp(-np.exp(log_s / t))
+        return x, y, np.logaddexp(t * np.log(x), t * np.log(y))
+
+    def _cdf0(self, u, v):
+        _, _, log_s = self._xy_log_s(u, v)
+        return np.exp(-np.exp(log_s / self.theta))
 
     def _pdf0(self, u, v):
         t = self.theta
-        x = -np.log(u)
-        y = -np.log(v)
-        log_s = np.logaddexp(t * np.log(x), t * np.log(y))
+        x, y, log_s = self._xy_log_s(u, v)
         a = np.exp(log_s / t)
         return (
             np.exp(-a)
@@ -398,9 +363,7 @@ class GumbelCopula(BivariateCopula):
 
     def _du0(self, u, v):
         t = self.theta
-        x = -np.log(u)
-        y = -np.log(v)
-        log_s = np.logaddexp(t * np.log(x), t * np.log(y))
+        x, _, log_s = self._xy_log_s(u, v)
         a = np.exp(log_s / t)
         return np.exp(-a + (1.0 / t - 1.0) * log_s + (t - 1.0) * np.log(x)) / u
 

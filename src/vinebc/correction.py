@@ -84,11 +84,8 @@ def delta_map(x_hat_mc, x_mp, marginal_mc: MixtureMarginal, marginal_mp: Mixture
     xh = as_float_array(x_hat_mc)
     xp = as_float_array(x_mp)
     xh, xp = np.broadcast_arrays(xh, xp)
-    v = np.asarray(marginal_mp.cdf(xp))
-    if nonnegative:
-        v_left = np.asarray(marginal_mp.cdf_left(xp))
-        v = np.where(v_left < v, v_left, v)
-    q = np.asarray(marginal_mc.quantile(v))
+    po = marginal_mp.pseudo_obs(xp)
+    q = np.asarray(marginal_mc.quantile(po.u_left if nonnegative else po.u))
     delta_add = xp - q
     with np.errstate(divide="ignore", invalid="ignore"):
         delta_mult = np.where(q != 0.0, xp / np.where(q != 0.0, q, 1.0), np.inf)

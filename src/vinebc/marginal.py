@@ -1,15 +1,17 @@
-"""Univariate discrete-continuous mixture margins.
+"""Univariate discrete-continuous mixture margins and their pseudo-observations.
 
 A margin is a finite set of atoms ``(value, mass)`` plus an absolutely
-continuous component.  The continuous part is kept as a piecewise-linear
-density on a knot grid with exponential tails, so the distribution function,
-its left limits, the generalized quantile and the mixed density (with respect
-to the sum of Dirac measures at the atoms and Lebesgue measure elsewhere) are
-all available in closed form and are exact inverses of each other.
+continuous component, one ``GridDensity``: a piecewise-linear density on a
+knot grid with exponential tails, in x or, for bounded supports
+(nonnegative and zero-inflated variables), in log(x).  The distribution
+function, its left limits, the generalized quantile and the mixed density
+(with respect to the sum of Dirac measures at the atoms and Lebesgue measure
+elsewhere) are all in closed form and exact inverses of each other.  The
+zero-inflated kind treats an exact zero as the only candidate atom.
 
-Bounded supports (nonnegative and zero-inflated variables) are fitted on the
-log scale; the zero-inflated kind treats an exact zero as the only candidate
-atom.
+``pseudo_obs`` returns a ``PseudoObs``, the pair (F, F_left) that carries a
+coordinate through the vine; its ``randomized`` method is the one randomized
+probability integral transform.
 """
 from __future__ import annotations
 
@@ -44,15 +46,52 @@ def normalize_kind(kind: str) -> str:
         raise ValueError(f"unknown support kind {kind!r}; expected one of {SUPPORT_KINDS}") from None
 
 
+class PseudoObs:
+    """A batch of pseudo-observations u = F(x) with left limits u_left = F_left(x).
+
+    A coordinate is discrete exactly where u_left < u; the jump u - u_left
+    equals the (conditional) probability mass at the observed value.
+    """
+
+    __slots__ = ("u", "u_left")
+
+    def __init__(self, u, u_left=None):
+        u = as_float_array(u)
+        u_left = u if u_left is None else as_float_array(u_left)
+        # np.clip copies, so no array is shared with the caller or between the two
+        u, u_left = (np.clip(a, 0.0, 1.0) for a in np.broadcast_arrays(u, u_left))
+        if np.any(u_left > u + 1e-9):
+            raise DomainError("u_left must not exceed u")
+        self.u = u
+        self.u_left = np.minimum(u_left, u)
+
+    @property
+    def discrete(self) -> np.ndarray:
+        return self.u - self.u_left > 0.0
+
+    def __len__(self) -> int:
+        return self.u.size
+
+    def __getitem__(self, idx) -> "PseudoObs":
+        return PseudoObs(self.u[idx], self.u_left[idx])
+
+    def randomized(self, w) -> np.ndarray:
+        """Randomized PIT w*u + (1-w)*u_left; noise only acts across a jump, so
+        continuous coordinates return u exactly."""
+        return np.where(self.u_left < self.u, w * self.u + (1.0 - w) * self.u_left, self.u)
+
+
 class GridDensity:
-    """Piecewise-linear density on a strictly increasing knot grid.
+    """Piecewise-linear density on a strictly increasing knot grid of z.
 
     Beyond the grid the density decays exponentially with the given tail
     scales, so quantiles exist for every level in (0, 1).  On construction
     the density is rescaled so grid mass plus both tail masses equal one.
+    The variable is x = z, or x = exp(z) when ``log_scale`` is set (bounded
+    supports); ``cdf``, ``pdf`` and ``quantile`` all take or return x.
     """
 
-    def __init__(self, knots, pdf_values, tail_scale_lo, tail_scale_hi):
+    def __init__(self, knots, pdf_values, tail_scale_lo, tail_scale_hi, log_scale=False):
         knots = np.asarray(knots, dtype=float)
         pdf = np.asarray(pdf_values, dtype=float)
         if knots.ndim != 1 or knots.size < 2 or knots.shape != pdf.shape:
@@ -75,6 +114,7 @@ class GridDensity:
         self.pdf_values = pdf / total
         self.tail_scale_lo = s_lo
         self.tail_scale_hi = s_hi
+        self.log_scale = bool(log_scale)
         self.mass_lo = self.pdf_values[0] * s_lo
         self.mass_hi = self.pdf_values[-1] * s_hi
         # recompute segments from the normalized density so that construction
@@ -82,8 +122,29 @@ class GridDensity:
         seg_n = 0.5 * np.diff(knots) * (self.pdf_values[:-1] + self.pdf_values[1:])
         self._cum = self.mass_lo + np.concatenate(([0.0], np.cumsum(seg_n)))
 
-    def cdf(self, z):
-        z = np.asarray(z, dtype=float)
+    def _at_z(self, x, f, jacobian=False):
+        """f at z = x; on the log scale f at z = log(x) for x > 0 (divided by x
+        when ``jacobian`` is set) and 0 for x <= 0."""
+        x = np.asarray(x, dtype=float)
+        if not self.log_scale:
+            return f(x)
+        out = np.zeros_like(x)
+        pos = x > 0
+        if np.any(pos):
+            out[pos] = f(np.log(x[pos])) / x[pos] if jacobian else f(np.log(x[pos]))
+        return out
+
+    def cdf(self, x):
+        return self._at_z(x, self._cdf_z)
+
+    def pdf(self, x):
+        return self._at_z(x, self._pdf_z, jacobian=True)
+
+    def quantile(self, q):
+        z = self._quantile_z(np.asarray(q, dtype=float))
+        return np.exp(z) if self.log_scale else z
+
+    def _cdf_z(self, z):
         out = np.empty_like(z)
         k = self.knots
         below = z < k[0]
@@ -100,8 +161,7 @@ class GridDensity:
             out[mid] = self._cum[i] + self.pdf_values[i] * dz + 0.5 * slope * dz * dz
         return np.clip(out, 0.0, 1.0)
 
-    def pdf(self, z):
-        z = np.asarray(z, dtype=float)
+    def _pdf_z(self, z):
         out = np.interp(z, self.knots, self.pdf_values)
         k = self.knots
         below = z < k[0]
@@ -110,8 +170,7 @@ class GridDensity:
         out = np.where(above, self.pdf_values[-1] * np.exp(-(z - k[-1]) / self.tail_scale_hi), out)
         return out
 
-    def quantile(self, q):
-        q = np.asarray(q, dtype=float)
+    def _quantile_z(self, q):
         out = np.empty_like(q)
         k = self.knots
         cum = self._cum
@@ -137,6 +196,7 @@ class GridDensity:
 
     def to_dict(self) -> dict:
         return {
+            "transform": "log" if self.log_scale else "identity",
             "knots": self.knots.tolist(),
             "pdf": self.pdf_values.tolist(),
             "tail_scale_lo": self.tail_scale_lo,
@@ -145,46 +205,8 @@ class GridDensity:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridDensity":
-        return cls(d["knots"], d["pdf"], d["tail_scale_lo"], d["tail_scale_hi"])
-
-
-class TransformedGridDensity:
-    """A :class:`GridDensity` viewed through x = z (identity) or x = exp(z)."""
-
-    def __init__(self, grid: GridDensity, log_scale: bool):
-        self.grid = grid
-        self.log_scale = bool(log_scale)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if not self.log_scale:
-            return self.grid.cdf(x)
-        out = np.zeros_like(x)
-        pos = x > 0
-        if np.any(pos):
-            out[pos] = self.grid.cdf(np.log(x[pos]))
-        return out
-
-    def pdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if not self.log_scale:
-            return self.grid.pdf(x)
-        out = np.zeros_like(x)
-        pos = x > 0
-        if np.any(pos):
-            out[pos] = self.grid.pdf(np.log(x[pos])) / x[pos]
-        return out
-
-    def quantile(self, q):
-        z = self.grid.quantile(q)
-        return np.exp(z) if self.log_scale else z
-
-    def to_dict(self) -> dict:
-        return {"transform": "log" if self.log_scale else "identity", **self.grid.to_dict()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TransformedGridDensity":
-        return cls(GridDensity.from_dict(d), d["transform"] == "log")
+        return cls(d["knots"], d["pdf"], d["tail_scale_lo"], d["tail_scale_hi"],
+                   log_scale=d["transform"] == "log")
 
 
 class MixtureMarginal:
@@ -285,28 +307,28 @@ class MixtureMarginal:
             out[:] = self.continuous.quantile(va)
         return maybe_scalar(out, v)
 
-    def pseudo_obs(self, x):
-        """Return (F(x), F_left(x)) as a pair of arrays."""
-        return tuple(self._cdfs(x, ["right", "left"]))
+    def pseudo_obs(self, x) -> PseudoObs:
+        """F(x) with its left limit F_left(x); the continuous CDF is evaluated once."""
+        return PseudoObs(*self._cdfs(x, ["right", "left"]))
 
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        if self.continuous is not None and not isinstance(self.continuous, TransformedGridDensity):
+        if self.continuous is not None and not isinstance(self.continuous, GridDensity):
             raise TypeError("only grid-backed margins are serializable")
         return {
             "version": 1,
             "kind": self.kind,
             "atoms": [[v, m] for v, m in zip(self.atom_values, self.atom_masses)],
             # the KDE bandwidth is the grid's tail scale
-            "bandwidth": None if self.continuous is None else self.continuous.grid.tail_scale_lo,
+            "bandwidth": None if self.continuous is None else self.continuous.tail_scale_lo,
             "degenerate_continuous": self.degenerate_continuous,
             "continuous": None if self.continuous is None else self.continuous.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MixtureMarginal":
-        cont = None if d["continuous"] is None else TransformedGridDensity.from_dict(d["continuous"])
+        cont = None if d["continuous"] is None else GridDensity.from_dict(d["continuous"])
         return cls(atoms=d["atoms"], continuous=cont, kind=d["kind"])
 
 
@@ -399,20 +421,16 @@ def fit_marginal(sample, kind: str) -> MixtureMarginal:
     lo, hi = z.min() - 4.0 * bw, z.max() + 4.0 * bw
     knots = np.linspace(lo, hi, GRID_SIZE)
     pdf = _kde_on_grid(z, knots, bw)
-    grid = GridDensity(knots, pdf, tail_scale_lo=bw, tail_scale_hi=bw)
-    continuous = TransformedGridDensity(grid, log_scale)
+    continuous = GridDensity(knots, pdf, tail_scale_lo=bw, tail_scale_hi=bw, log_scale=log_scale)
     return MixtureMarginal(atoms, continuous, kind)
 
 
 # -- randomized probability integral transform ----------------------------
 
 def randomized_pit(m: MixtureMarginal, x, w):
-    """Randomized probability integral transform w*F(x) + (1-w)*F_left(x)."""
-    xa = as_float_array(x)
+    """Randomized probability integral transform w*F(x) + (1-w)*F_left(x),
+    which is F(x) exactly off the atoms (``PseudoObs.randomized``)."""
     wa = np.asarray(w, dtype=float)
     if np.any((wa < 0) | (wa > 1)):
         raise DomainError("randomization weights must lie in [0, 1]")
-    u = np.asarray(m.cdf(xa))
-    ul = np.asarray(m.cdf_left(xa))
-    out = wa * u + (1.0 - wa) * ul
-    return maybe_scalar(out, x, w)
+    return maybe_scalar(m.pseudo_obs(x).randomized(wa), x, w)

@@ -1,10 +1,11 @@
 """Regular vine models over discrete-continuous mixture margins.
 
 The vine couples fitted margins with a tree sequence of pair copulas.  All
-conditional pseudo-observations are propagated as (u, u_left) pairs so the
-generalized density and the randomized Rosenblatt transform stay exact for
-atoms at every tree depth.  Structure selection follows the tree-by-tree
-maximum spanning tree on absolute Kendall's tau.  Each candidate pair is
+conditional pseudo-observations are propagated as ``PseudoObs`` (u, u_left),
+built once per edge output, so the generalized density and the randomized
+Rosenblatt transform stay exact for atoms at every tree depth.  Structure
+selection follows the tree-by-tree maximum spanning tree on absolute
+Kendall's tau.  Each candidate pair is
 jittered once, jointly, across its atoms' jumps; its tau and, if the pair is
 chosen, its copula fit share that one draw, so the structure does not depend
 on the order of the rows.
@@ -23,7 +24,6 @@ from .copula import (
     DEFAULT_FAMILY_SET,
     BivariateCopula,
     IndependenceCopula,
-    PseudoObs,
     check_family_set,
     copula_from_dict,
     fit_jittered,
@@ -33,7 +33,7 @@ from .copula import (
     jitter_pair,
 )
 from .errors import EstimationError
-from .marginal import MixtureMarginal, fit_marginal, normalize_kind
+from .marginal import MixtureMarginal, PseudoObs, fit_marginal, normalize_kind
 
 _PAIR_TAG = 202  # seed-derivation tag of each candidate pair's jitter
 
@@ -88,11 +88,15 @@ class VineStructure:
                 raise ValueError(f"tree {t} must have {self.d - 1 - t} edges")
             # acyclic + spanning via union-find over this tree's node set
             if t == 0:
-                node_of = lambda e, side: (e.a if side == 0 else e.b)  # noqa: E731
-                n_nodes = self.d
+                nodes, n_nodes = [(e.a, e.b) for e in tree], self.d
             else:
-                node_of = lambda e, side: (e.child_a if side == 0 else e.child_b)  # noqa: E731
-                n_nodes = len(self.trees[t - 1])
+                nodes, n_nodes = [(e.child_a, e.child_b) for e in tree], len(self.trees[t - 1])
+            for e, pair in zip(tree, nodes):
+                for i in pair:
+                    # bool is an int, and a negative index would alias a real node
+                    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n_nodes:
+                        raise ValueError(f"edge {e.label()} in tree {t} names node {i!r}, "
+                                         f"not one of the {n_nodes} nodes of that tree")
             parent = list(range(n_nodes))
 
             def find(i):
@@ -101,10 +105,7 @@ class VineStructure:
                     i = parent[i]
                 return i
 
-            for e in tree:
-                i, j = node_of(e, 0), node_of(e, 1)
-                if i is None or j is None:
-                    raise ValueError(f"edge {e.label()} in tree {t} missing children")
+            for i, j in nodes:
                 ri, rj = find(i), find(j)
                 if ri == rj:
                     raise ValueError(f"cycle in tree {t}")
@@ -292,7 +293,7 @@ def _diagonal_order(structure: VineStructure):
 
 # -- conditional pseudo-observation recursion ---------------------------------
 #
-# A store maps (tree, edge index) to {variable: (u, u_left)}: the conditional
+# A store maps (tree, edge index) to {variable: PseudoObs}: the conditional
 # pseudo-observations an edge outputs for its two conditioned variables.  Key
 # (-1, j) holds the margin pseudo-observations of variable j, so the edges of
 # tree t read their inputs from the keys of tree t - 1.
@@ -306,7 +307,7 @@ def _marginal_pseudo(margins, x: np.ndarray) -> dict:
 def _edge_input(store: dict, t: int, e: Edge, var: int) -> PseudoObs:
     """Pseudo-observations of the conditioned variable var of edge e given e.cond."""
     node = var if t == 0 else (e.child_a if var == e.a else e.child_b)
-    return PseudoObs(*store[(t - 1, node)][var])
+    return store[(t - 1, node)][var]
 
 
 def _eval_edge(store: dict, t: int, i: int, e: Edge, obs=None) -> tuple:
@@ -326,7 +327,7 @@ def _eval_edge(store: dict, t: int, i: int, e: Edge, obs=None) -> tuple:
             out_ul[disc] = hfunc(e.copula, direction, target.u_left[disc], cond[disc])
             # a conditional CDF cannot decrease across the jump
             out_ul = np.minimum(out_ul, out_u)
-        outs[var] = (out_u, out_ul)
+        outs[var] = PseudoObs(out_u, out_ul)
     store[(t, i)] = outs
     return pa, pb
 
@@ -454,7 +455,8 @@ def rosenblatt_forward(model: VineModel, x, noise) -> np.ndarray:
 
     Column j of the output carries the randomized conditional CDF of
     variable j given the variables that precede it in the diagonal order:
-    V = W * F + (1 - W) * F_left, with the supplied noise W in [0, 1].
+    V = W * F + (1 - W) * F_left, with the supplied noise W in [0, 1], and
+    V = F exactly where F_left = F (``PseudoObs.randomized``).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     w = np.atleast_2d(np.asarray(noise, dtype=float))
@@ -465,9 +467,7 @@ def rosenblatt_forward(model: VineModel, x, noise) -> np.ndarray:
     store = _run_edges(model, x)
     v = np.empty_like(x)
     for var, chain, _ in model._steps:
-        cu, cul = store[chain[0] if chain else (-1, var)][var]
-        # noise only acts across a jump; continuous coordinates stay exact
-        v[:, var] = np.where(cul < cu, w[:, var] * cu + (1.0 - w[:, var]) * cul, cu)
+        v[:, var] = store[chain[0] if chain else (-1, var)][var].randomized(w[:, var])
     return v
 
 

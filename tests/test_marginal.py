@@ -16,6 +16,7 @@ from vinebc.marginal import (
     fit_marginal,
     randomized_pit,
 )
+from vinebc.vine import VineModel, VineStructure, rosenblatt_forward
 
 LN2 = np.log(2.0)
 
@@ -202,6 +203,20 @@ def test_randomized_pit_uniformity():
     assert stats.kstest(v, "uniform").statistic < 0.01
 
 
+def test_randomized_pit_is_exact_and_matches_forward_d1():
+    m = fit_marginal(sample_zi_expon(3000, seed=11), "zero_inflated")
+    x = sample_zi_expon(4000, seed=12)
+    w = np.random.default_rng(13).uniform(size=x.size)
+    w[:2] = (0.0, 1.0)
+    x[:4] = (0.0, 0.0, 0.7, 0.7)
+    v = randomized_pit(m, x, w)
+    off_atom = ~np.isin(x, m.atom_values)
+    assert off_atom.sum() > 2000 and (~off_atom).sum() > 1000
+    assert np.array_equal(v[off_atom], np.asarray(m.cdf(x[off_atom])))
+    model = VineModel(margins=[m], structure=VineStructure(d=1, trees=[]))
+    assert np.array_equal(v, rosenblatt_forward(model, x[:, None], w[:, None])[:, 0])
+
+
 # -- serialization ---------------------------------------------------------------
 
 
@@ -212,10 +227,38 @@ def test_serialization_roundtrip_bit_exact():
     m2 = MixtureMarginal.from_dict(json.loads(blob))
     assert np.array_equal(m.atom_values, m2.atom_values)
     assert np.array_equal(m.atom_masses, m2.atom_masses)
-    assert np.array_equal(m.continuous.grid.knots, m2.continuous.grid.knots)
-    assert np.array_equal(m.continuous.grid.pdf_values, m2.continuous.grid.pdf_values)
+    assert np.array_equal(m.continuous.knots, m2.continuous.knots)
+    assert np.array_equal(m.continuous.pdf_values, m2.continuous.pdf_values)
     pts = np.linspace(-1, 8, 50)
     assert np.array_equal(np.asarray(m.cdf(pts)), np.asarray(m2.cdf(pts)))
+
+
+def _roundtrip_margins():
+    rng = np.random.default_rng(14)
+    interval = rng.normal(2.0, 1.0, size=1500)
+    interval[::10] = 1.5  # a repeated value: an atom
+    return {
+        "interval with an atom": fit_marginal(interval, "interval"),
+        "nonnegative": fit_marginal(rng.gamma(2.0, size=1500), "nonnegative"),
+        "zero-inflated": fit_marginal(sample_zi_expon(1500, seed=15), "zero_inflated"),
+        "fully atomic": fit_marginal(np.repeat([0.0, 1.0, 2.5], 40), "interval"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_roundtrip_margins()))
+def test_grid_margin_roundtrip_byte_for_byte(name):
+    m = _roundtrip_margins()[name]
+    blob = json.dumps(m.to_dict())
+    m2 = MixtureMarginal.from_dict(json.loads(blob))
+    assert json.dumps(m2.to_dict()) == blob
+    if m.continuous is not None:
+        assert list(m.to_dict()["continuous"]) == ["transform", "knots", "pdf",
+                                                   "tail_scale_lo", "tail_scale_hi"]
+    pts = np.concatenate([np.linspace(-3.0, 12.0, 301), m.atom_values, [0.0]])
+    for f in ("cdf", "cdf_left", "density"):
+        assert np.array_equal(getattr(m, f)(pts), getattr(m2, f)(pts)), f
+    q = np.concatenate([np.linspace(0.0, 1.0, 301), [1e-12, 1.0 - 1e-12]])
+    assert np.array_equal(m.quantile(q), m2.quantile(q))
 
 
 def test_analytic_margin_not_serializable():

@@ -535,6 +535,10 @@ MODEL_CORRUPTIONS = {
         b=r["trees"][0][0]["a"]),
     "tree-0 edge dropped": lambda r: r["trees"][0].pop(),
     "margin dropped": lambda r: r["margins"].pop(),
+    "tree-0 edge naming node 5": lambda r: r["trees"][0][0].update(a=5),
+    "tree-1 edge naming child 4": lambda r: r["trees"][1][0].update(child_a=4),
+    "tree-1 edge naming child -2 for child 0": lambda r: r["trees"][1][0].update(
+        {k: -2 for k in ("child_a", "child_b") if r["trees"][1][0][k] == 0}),
 }
 
 
