@@ -162,12 +162,13 @@ class GridDensity:
         return np.clip(out, 0.0, 1.0)
 
     def _pdf_z(self, z):
-        out = np.interp(z, self.knots, self.pdf_values)
+        out = np.asarray(np.interp(z, self.knots, self.pdf_values))
         k = self.knots
         below = z < k[0]
         above = z > k[-1]
-        out = np.where(below, self.pdf_values[0] * np.exp((z - k[0]) / self.tail_scale_lo), out)
-        out = np.where(above, self.pdf_values[-1] * np.exp(-(z - k[-1]) / self.tail_scale_hi), out)
+        # each tail only on its own points: the other tail's exp would overflow
+        out[below] = self.pdf_values[0] * np.exp((z[below] - k[0]) / self.tail_scale_lo)
+        out[above] = self.pdf_values[-1] * np.exp(-(z[above] - k[-1]) / self.tail_scale_hi)
         return out
 
     def _quantile_z(self, q):

@@ -1,9 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import cdist
 
+import vinebc.evaluation as evaluation
 from vinebc.evaluation import (
     MetricReport,
     UnitMetrics,
+    _gaussian_potential,
+    _w2_assignment,
     copula_iw2,
     empirical_joint_cdf,
     empirical_randomized_pit,
@@ -78,6 +87,99 @@ def test_w2_zero_variance_reference_warns():
     b = np.column_stack([np.arange(10.0), np.full(10, 3.0)])
     with pytest.warns(UserWarning, match="variance"):
         wasserstein2(a, b)
+
+
+def plain_assignment_mean_cost(a, b):
+    """The oracle: mean optimal cost of scipy's assignment on the raw squared distances."""
+    cost = cdist(a, b, "sqeuclidean")
+    rows, cols = linear_sum_assignment(cost)
+    return cost[rows, cols].mean()
+
+
+def plain_w2_assignment(a, b):
+    return float(np.sqrt(plain_assignment_mean_cost(a, b)))
+
+
+SHAPES = ("plain", "duplicated rows", "40% atom", "constant column")
+
+
+def shaped_sample(rng, n, d, shape):
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d) + rng.uniform(-50.0, 50.0, size=d)
+    if shape == "duplicated rows":
+        x[n // 2:] = x[: n - n // 2]
+    elif shape == "40% atom":
+        x[rng.uniform(size=n) < 0.4, d - 1] = 0.0
+    elif shape == "constant column":
+        x[:, 0] = 3.0
+    return x
+
+
+@settings(deadline=None, max_examples=150)
+@example(d=3, n=1, shape="plain", seed=0)  # one row
+@example(d=4, n=4, shape="duplicated rows", seed=1)  # n == d: zero potential
+@given(d=st.integers(2, 5), n=st.integers(1, 64), shape=st.sampled_from(SHAPES),
+       seed=st.integers(0, 2**32 - 1))
+def test_w2_warm_start_optimal_cost_equals_plain_solve(d, n, shape, seed):
+    rng = np.random.default_rng(seed)
+    a = shaped_sample(rng, n, d, shape)
+    b = shaped_sample(rng, n, d, shape) + rng.normal(size=d)
+    oracle = plain_assignment_mean_cost(a, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = _w2_assignment(a, b) ** 2
+    assert warm == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def test_w2_rejects_non_finite_samples():
+    a = np.random.default_rng(22).normal(size=(20, 2))
+    for bad in (np.nan, np.inf):
+        b = a.copy()
+        b[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            wasserstein2(a, b, standardize=False)
+
+
+def test_gaussian_potential_is_tight_for_a_linear_monge_map():
+    # b = L a + t with L symmetric positive definite is the optimal map, and the
+    # Gaussian fits recover A = L, so after one c-transform every reduced cost
+    # on the identity assignment is zero up to rounding
+    rng = np.random.default_rng(24)
+    a = rng.normal(size=(200, 3)) @ np.array([[1.0, 0.0, 0.0], [0.5, 1.0, 0.0], [0.2, -0.3, 2.0]])
+    lin = np.array([[2.0, 0.4, 0.1], [0.4, 1.0, -0.2], [0.1, -0.2, 0.5]])
+    b = a @ lin + np.array([3.0, -1.0, 0.5])
+    cost = cdist(a, b, "sqeuclidean")
+    u = _gaussian_potential(a, b)
+    v = (cost - u[:, None]).min(axis=0)
+    assert np.abs(np.diag(cost) - u - v).max() < 1e-9 * cost.mean()
+
+
+def _zero_inflated_d3(rng, n, shift):
+    z = rng.multivariate_normal([0.0, 0.0, 0.0], [[1, 0.6, 0.3], [0.6, 1, 0.4], [0.3, 0.4, 1]],
+                                size=n)
+    x = z + shift
+    x[:, 2] = np.where(z[:, 2] < -0.25, 0.0, np.exp(z[:, 2]))  # about 40% zeros
+    return x
+
+
+def _gaussian_d5(rng, n, rho, shift):
+    cov = np.full((5, 5), rho) + (1.0 - rho) * np.eye(5)
+    return rng.multivariate_normal(np.full(5, shift), cov, size=n)
+
+
+@pytest.mark.parametrize("route", ["subsample, d=3, n=730", "n == m <= 512, d=5, n=400"])
+def test_w2_and_copula_iw2_bit_identical_to_plain_solve(route, monkeypatch):
+    rng = np.random.default_rng(23)
+    if route.startswith("subsample"):
+        ref, model, corr = (_zero_inflated_d3(rng, 730, s) for s in (0.0, 0.7, 0.1))
+    else:
+        ref, model, corr = (_gaussian_d5(rng, 400, r, s) for r, s in ((0.5, 0.0), (0.1, 0.6),
+                                                                     (0.45, 0.05)))
+    warm = [wasserstein2(model, ref, seed=5), wasserstein2(corr, ref, seed=5),
+            copula_iw2(corr, model, ref, seed=5)]
+    monkeypatch.setattr(evaluation, "_w2_assignment", plain_w2_assignment)
+    plain = [wasserstein2(model, ref, seed=5), wasserstein2(corr, ref, seed=5),
+             copula_iw2(corr, model, ref, seed=5)]
+    assert warm == plain
 
 
 # -- IW2 ---------------------------------------------------------------------------

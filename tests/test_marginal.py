@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,30 @@ def test_grid_margin_roundtrip_byte_for_byte(name):
         assert np.array_equal(getattr(m, f)(pts), getattr(m2, f)(pts)), f
     q = np.concatenate([np.linspace(0.0, 1.0, 301), [1e-12, 1.0 - 1e-12]])
     assert np.array_equal(m.quantile(q), m2.quantile(q))
+
+
+@pytest.mark.parametrize("name", ["interval with an atom", "nonnegative", "zero-inflated"])
+def test_density_far_outside_the_grid_warns_nothing(name):
+    m = _roundtrip_margins()[name]
+    g = m.continuous
+    k = g.knots
+    z = np.linspace(k[0], k[-1], 2001)
+    inside = np.exp(z) if g.log_scale else z
+    far = np.array([1e-300, 1e-200, 1e200, 1e300])
+    if not g.log_scale:
+        far[:2] = -far[2:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d_far = m.density(far)
+        d_in = m.density(inside)
+    assert np.all(np.isfinite(d_far)) and np.all(d_far >= 0.0)
+    # in the grid the density is the linear interpolant of the knot values,
+    # bit for bit as before the tails were masked
+    z_in = np.log(inside) if g.log_scale else inside
+    pdf = np.interp(z_in, k, g.pdf_values)
+    expected = m.continuous_mass * (pdf / inside if g.log_scale else pdf)
+    hit = np.isin(inside, m.atom_values)
+    assert np.array_equal(d_in[~hit], expected[~hit])
 
 
 def test_analytic_margin_not_serializable():
