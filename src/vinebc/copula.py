@@ -1,11 +1,19 @@
 """Bivariate copulas for mixed discrete-continuous margins.
 
 Every family exposes the copula CDF, both partial derivatives and the
-density.  On top of those primitives the module provides the generalized
-density (four branches by discreteness pattern), the conditional
-distributions ``hfunc`` (difference quotient for a discrete conditioner,
-partial derivative otherwise), their inverses, and fitting from
-pseudo-observations that carry left limits.
+density.  On top of those primitives the module provides the conditional
+distributions ``hfunc`` (difference quotient of the CDF over a discrete
+conditioner's jump, partial derivative otherwise), their inverses, the
+generalized density, and fitting from pseudo-observations that carry left
+limits.  One helper, ``_oriented``, fixes which copula argument is the
+target and which the conditioner.
+
+A discrete coordinate is read through its jump [u_left, u] (``PseudoObs``)
+by one rule: ``_h_jump`` evaluates h at both ends of the target's jump.  The
+generalized density (Panagiotelis, Czado & Joe 2012) is the copula density
+where both coordinates are continuous, and otherwise the jump of h(a | b) over
+a's jump divided by that jump where a is discrete, or the same with a and b
+swapped.
 """
 from __future__ import annotations
 
@@ -31,6 +39,8 @@ THETA_CAP_GUMBEL = 50.0
 THETA_CAP_FRANK = 35.0
 CHECKERBOARD_RESOLUTION = 32
 CHECKERBOARD_PSEUDO_COUNT = 0.5
+SINKHORN_ROUNDS = 100
+SINKHORN_TOL = 1e-9
 
 DEFAULT_FAMILY_SET = ("independence", "gaussian", "clayton", "gumbel", "frank", "checkerboard")
 
@@ -440,19 +450,19 @@ class FrankCopula(BivariateCopula):
         return sign * theta
 
 
-def _sinkhorn(weights: np.ndarray, rounds: int = 100, tol: float = 1e-9) -> np.ndarray:
+def _sinkhorn(weights: np.ndarray) -> np.ndarray:
     """Scale a nonnegative matrix until every row and column sums to 1/m."""
     w = weights / weights.sum()
     m = w.shape[0]
     target = 1.0 / m
-    for _ in range(rounds):
+    for _ in range(SINKHORN_ROUNDS):
         w = w * (target / w.sum(axis=1, keepdims=True))
         w = w * (target / w.sum(axis=0, keepdims=True))
         err = max(
             np.abs(w.sum(axis=1) - target).max(),
             np.abs(w.sum(axis=0) - target).max(),
         )
-        if err < tol:
+        if err < SINKHORN_TOL:
             break
     return w / w.sum()
 
@@ -588,42 +598,22 @@ def _check_jumps(gap: np.ndarray, where: np.ndarray) -> None:
         )
 
 
-def gen_density(copula: BivariateCopula, a: PseudoObs, b: PseudoObs) -> np.ndarray:
-    """Generalized copula density: one of four branches per observation.
+def _oriented(copula: BivariateCopula, direction: int) -> tuple:
+    """The copula seen from its target coordinate ``direction`` (1 or 2).
 
-    Both coordinates discrete: rectangle probability divided by both jumps.
-    One discrete: differenced partial derivative divided by that jump.
-    Both continuous: the ordinary copula density.
+    Returns (cdf, h, slope, h_inverse), each called as f(target, conditioner):
+    the copula CDF, its derivative in the conditioner (the h-function of a
+    continuous conditioner), its derivative in the target, and the inverse of
+    h in the target, called as h_inverse(level, conditioner).
     """
-    au, al = np.broadcast_arrays(a.u, a.u_left)
-    bu, bl = np.broadcast_arrays(b.u, b.u_left)
-    au, al, bu, bl = np.broadcast_arrays(au, al, bu, bl)
-    ga = au - al
-    gb = bu - bl
-    da = ga > 0.0
-    db = gb > 0.0
-    _check_jumps(ga, da)
-    _check_jumps(gb, db)
-    out = np.empty_like(au)
-    cc = ~da & ~db
-    if np.any(cc):
-        out[cc] = copula.pdf(au[cc], bu[cc])
-    dd = da & db
-    if np.any(dd):
-        rect = (
-            copula.cdf(au[dd], bu[dd])
-            - copula.cdf(au[dd], bl[dd])
-            - copula.cdf(al[dd], bu[dd])
-            + copula.cdf(al[dd], bl[dd])
-        )
-        out[dd] = rect / (ga[dd] * gb[dd])
-    dc = da & ~db
-    if np.any(dc):
-        out[dc] = (copula.dv(au[dc], bu[dc]) - copula.dv(al[dc], bu[dc])) / ga[dc]
-    cd = ~da & db
-    if np.any(cd):
-        out[cd] = (copula.du(au[cd], bu[cd]) - copula.du(au[cd], bl[cd])) / gb[cd]
-    return np.maximum(out, 0.0)
+    def swap(f):
+        return lambda x, c: f(c, x)
+
+    if direction == 1:
+        return copula.cdf, copula.dv, copula.du, swap(copula.dv_inverse)
+    if direction == 2:
+        return swap(copula.cdf), swap(copula.du), swap(copula.dv), swap(copula.du_inverse)
+    raise ValueError("direction must be 1 or 2")
 
 
 def hfunc(copula: BivariateCopula, direction: int, target_u, conditioner: PseudoObs) -> np.ndarray:
@@ -634,8 +624,7 @@ def hfunc(copula: BivariateCopula, direction: int, target_u, conditioner: Pseudo
     conditioner uses the difference quotient of the copula CDF over its jump;
     a continuous one uses the corresponding partial derivative.
     """
-    if direction not in (1, 2):
-        raise ValueError("direction must be 1 or 2")
+    cdf, h, _, _ = _oriented(copula, direction)
     t = np.clip(as_float_array(target_u), 0.0, 1.0)
     cu, cl = conditioner.u, conditioner.u_left
     t, cu, cl = np.broadcast_arrays(t, cu, cl)
@@ -645,19 +634,54 @@ def hfunc(copula: BivariateCopula, direction: int, target_u, conditioner: Pseudo
     out = np.empty_like(t)
     cont = ~disc
     if np.any(cont):
-        if direction == 1:
-            out[cont] = copula.dv(t[cont], cu[cont])
-        else:
-            out[cont] = copula.du(cu[cont], t[cont])
+        out[cont] = h(t[cont], cu[cont])
     if np.any(disc):
-        if direction == 1:
-            num = copula.cdf(t[disc], cu[disc]) - copula.cdf(t[disc], cl[disc])
-        else:
-            num = copula.cdf(cu[disc], t[disc]) - copula.cdf(cl[disc], t[disc])
-        out[disc] = num / gap[disc]
+        out[disc] = (cdf(t[disc], cu[disc]) - cdf(t[disc], cl[disc])) / gap[disc]
     out = np.where(t <= 0.0, 0.0, out)
     out = np.where(t >= 1.0, 1.0, out)
     return np.clip(out, 0.0, 1.0)
+
+
+def _h_jump(copula: BivariateCopula, direction: int, target: PseudoObs,
+            conditioner: PseudoObs) -> PseudoObs:
+    """h of the target given the conditioner, at both ends of the target's jump.
+
+    h at u on every row and at u_left where the target is discrete; a
+    conditional CDF cannot decrease across the jump, so the left value is kept
+    at or below the right one.
+    """
+    out_u = hfunc(copula, direction, target.u, conditioner)
+    out_ul = out_u
+    disc = target.discrete
+    if np.any(disc):
+        out_ul = out_u.copy()
+        out_ul[disc] = hfunc(copula, direction, target.u_left[disc], conditioner[disc])
+        out_ul = np.minimum(out_ul, out_u)
+    return PseudoObs(out_u, out_ul)
+
+
+def gen_density(copula: BivariateCopula, a: PseudoObs, b: PseudoObs) -> np.ndarray:
+    """Generalized copula density of two coordinates, either of them discrete.
+
+    The copula density where both are continuous.  Otherwise the jump of
+    h(a | b) over a's jump, divided by that jump, where a is discrete (with b
+    discrete too, the rectangle probability over both jumps divided by both);
+    where only b is discrete, the jump of h(b | a) over b's jump, divided by it.
+    """
+    au, al, bu, bl = np.broadcast_arrays(a.u, a.u_left, b.u, b.u_left)
+    a, b = PseudoObs(au, al), PseudoObs(bu, bl)
+    da, db = a.discrete, b.discrete
+    _check_jumps(au - al, da)
+    _check_jumps(bu - bl, db)
+    out = np.empty_like(a.u)
+    cc = ~da & ~db
+    if np.any(cc):
+        out[cc] = copula.pdf(au[cc], bu[cc])
+    for direction, target, conditioner, rows in ((1, a, b, da), (2, b, a, ~da & db)):
+        if np.any(rows):
+            h = _h_jump(copula, direction, target[rows], conditioner[rows])
+            out[rows] = (h.u - h.u_left) / (target.u[rows] - target.u_left[rows])
+    return out
 
 
 def _discrete_inverse(copula: BivariateCopula, direction: int, w, cu, cl) -> np.ndarray:
@@ -665,21 +689,16 @@ def _discrete_inverse(copula: BivariateCopula, direction: int, w, cu, cl) -> np.
     over the conditioner's jump [cl, cu] equals w.
 
     Safeguarded Newton from the inverse at the jump's midpoint: the slope is
-    the difference of ``du`` (direction 1) or ``dv`` (direction 2) across the
-    jump, over the jump.
+    the difference of the CDF's derivative in the target across the jump,
+    over the jump.
     """
-    partial = copula.du if direction == 1 else copula.dv
-    midpoint = copula.dv_inverse if direction == 1 else copula.du_inverse
-
-    def at(t, c):  # copula arguments with the target in its coordinate
-        return (t, c) if direction == 1 else (c, t)
+    cdf, _, slope, h_inverse = _oriented(copula, direction)
 
     def h_and_slope(t, cu, cl):
         gap = cu - cl
-        return ((copula.cdf(*at(t, cu)) - copula.cdf(*at(t, cl))) / gap,
-                (partial(*at(t, cu)) - partial(*at(t, cl))) / gap)
+        return (cdf(t, cu) - cdf(t, cl)) / gap, (slope(t, cu) - slope(t, cl)) / gap
 
-    return _safeguarded_newton(h_and_slope, w, midpoint(0.5 * (cu + cl), w), 0.0, 1.0, cu, cl)
+    return _safeguarded_newton(h_and_slope, w, h_inverse(w, 0.5 * (cu + cl)), 0.0, 1.0, cu, cl)
 
 
 def hfunc_inverse(copula: BivariateCopula, direction: int, v,
@@ -694,8 +713,7 @@ def hfunc_inverse(copula: BivariateCopula, direction: int, v,
     Levels 0 and 1 map to 0 and 1.  A residual above 1e-4 at an interior
     level raises ``NumericsError``.
     """
-    if direction not in (1, 2):
-        raise ValueError("direction must be 1 or 2")
+    *_, h_inverse = _oriented(copula, direction)
     v = np.clip(as_float_array(v), 0.0, 1.0)
     v, cu, cl = np.broadcast_arrays(v, conditioner.u, conditioner.u_left)
     gap = cu - cl
@@ -705,8 +723,7 @@ def hfunc_inverse(copula: BivariateCopula, direction: int, v,
     inner = (v > 0.0) & (v < 1.0)
     cont = inner & ~disc
     if np.any(cont):
-        solve = copula.dv_inverse if direction == 1 else copula.du_inverse
-        out[cont] = solve(cu[cont], v[cont])
+        out[cont] = h_inverse(v[cont], cu[cont])
     disc &= inner
     if np.any(disc):
         out[disc] = _discrete_inverse(copula, direction, v[disc], cu[disc], cl[disc])
@@ -745,14 +762,10 @@ def randomize_pseudo(a: PseudoObs, b: PseudoObs, rng: np.random.Generator):
     The jitter is assigned in lexicographic order of the observation values so
     the result is invariant under relabeling of the input rows.
     """
-    n = len(a)
     order = np.lexsort((b.u_left, b.u, a.u_left, a.u))
-    w = rng.uniform(size=(2, n))
-    x = np.empty(n)
-    y = np.empty(n)
-    x[order] = a.u_left[order] + w[0] * (a.u[order] - a.u_left[order])
-    y[order] = b.u_left[order] + w[1] * (b.u[order] - b.u_left[order])
-    return x, y
+    w = np.empty((2, len(a)))
+    w[:, order] = rng.uniform(size=w.shape)
+    return a.randomized(w[0]), b.randomized(w[1])
 
 
 def tau_independence_test(tau: float, n: int, level: float = 0.05) -> bool:

@@ -101,9 +101,7 @@ class ClimateTable:
     """Immutable timestamped multi-member multivariate series."""
 
     def __init__(self, variables, timestamps, members, values):
-        self.variables = [
-            v if isinstance(v, VariableSpec) else VariableSpec(**v) for v in variables
-        ]
+        self.variables = list(variables)
         ts = np.asarray(timestamps, dtype="datetime64[s]")
         mem = np.asarray(members, dtype=int)
         vals = np.asarray(values, dtype=float)
@@ -157,7 +155,7 @@ def load_table(path, schema) -> ClimateTable:
     fails or finds a non-finite value does ``_first_row_error`` scan the rows
     in file order for the 1-based data row (blank rows count) to report.
     """
-    specs = [v if isinstance(v, VariableSpec) else VariableSpec(**v) for v in schema]
+    specs = list(schema)
     if not specs:
         raise SchemaError("need at least one variable")
     try:

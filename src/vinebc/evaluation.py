@@ -24,6 +24,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from ._util import subseed
+from .marginal import PseudoObs
 
 OT_SUBSAMPLE = 512
 OT_REPEATS = 4
@@ -106,8 +107,7 @@ def wasserstein2(a, b, standardize: bool = True, seed: int = 0) -> float:
     ``OT_REPEATS`` repetitions are averaged.  Each transport is an exact
     assignment solve, warm-started with Gaussian-map potentials; potentials
     shift every permutation's cost by the same constant, so the optimum is
-    that of the plain solve.  In two or more dimensions a non-finite sample
-    raises ``ValueError``.
+    that of the plain solve.  A non-finite sample raises ``ValueError``.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -119,6 +119,8 @@ def wasserstein2(a, b, standardize: bool = True, seed: int = 0) -> float:
         raise ValueError("samples must be 2-d with matching variable count")
     if a.shape[0] < 1 or b.shape[0] < 1:
         raise ValueError("samples must be nonempty")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("samples must be finite")
     if standardize:
         mu = b.mean(axis=0)
         sd = b.std(axis=0)
@@ -153,15 +155,9 @@ def improvement_iw2(corrected, model, reference, standardize: bool = True, seed:
 
 def per_margin_iw2(corrected, model, reference) -> np.ndarray:
     """Univariate IW2 per margin; no standardization (scales are comparable)."""
-    corrected = np.asarray(corrected, dtype=float)
-    model = np.asarray(model, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    out = np.empty(corrected.shape[1])
-    for j in range(corrected.shape[1]):
-        out[j] = _w2_exact_1d(model[:, j], reference[:, j]) - _w2_exact_1d(
-            corrected[:, j], reference[:, j]
-        )
-    return out
+    c, m, r = (np.asarray(x, dtype=float) for x in (corrected, model, reference))
+    return np.array([improvement_iw2(c[:, j], m[:, j], r[:, j], standardize=False)
+                     for j in range(c.shape[1])])
 
 
 def empirical_randomized_pit(x, seed: int = 0) -> np.ndarray:
@@ -175,8 +171,7 @@ def empirical_randomized_pit(x, seed: int = 0) -> np.ndarray:
         srt = np.sort(col)
         hi = np.searchsorted(srt, col, side="right") / n
         lo = np.searchsorted(srt, col, side="left") / n
-        w = rng.uniform(size=n)
-        u[:, j] = lo + w * (hi - lo)
+        u[:, j] = PseudoObs(hi, lo).randomized(rng.uniform(size=n))
     return u
 
 

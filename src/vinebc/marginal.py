@@ -10,8 +10,10 @@ elsewhere) are all in closed form and exact inverses of each other.  The
 zero-inflated kind treats an exact zero as the only candidate atom.
 
 ``pseudo_obs`` returns a ``PseudoObs``, the pair (F, F_left) that carries a
-coordinate through the vine; its ``randomized`` method is the one randomized
-probability integral transform.
+coordinate through the vine.  A coordinate is discrete where F_left < F, and
+every read of its jump [F_left, F] goes through that type: ``randomized`` is
+the one randomized probability integral transform F_left + W (F - F_left),
+and the copula layer reads the jump through h-functions at both of its ends.
 """
 from __future__ import annotations
 
@@ -30,20 +32,12 @@ _MASS_TOL = 1e-9
 
 SUPPORT_KINDS = ("interval", "nonnegative", "zero_inflated")
 
-_KIND_ALIASES = {
-    "interval": "interval",
-    "nonnegative": "nonnegative",
-    "nonnegative-continuous": "nonnegative",
-    "zero_inflated": "zero_inflated",
-    "zero-inflated": "zero_inflated",
-}
-
 
 def normalize_kind(kind: str) -> str:
-    try:
-        return _KIND_ALIASES[kind]
-    except KeyError:
-        raise ValueError(f"unknown support kind {kind!r}; expected one of {SUPPORT_KINDS}") from None
+    """The kind itself when it is one of ``SUPPORT_KINDS``; otherwise ValueError."""
+    if kind not in SUPPORT_KINDS:
+        raise ValueError(f"unknown support kind {kind!r}; expected one of {SUPPORT_KINDS}")
+    return kind
 
 
 class PseudoObs:
@@ -76,9 +70,12 @@ class PseudoObs:
         return PseudoObs(self.u[idx], self.u_left[idx])
 
     def randomized(self, w) -> np.ndarray:
-        """Randomized PIT w*u + (1-w)*u_left; noise only acts across a jump, so
-        continuous coordinates return u exactly."""
-        return np.where(self.u_left < self.u, w * self.u + (1.0 - w) * self.u_left, self.u)
+        """Randomized PIT u_left + w*(u - u_left) for noise w in [0, 1].
+
+        Continuous coordinates return u exactly.  The cap at u keeps the value
+        inside [u_left, u] where the sum rounds one ulp above u (w near 1).
+        """
+        return np.minimum(self.u_left + w * (self.u - self.u_left), self.u)
 
 
 class GridDensity:
@@ -254,19 +251,11 @@ class MixtureMarginal:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _cdfs(self, x, sides):
-        """F(x) at the right ("right") and/or left ("left") end of each atom's
-        jump, one array per side; the continuous CDF is evaluated once."""
-        xa = as_float_array(x)
-        cont = 0.0 if self.continuous is None else self.continuous_mass * self.continuous.cdf(xa)
-        return [np.clip(self._atom_csum[np.searchsorted(self.atom_values, xa, side=side)] + cont,
-                        0.0, 1.0) for side in sides]
-
     def cdf(self, x):
-        return maybe_scalar(self._cdfs(x, ["right"])[0], x)
+        return maybe_scalar(self.pseudo_obs(x).u, x)
 
     def cdf_left(self, x):
-        return maybe_scalar(self._cdfs(x, ["left"])[0], x)
+        return maybe_scalar(self.pseudo_obs(x).u_left, x)
 
     def density(self, x):
         """Mixed density: atom mass at atoms, scaled continuous pdf elsewhere."""
@@ -289,7 +278,8 @@ class MixtureMarginal:
         va = np.clip(as_float_array(v), 0.0, 1.0)
         out = np.empty_like(va)
         if self.atom_values.size:
-            jump_hi, jump_lo = self._cdfs(self.atom_values, ["right", "left"])
+            jumps = self.pseudo_obs(self.atom_values)
+            jump_hi, jump_lo = jumps.u, jumps.u_left
             idx = np.searchsorted(jump_lo, va, side="right") - 1
             idx_c = np.clip(idx, 0, self.atom_values.size - 1)
             on_atom = (idx >= 0) & (va <= jump_hi[idx_c] + 1e-15)
@@ -310,7 +300,10 @@ class MixtureMarginal:
 
     def pseudo_obs(self, x) -> PseudoObs:
         """F(x) with its left limit F_left(x); the continuous CDF is evaluated once."""
-        return PseudoObs(*self._cdfs(x, ["right", "left"]))
+        xa = as_float_array(x)
+        cont = 0.0 if self.continuous is None else self.continuous_mass * self.continuous.cdf(xa)
+        return PseudoObs(*(np.clip(self._atom_csum[np.searchsorted(self.atom_values, xa, side=side)]
+                                   + cont, 0.0, 1.0) for side in ("right", "left")))
 
     # -- serialization ------------------------------------------------------
 
@@ -429,7 +422,7 @@ def fit_marginal(sample, kind: str) -> MixtureMarginal:
 # -- randomized probability integral transform ----------------------------
 
 def randomized_pit(m: MixtureMarginal, x, w):
-    """Randomized probability integral transform w*F(x) + (1-w)*F_left(x),
+    """Randomized probability integral transform F_left(x) + w*(F(x) - F_left(x)),
     which is F(x) exactly off the atoms (``PseudoObs.randomized``)."""
     wa = np.asarray(w, dtype=float)
     if np.any((wa < 0) | (wa > 1)):

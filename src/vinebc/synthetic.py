@@ -13,7 +13,7 @@ import numpy as np
 from scipy import stats
 
 from ._util import subseed
-from .dataset import ClimateTable, VariableSpec
+from .dataset import ClimateTable
 from .errors import ConfigError
 
 
@@ -100,7 +100,6 @@ def three_hour_grid(start: str, steps: int) -> np.ndarray:
 def make_ensemble_table(truth: GroundTruth, variables, start: str, steps: int,
                         members, seed: int) -> ClimateTable:
     """One table with the same timestamp grid repeated per member."""
-    specs = [v if isinstance(v, VariableSpec) else VariableSpec(**v) for v in variables]
     grid = three_hour_grid(start, steps)
     ts, mem, vals = [], [], []
     for m in members:
@@ -108,7 +107,7 @@ def make_ensemble_table(truth: GroundTruth, variables, start: str, steps: int,
         mem.append(np.full(steps, m, dtype=int))
         vals.append(truth.sample(steps, seed=subseed(seed, int(m))))
     return ClimateTable(
-        specs,
+        variables,
         np.concatenate(ts),
         np.concatenate(mem),
         np.vstack(vals),

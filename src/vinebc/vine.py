@@ -2,10 +2,11 @@
 
 The vine couples fitted margins with a tree sequence of pair copulas.  All
 conditional pseudo-observations are propagated as ``PseudoObs`` (u, u_left),
-built once per edge output, so the generalized density and the randomized
-Rosenblatt transform stay exact for atoms at every tree depth.  Structure
-selection follows the tree-by-tree maximum spanning tree on absolute
-Kendall's tau.  Each candidate pair is
+built once per edge output: an edge maps each conditioned variable's jump
+[u_left, u] to the h-function at both of its ends (``copula._h_jump``), so the
+generalized density and the randomized Rosenblatt transform stay exact for
+atoms at every tree depth.  Structure selection follows the tree-by-tree
+maximum spanning tree on absolute Kendall's tau.  Each candidate pair is
 jittered once, jointly, across its atoms' jumps; its tau and, if the pair is
 chosen, its copula fit share that one draw, so the structure does not depend
 on the order of the rows.
@@ -24,11 +25,11 @@ from .copula import (
     DEFAULT_FAMILY_SET,
     BivariateCopula,
     IndependenceCopula,
+    _h_jump,
     check_family_set,
     copula_from_dict,
     fit_jittered,
     gen_density,
-    hfunc,
     hfunc_inverse,
     jitter_pair,
 )
@@ -310,39 +311,22 @@ def _edge_input(store: dict, t: int, e: Edge, var: int) -> PseudoObs:
     return store[(t - 1, node)][var]
 
 
-def _eval_edge(store: dict, t: int, i: int, e: Edge, obs=None) -> tuple:
+def _eval_edge(store: dict, t: int, i: int, e: Edge, obs=None) -> None:
     """Store the two h-outputs of edge (t, i), each with its left limit.
 
     ``obs`` may pass the edge's input pair when the caller already holds it.
-    Returns the input pair (a, b).
     """
     pa, pb = obs or (_edge_input(store, t, e, e.a), _edge_input(store, t, e, e.b))
-    outs = {}
-    for var, direction, target, cond in ((e.a, 1, pa, pb), (e.b, 2, pb, pa)):
-        out_u = hfunc(e.copula, direction, target.u, cond)
-        out_ul = out_u
-        disc = target.u_left < target.u
-        if np.any(disc):
-            out_ul = out_u.copy()
-            out_ul[disc] = hfunc(e.copula, direction, target.u_left[disc], cond[disc])
-            # a conditional CDF cannot decrease across the jump
-            out_ul = np.minimum(out_ul, out_u)
-        outs[var] = PseudoObs(out_u, out_ul)
-    store[(t, i)] = outs
-    return pa, pb
+    store[(t, i)] = {e.a: _h_jump(e.copula, 1, pa, pb), e.b: _h_jump(e.copula, 2, pb, pa)}
 
 
-def _run_edges(model: VineModel, x: np.ndarray, collect_density: bool = False):
-    """Store of every edge's h-outputs on x (and optionally the edge log densities)."""
+def _run_edges(model: VineModel, x: np.ndarray) -> dict:
+    """Store of every edge's h-outputs on x."""
     store = _marginal_pseudo(model.margins, x)
-    log_c = 0.0
     for t, tree in enumerate(model.structure.trees):
         for i, e in enumerate(tree):
-            pa, pb = _eval_edge(store, t, i, e)
-            if collect_density:
-                with np.errstate(divide="ignore"):
-                    log_c = log_c + np.log(gen_density(e.copula, pa, pb))
-    return (store, log_c) if collect_density else store
+            _eval_edge(store, t, i, e)
+    return store
 
 
 # -- structure selection and fitting ------------------------------------------
@@ -440,7 +424,13 @@ def vine_log_density(model: VineModel, x) -> np.ndarray:
             for j, m in enumerate(model.margins)
         )
     if model.structure.trees:
-        _, log_c = _run_edges(model, x, collect_density=True)
+        store = _run_edges(model, x)
+        log_c = 0.0
+        for t, tree in enumerate(model.structure.trees):
+            for e in tree:
+                pa, pb = _edge_input(store, t, e, e.a), _edge_input(store, t, e, e.b)
+                with np.errstate(divide="ignore"):
+                    log_c = log_c + np.log(gen_density(e.copula, pa, pb))
         log_f = log_f + log_c
     if np.any(~np.isfinite(log_f)):
         warnings.warn("density is zero at some evaluation points; returning -inf there")
@@ -455,7 +445,7 @@ def rosenblatt_forward(model: VineModel, x, noise) -> np.ndarray:
 
     Column j of the output carries the randomized conditional CDF of
     variable j given the variables that precede it in the diagonal order:
-    V = W * F + (1 - W) * F_left, with the supplied noise W in [0, 1], and
+    V = F_left + W * (F - F_left), with the supplied noise W in [0, 1], and
     V = F exactly where F_left = F (``PseudoObs.randomized``).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -563,6 +563,16 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "variables[0].kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["nonnegative-continuous", "zero-inflated"])
+def test_retired_kind_alias_exit_code(tmp_path, capsys, kind):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"variables": [{"name": "x", "kind": kind}]}))
+    assert run_pipeline("simulate", str(bad), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "variables[0].kind" in err
+    assert all(k in err for k in ("'interval'", "'nonnegative'", "'zero_inflated'"))
+
+
 def test_missing_config_exit_code(tmp_path):
     assert run_pipeline("simulate", str(tmp_path / "none.json"), out_dir=str(tmp_path)) == EXIT_CONFIG
 

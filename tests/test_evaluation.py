@@ -139,6 +139,24 @@ def test_w2_rejects_non_finite_samples():
             wasserstein2(a, b, standardize=False)
 
 
+def test_w2_rejects_non_finite_samples_in_one_dimension():
+    # the quantile route used to sort a NaN to the end and return nan
+    a = np.arange(10.0)
+    b = a.copy()
+    b[3] = np.nan
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="finite"):
+            wasserstein2(x, y)
+    with pytest.raises(ValueError, match="finite"):
+        per_margin_iw2(a[:, None], a[:, None], b[:, None])
+
+
+def test_w2_rejects_finite_samples_whose_squared_cost_overflows():
+    a = np.random.default_rng(23).normal(size=(20, 2))
+    with pytest.raises(ValueError, match="finite"):
+        wasserstein2(a * 1e200, -a * 1e200, standardize=False)
+
+
 def test_gaussian_potential_is_tight_for_a_linear_monge_map():
     # b = L a + t with L symmetric positive definite is the optimal map, and the
     # Gaussian fits recover A = L, so after one c-transform every reduced cost

@@ -11,6 +11,13 @@ Pair-copula strategies are bounded to these parameter ranges:
   jump in [1e-3, 0.3] (well above ``MIN_DISCRETE_MASS``) placed anywhere in
   [0, 1].
 * Targets v and evaluation points in [1e-6, 1 - 1e-6].
+* Generalized-density points hold every discreteness pattern of (a, b); a
+  continuous coordinate lies in [1e-6, 1 - 1e-6], a discrete one has a jump
+  in [1e-6, 0.3] placed anywhere in [0, 1].
+
+Randomized-PIT samples have 5 to 27 rows of an interval margin with an atom
+of mass [0.01, 0.6] at 0.5 inside its support (a normal on 13 knots), with
+noise in [0, 1] that includes 0 and 1.
 
 Margin samples have 30 to 4,000 draws of a normal (interval) or a gamma(2)
 (nonnegative and zero-inflated) variable, of which a share in [0, 0.7] is set
@@ -26,6 +33,7 @@ among them), 1 to 3 members and timestamps anywhere in years 1 to 9999.
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -42,13 +50,16 @@ from vinebc.copula import (
     IndependenceCopula,
     PseudoObs,
     copula_from_dict,
+    gen_density,
     hfunc,
     hfunc_inverse,
+    randomize_pseudo,
 )
 from vinebc.cli import write_table_csv
 from vinebc.dataset import ALL_CHUNK_KEYS, ClimateTable, VariableSpec, load_table
-from vinebc.evaluation import empirical_joint_cdf
-from vinebc.marginal import fit_marginal
+from vinebc.evaluation import empirical_joint_cdf, empirical_randomized_pit
+from vinebc.marginal import GridDensity, MixtureMarginal, fit_marginal, randomized_pit
+from vinebc.vine import VineModel, VineStructure, rosenblatt_forward
 
 ROTATIONS = (0, 90, 180, 270)
 PROPERTY_SETTINGS = settings(deadline=None, max_examples=100)
@@ -122,6 +133,126 @@ def test_frank_inverse_holds_with_discrete_conditioner_at_large_theta():
                 for direction in (1, 2):
                     t = hfunc_inverse(cop, direction, v, cond)
                     assert np.abs(hfunc(cop, direction, t, cond) - v).max() <= 1e-9
+
+
+@st.composite
+def coordinates(draw, discrete):
+    """One coordinate as (u, u_left): continuous, or a jump of at least 1e-6."""
+    if not discrete:
+        u = draw(unit)
+        return u, u
+    jump = draw(st.floats(1e-6, 0.3))
+    left = draw(st.floats(0.0, 1.0 - jump))
+    return left + jump, left
+
+
+@st.composite
+def mixed_pairs(draw):
+    """Points (a, b) holding every discreteness pattern at least once."""
+    pairs = [(draw(coordinates(da)), draw(coordinates(db)))
+             for da in (False, True) for db in (False, True)]
+    pairs += draw(st.lists(st.tuples(coordinates(True) | coordinates(False),
+                                     coordinates(True) | coordinates(False)), max_size=12))
+    (au, al), (bu, bl) = (np.array(c).T for c in zip(*pairs))
+    return PseudoObs(au, al), PseudoObs(bu, bl)
+
+
+def four_branch_density(cop, a, b):
+    """The generalized density by discreteness pattern: the rectangle
+    probability over both jumps, a differenced partial derivative over one
+    jump, or the copula density.  The rectangle is summed as two differences
+    of neighbouring CDF values, each exact in floating point."""
+    ga, gb = a.u - a.u_left, b.u - b.u_left
+    da, db = ga > 0.0, gb > 0.0
+    ga, gb = np.where(da, ga, 1.0), np.where(db, gb, 1.0)
+    rect = ((cop.cdf(a.u, b.u) - cop.cdf(a.u, b.u_left))
+            - (cop.cdf(a.u_left, b.u) - cop.cdf(a.u_left, b.u_left)))
+    return np.select(
+        [da & db, da, db],
+        [rect / (ga * gb), (cop.dv(a.u, b.u) - cop.dv(a.u_left, b.u)) / ga,
+         (cop.du(a.u, b.u) - cop.du(a.u, b.u_left)) / gb],
+        cop.pdf(a.u, b.u))
+
+
+@PROPERTY_SETTINGS
+@given(copulas, mixed_pairs())
+def test_gen_density_is_the_jump_of_h_over_the_discrete_coordinate(cop, pair):
+    a, b = pair
+    got = gen_density(cop, a, b)
+    assert np.all(got >= 0.0)
+    want = np.maximum(four_branch_density(cop, a, b), 0.0)
+    # Both forms divide differences of the same CDF values (or partial
+    # derivatives) by the jumps, so they can differ by the rounding of those
+    # values, 4 ulps of 1 for each of four, over the product of the jumps: at
+    # two jumps of 1e-6 that floor is 3.5e-3, and near-flat rectangles there
+    # come out as 0 in one form and 8e-10 in the other.
+    ga, gb = (np.where(p.discrete, p.u - p.u_left, 1.0) for p in (a, b))
+    floor = 16.0 * np.finfo(float).eps / (ga * gb)
+    assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want) + 1e-12 + floor)
+
+
+class FixedNoise:
+    """Stands in for a numpy Generator whose ``uniform`` returns the given noise."""
+
+    def __init__(self, noise):
+        self.noise = noise
+
+    def uniform(self, size):
+        assert np.shape(self.noise) == tuple(np.atleast_1d(size))
+        return self.noise
+
+
+def _normal_grid_density():
+    knots = np.linspace(-3.0, 3.0, 13)
+    return GridDensity(knots, stats.norm.pdf(knots), 0.5, 0.5)
+
+
+@st.composite
+def atom_rows_and_noise(draw):
+    """Rows of an interval margin with an interior atom at 0.5, some of them
+    on the atom, and noise in [0, 1] that includes 0 and 1."""
+    mass = draw(st.floats(0.01, 0.6))
+    margin = MixtureMarginal([(0.5, mass)], _normal_grid_density(), "interval")
+    off = st.floats(-5.0, 5.0).filter(lambda v: v != 0.5)
+    x = draw(st.lists(st.just(0.5) | off, min_size=2, max_size=24))
+    x = np.array(x + [0.5, 0.5, 0.0])
+    noise = draw(st.lists(st.floats(0.0, 1.0), min_size=x.size - 2, max_size=x.size - 2))
+    return margin, x, np.array(noise + [0.0, 1.0])
+
+
+@PROPERTY_SETTINGS
+@given(atom_rows_and_noise())
+def test_every_randomized_pit_is_the_pseudo_obs_one(sample):
+    margin, x, w = sample
+    po = margin.pseudo_obs(x)
+    assert np.all(po.u_left[x == 0.5] > 0.0)  # the atom lies inside the support
+    want = po.randomized(w)
+    assert np.all((po.u_left <= want) & (want <= po.u))
+    assert np.array_equal(want[~po.discrete], po.u[~po.discrete])
+
+    assert np.array_equal(randomized_pit(margin, x, w), want)
+    model = VineModel(margins=[margin], structure=VineStructure(d=1, trees=[]))
+    assert np.array_equal(rosenblatt_forward(model, x[:, None], w[:, None])[:, 0], want)
+
+    # randomize_pseudo hands out its noise in lexicographic order of the rows
+    other = PseudoObs(po.u[::-1], po.u_left[::-1])
+    noise = np.stack([w, w[::-1]])
+    order = np.lexsort((other.u_left, other.u, po.u_left, po.u))
+    by_row = np.empty_like(noise)
+    by_row[:, order] = noise
+    x_j, y_j = randomize_pseudo(po, other, FixedNoise(noise))
+    assert np.array_equal(x_j, po.randomized(by_row[0]))
+    assert np.array_equal(y_j, other.randomized(by_row[1]))
+
+    # the empirical PIT of a column: its jump is [#{< x}, #{<= x}] / n
+    col = np.round(x, 1)
+    n = col.size
+    emp = PseudoObs((col[None, :] <= col[:, None]).sum(axis=1) / n,
+                    (col[None, :] < col[:, None]).sum(axis=1) / n)
+    with mock.patch.object(np.random, "default_rng", return_value=FixedNoise(w)):
+        pit = empirical_randomized_pit(col[:, None], seed=0)[:, 0]
+    assert np.array_equal(pit, emp.randomized(w))
+    assert np.all((emp.u_left <= pit) & (pit <= emp.u))
 
 
 def _rotation_identities(base, u, v):
