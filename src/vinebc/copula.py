@@ -14,6 +14,11 @@ generalized density (Panagiotelis, Czado & Joe 2012) is the copula density
 where both coordinates are continuous, and otherwise the jump of h(a | b) over
 a's jump divided by that jump where a is discrete, or the same with a and b
 swapped.
+
+A jump's left end at 0 (an atom at the bottom of the support) is not
+evaluated: the copula CDF and its partial derivatives are exactly 0 at a zero
+conditioner, and h is exactly 0 at a zero target, so those terms are taken as
+0, which leaves every result bit for bit as the full evaluation gives it.
 """
 from __future__ import annotations
 
@@ -598,6 +603,17 @@ def _check_jumps(gap: np.ndarray, where: np.ndarray) -> None:
         )
 
 
+def _jump_diff(f, t, cu, cl) -> np.ndarray:
+    """f(t, cu) - f(t, cl) over a conditioner's jump [cl, cu], for ``_oriented``'s
+    cdf or slope: both are exactly 0 at a zero conditioner, so f is evaluated at
+    cl only where cl > 0."""
+    out = f(t, cu)
+    pos = cl > 0.0
+    if np.any(pos):
+        out[pos] -= f(t[pos], cl[pos])
+    return out
+
+
 def _oriented(copula: BivariateCopula, direction: int) -> tuple:
     """The copula seen from its target coordinate ``direction`` (1 or 2).
 
@@ -636,7 +652,7 @@ def hfunc(copula: BivariateCopula, direction: int, target_u, conditioner: Pseudo
     if np.any(cont):
         out[cont] = h(t[cont], cu[cont])
     if np.any(disc):
-        out[disc] = (cdf(t[disc], cu[disc]) - cdf(t[disc], cl[disc])) / gap[disc]
+        out[disc] = _jump_diff(cdf, t[disc], cu[disc], cl[disc]) / gap[disc]
     out = np.where(t <= 0.0, 0.0, out)
     out = np.where(t >= 1.0, 1.0, out)
     return np.clip(out, 0.0, 1.0)
@@ -654,19 +670,23 @@ def _h_jump(copula: BivariateCopula, direction: int, target: PseudoObs,
     out_ul = out_u
     disc = target.discrete
     if np.any(disc):
-        out_ul = out_u.copy()
-        out_ul[disc] = hfunc(copula, direction, target.u_left[disc], conditioner[disc])
+        out_ul = np.where(disc, 0.0, out_u)
+        inner = disc & (target.u_left > 0.0)
+        if np.any(inner):
+            out_ul[inner] = hfunc(copula, direction, target.u_left[inner], conditioner[inner])
         out_ul = np.minimum(out_ul, out_u)
     return PseudoObs(out_u, out_ul)
 
 
-def gen_density(copula: BivariateCopula, a: PseudoObs, b: PseudoObs) -> np.ndarray:
+def gen_density(copula: BivariateCopula, a: PseudoObs, b: PseudoObs, h_jumps=None) -> np.ndarray:
     """Generalized copula density of two coordinates, either of them discrete.
 
     The copula density where both are continuous.  Otherwise the jump of
     h(a | b) over a's jump, divided by that jump, where a is discrete (with b
     discrete too, the rectangle probability over both jumps divided by both);
     where only b is discrete, the jump of h(b | a) over b's jump, divided by it.
+    ``h_jumps`` may pass (h(a | b), h(b | a)) on every row, as ``_h_jump``
+    gives them, when the caller already holds them (the vine's edge store).
     """
     au, al, bu, bl = np.broadcast_arrays(a.u, a.u_left, b.u, b.u_left)
     a, b = PseudoObs(au, al), PseudoObs(bu, bl)
@@ -679,7 +699,8 @@ def gen_density(copula: BivariateCopula, a: PseudoObs, b: PseudoObs) -> np.ndarr
         out[cc] = copula.pdf(au[cc], bu[cc])
     for direction, target, conditioner, rows in ((1, a, b, da), (2, b, a, ~da & db)):
         if np.any(rows):
-            h = _h_jump(copula, direction, target[rows], conditioner[rows])
+            h = (_h_jump(copula, direction, target[rows], conditioner[rows]) if h_jumps is None
+                 else h_jumps[direction - 1][rows])
             out[rows] = (h.u - h.u_left) / (target.u[rows] - target.u_left[rows])
     return out
 
@@ -696,7 +717,7 @@ def _discrete_inverse(copula: BivariateCopula, direction: int, w, cu, cl) -> np.
 
     def h_and_slope(t, cu, cl):
         gap = cu - cl
-        return (cdf(t, cu) - cdf(t, cl)) / gap, (slope(t, cu) - slope(t, cl)) / gap
+        return _jump_diff(cdf, t, cu, cl) / gap, _jump_diff(slope, t, cu, cl) / gap
 
     return _safeguarded_newton(h_and_slope, w, h_inverse(w, 0.5 * (cu + cl)), 0.0, 1.0, cu, cl)
 
@@ -760,9 +781,15 @@ def randomize_pseudo(a: PseudoObs, b: PseudoObs, rng: np.random.Generator):
     """One uniform jitter spreading discrete pseudo-observations over their jump.
 
     The jitter is assigned in lexicographic order of the observation values so
-    the result is invariant under relabeling of the input rows.
+    the result is invariant under relabeling of the input rows.  A pair with no
+    discrete row is returned as it is, with no draw; a side with no discrete
+    row has u_left = u, so its u_left is left out of the sort keys.
     """
-    order = np.lexsort((b.u_left, b.u, a.u_left, a.u))
+    da, db = a.discrete.any(), b.discrete.any()
+    if not (da or db):
+        return a.u, b.u
+    keys = ((b.u_left, b.u) if db else (b.u,)) + ((a.u_left, a.u) if da else (a.u,))
+    order = np.lexsort(keys)
     w = np.empty((2, len(a)))
     w[:, order] = rng.uniform(size=w.shape)
     return a.randomized(w[0]), b.randomized(w[1])

@@ -78,6 +78,11 @@ class PseudoObs:
         return np.minimum(self.u_left + w * (self.u - self.u_left), self.u)
 
 
+def _zero_or_nan(x: np.ndarray) -> np.ndarray:
+    """0 at every number and NaN at NaN: a part of a margin where it has no mass."""
+    return np.where(np.isnan(x), np.nan, 0.0)
+
+
 class GridDensity:
     """Piecewise-linear density on a strictly increasing knot grid of z.
 
@@ -125,7 +130,7 @@ class GridDensity:
         x = np.asarray(x, dtype=float)
         if not self.log_scale:
             return f(x)
-        out = np.zeros_like(x)
+        out = _zero_or_nan(x)
         pos = x > 0
         if np.any(pos):
             out[pos] = f(np.log(x[pos])) / x[pos] if jacobian else f(np.log(x[pos]))
@@ -169,12 +174,12 @@ class GridDensity:
         return out
 
     def _quantile_z(self, q):
-        out = np.empty_like(q)
+        out = np.full_like(q, np.nan)  # NaN is in none of the three parts
         k = self.knots
         cum = self._cum
         lo = q < cum[0]
         hi = q > cum[-1]
-        mid = ~(lo | hi)
+        mid = (q >= cum[0]) & (q <= cum[-1])
         with np.errstate(divide="ignore"):
             out[lo] = k[0] + self.tail_scale_lo * np.log(np.maximum(q[lo], 0.0) / self.mass_lo)
             out[hi] = k[-1] - self.tail_scale_hi * np.log(np.maximum(1.0 - q[hi], 0.0) / self.mass_hi)
@@ -260,7 +265,7 @@ class MixtureMarginal:
     def density(self, x):
         """Mixed density: atom mass at atoms, scaled continuous pdf elsewhere."""
         xa = as_float_array(x)
-        out = np.zeros_like(xa)
+        out = _zero_or_nan(xa)
         if self.continuous is not None:
             out = self.continuous_mass * self.continuous.pdf(xa)
         if self.atom_values.size:
@@ -273,7 +278,8 @@ class MixtureMarginal:
     def quantile(self, v):
         """Generalized inverse: smallest x with F(x) >= v.
 
-        A level inside an atom's jump interval maps to the atom value.
+        A level inside an atom's jump interval maps to the atom value, and NaN
+        to NaN.
         """
         va = np.clip(as_float_array(v), 0.0, 1.0)
         out = np.empty_like(va)
@@ -296,12 +302,17 @@ class MixtureMarginal:
                     out[rest] = self.continuous.quantile(np.clip(vc, 0.0, 1.0))
         else:
             out[:] = self.continuous.quantile(va)
+        out[np.isnan(va)] = np.nan
         return maybe_scalar(out, v)
 
     def pseudo_obs(self, x) -> PseudoObs:
-        """F(x) with its left limit F_left(x); the continuous CDF is evaluated once."""
+        """F(x) with its left limit F_left(x), both NaN at NaN; the continuous CDF is
+        evaluated once."""
         xa = as_float_array(x)
-        cont = 0.0 if self.continuous is None else self.continuous_mass * self.continuous.cdf(xa)
+        if self.continuous is None:
+            cont = _zero_or_nan(xa)
+        else:
+            cont = self.continuous_mass * self.continuous.cdf(xa)
         return PseudoObs(*(np.clip(self._atom_csum[np.searchsorted(self.atom_values, xa, side=side)]
                                    + cont, 0.0, 1.0) for side in ("right", "left")))
 
@@ -425,6 +436,6 @@ def randomized_pit(m: MixtureMarginal, x, w):
     """Randomized probability integral transform F_left(x) + w*(F(x) - F_left(x)),
     which is F(x) exactly off the atoms (``PseudoObs.randomized``)."""
     wa = np.asarray(w, dtype=float)
-    if np.any((wa < 0) | (wa > 1)):
+    if not np.all((wa >= 0) & (wa <= 1)):
         raise DomainError("randomization weights must lie in [0, 1]")
     return maybe_scalar(m.pseudo_obs(x).randomized(wa), x, w)

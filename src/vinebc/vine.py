@@ -427,10 +427,11 @@ def vine_log_density(model: VineModel, x) -> np.ndarray:
         store = _run_edges(model, x)
         log_c = 0.0
         for t, tree in enumerate(model.structure.trees):
-            for e in tree:
+            for i, e in enumerate(tree):
                 pa, pb = _edge_input(store, t, e, e.a), _edge_input(store, t, e, e.b)
+                h = store[(t, i)]
                 with np.errstate(divide="ignore"):
-                    log_c = log_c + np.log(gen_density(e.copula, pa, pb))
+                    log_c = log_c + np.log(gen_density(e.copula, pa, pb, (h[e.a], h[e.b])))
         log_f = log_f + log_c
     if np.any(~np.isfinite(log_f)):
         warnings.warn("density is zero at some evaluation points; returning -inf there")
@@ -452,7 +453,9 @@ def rosenblatt_forward(model: VineModel, x, noise) -> np.ndarray:
     w = np.atleast_2d(np.asarray(noise, dtype=float))
     if x.shape != w.shape:
         raise ValueError("noise must match the data shape")
-    if np.any((w < 0) | (w > 1)):
+    if not np.isfinite(x).all():
+        raise ValueError("data must be finite")
+    if not np.all((w >= 0) & (w <= 1)):
         raise ValueError("noise must lie in [0, 1]")
     store = _run_edges(model, x)
     v = np.empty_like(x)
@@ -471,7 +474,7 @@ def rosenblatt_inverse(model: VineModel, v) -> np.ndarray:
     v = np.atleast_2d(np.asarray(v, dtype=float))
     if v.shape[1] != model.d:
         raise ValueError(f"expected {model.d} columns, got {v.shape[1]}")
-    if np.any((v <= 0.0) | (v >= 1.0)):
+    if not np.all((v > 0.0) & (v < 1.0)):
         raise ValueError("uniform levels must lie strictly inside (0, 1)")
     trees = model.structure.trees
     x = np.empty_like(v)

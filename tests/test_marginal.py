@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from conftest import analytic_zi_expon, sample_zi_expon
-from vinebc.errors import EstimationError
+from vinebc.errors import DomainError, EstimationError
 from vinebc.marginal import (
     GRID_SIZE,
     GridDensity,
@@ -216,6 +216,26 @@ def test_randomized_pit_is_exact_and_matches_forward_d1():
     assert np.array_equal(v[off_atom], np.asarray(m.cdf(x[off_atom])))
     model = VineModel(margins=[m], structure=VineStructure(d=1, trees=[]))
     assert np.array_equal(v, rosenblatt_forward(model, x[:, None], w[:, None])[:, 0])
+
+
+@pytest.mark.parametrize("kind", ["interval", "zero_inflated", "atoms only"])
+def test_margin_is_nan_at_nan(kind):
+    rng = np.random.default_rng(15)
+    if kind == "atoms only":
+        m = MixtureMarginal([(0.0, 0.5), (1.0, 0.5)], None, "interval")
+    else:
+        x = sample_zi_expon(500, seed=16) if kind == "zero_inflated" else rng.normal(size=500)
+        m = fit_marginal(x, kind)
+    for f in (m.quantile, m.cdf, m.cdf_left, m.density):
+        assert math.isnan(f(np.nan))
+        got = np.asarray(f(np.array([0.25, np.nan, 0.75])))
+        assert np.isnan(got[1])
+        assert np.array_equal(got[[0, 2]], np.asarray(f(np.array([0.25, 0.75]))))
+    if m.continuous is not None:
+        for f in (m.continuous.quantile, m.continuous.cdf, m.continuous.pdf):
+            assert np.isnan(f(np.array([np.nan]))).all()
+    with pytest.raises(DomainError):
+        randomized_pit(m, 0.5, np.nan)
 
 
 # -- serialization ---------------------------------------------------------------

@@ -14,6 +14,11 @@ Pair-copula strategies are bounded to these parameter ranges:
 * Generalized-density points hold every discreteness pattern of (a, b); a
   continuous coordinate lies in [1e-6, 1 - 1e-6], a discrete one has a jump
   in [1e-6, 0.3] placed anywhere in [0, 1].
+* Rows against the un-skipped evaluation of a jump's zero left end are
+  continuous in [1e-6, 1 - 1e-6], discrete with a jump in [1e-3, 0.3] and a
+  left end in [0, 0.7], or discrete with u_left = 0 and u in [1e-3, 0.6].
+  Jittered pairs have 2 to 24 rows drawn from three continuous values and,
+  on a side that holds atoms, three jumps, one of them starting at 0.
 
 Randomized-PIT samples have 5 to 27 rows of an interval margin with an atom
 of mass [0.01, 0.6] at 0.5 inside its support (a normal on 13 knots), with
@@ -49,6 +54,9 @@ from vinebc.copula import (
     GumbelCopula,
     IndependenceCopula,
     PseudoObs,
+    _h_jump,
+    _oriented,
+    _safeguarded_newton,
     copula_from_dict,
     gen_density,
     hfunc,
@@ -191,6 +199,71 @@ def test_gen_density_is_the_jump_of_h_over_the_discrete_coordinate(cop, pair):
     assert np.all(np.abs(got - want) <= 1e-9 * np.abs(want) + 1e-12 + floor)
 
 
+@st.composite
+def jump_rows(draw, min_size=1):
+    """Rows (u, u_left) that are continuous, discrete anywhere in [0, 1], or
+    discrete with u_left = 0 (an atom at the bottom of the support)."""
+    continuous = unit.map(lambda u: (u, u))
+    anywhere = st.tuples(st.floats(1e-3, 0.3), st.floats(0.0, 0.7)).map(
+        lambda p: (p[1] + p[0], p[1]))
+    at_zero = st.floats(1e-3, 0.6).map(lambda j: (j, 0.0))
+    rows = draw(st.lists(continuous | anywhere | at_zero, min_size=min_size, max_size=16))
+    u, u_left = np.array(rows).T
+    return PseudoObs(u, u_left)
+
+
+def full_hfunc(cop, direction, t, cond):
+    """``hfunc`` with every term evaluated: the copula CDF at both ends of every
+    discrete conditioner's jump, at a zero left end too."""
+    cdf, h, _, _ = _oriented(cop, direction)
+    t, cu, cl = np.broadcast_arrays(np.clip(t, 0.0, 1.0), cond.u, cond.u_left)
+    gap = cu - cl
+    disc = gap > 0.0
+    out = np.empty_like(t)
+    if np.any(~disc):
+        out[~disc] = h(t[~disc], cu[~disc])
+    if np.any(disc):
+        out[disc] = (cdf(t[disc], cu[disc]) - cdf(t[disc], cl[disc])) / gap[disc]
+    out = np.where(t <= 0.0, 0.0, out)
+    out = np.where(t >= 1.0, 1.0, out)
+    return np.clip(out, 0.0, 1.0)
+
+
+@PROPERTY_SETTINGS
+@given(copulas, st.sampled_from((1, 2)), st.data())
+def test_skipped_zero_ends_leave_h_and_its_inverse_bit_identical(cop, direction, data):
+    target = data.draw(jump_rows())
+    n = len(target)
+    cond = data.draw(jump_rows(min_size=n).map(lambda c: c[:n]))
+    assert np.array_equal(hfunc(cop, direction, target.u, cond),
+                          full_hfunc(cop, direction, target.u, cond))
+
+    # h at both ends of the target's jump, a zero left end evaluated too
+    got = _h_jump(cop, direction, target, cond)
+    want_u = full_hfunc(cop, direction, target.u, cond)
+    want_ul = np.where(target.discrete, full_hfunc(cop, direction, target.u_left, cond), want_u)
+    assert np.array_equal(got.u, want_u)
+    assert np.array_equal(got.u_left, np.minimum(want_ul, want_u))
+
+    # the inverse: the same Newton on the fully evaluated difference quotient
+    cdf, _, slope, h_inverse = _oriented(cop, direction)
+
+    def full_h_and_slope(t, cu, cl):
+        gap = cu - cl
+        return (cdf(t, cu) - cdf(t, cl)) / gap, (slope(t, cu) - slope(t, cl)) / gap
+
+    v = np.clip(target.u, 1e-6, 1.0 - 1e-6)
+    cu, cl = cond.u, cond.u_left
+    disc = cond.discrete
+    want = np.empty_like(v)
+    want[~disc] = h_inverse(v[~disc], cu[~disc])
+    if np.any(disc):
+        mid = 0.5 * (cu[disc] + cl[disc])
+        want[disc] = _safeguarded_newton(full_h_and_slope, v[disc], h_inverse(v[disc], mid),
+                                         0.0, 1.0, cu[disc], cl[disc])
+    assert np.array_equal(hfunc_inverse(cop, direction, v, cond), want)
+
+
 class FixedNoise:
     """Stands in for a numpy Generator whose ``uniform`` returns the given noise."""
 
@@ -200,6 +273,36 @@ class FixedNoise:
     def uniform(self, size):
         assert np.shape(self.noise) == tuple(np.atleast_1d(size))
         return self.noise
+
+
+@st.composite
+def tied_pairs(draw):
+    """Pairs of 2 to 24 rows whose values repeat: each side is all continuous
+    or holds discrete rows, some of them with u_left = 0."""
+    n = draw(st.integers(2, 24))
+
+    def side():
+        values = [(u, u) for u in (0.2, 0.5, 0.7)]
+        if draw(st.booleans()):
+            values += [(0.3, 0.0), (0.5, 0.3), (0.9, 0.7)]
+        rows = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+        u, u_left = np.array(rows).T
+        return PseudoObs(u, u_left)
+
+    return side(), side()
+
+
+@PROPERTY_SETTINGS
+@given(tied_pairs())
+def test_jitter_follows_the_four_key_order(pair):
+    a, b = pair
+    noise = np.linspace(0.01, 0.99, 2 * len(a)).reshape(2, -1)
+    order = np.lexsort((b.u_left, b.u, a.u_left, a.u))
+    by_row = np.empty_like(noise)
+    by_row[:, order] = noise
+    x, y = randomize_pseudo(a, b, FixedNoise(noise))
+    assert np.array_equal(x, a.randomized(by_row[0]))
+    assert np.array_equal(y, b.randomized(by_row[1]))
 
 
 def _normal_grid_density():

@@ -22,7 +22,9 @@ from vinebc.vine import (
     VineModel,
     VineStructure,
     _build_vine,
+    _edge_input,
     _marginal_pseudo,
+    _run_edges,
     count_structures,
     fit_vine,
     rosenblatt_forward,
@@ -373,6 +375,30 @@ def test_log_density_d2_vine_matches_direct_all_patterns():
     assert np.abs(got - direct).max() < 1e-10
 
 
+def test_log_density_reads_each_edge_from_the_edge_store(mixed_model, monkeypatch):
+    x = vine_sample(mixed_model, 600, seed=5)
+    assert 0 < (x[:, 0] == 0.0).sum() < 600
+    # the density as it was computed before the store was read: every edge's
+    # generalized density evaluates its own h-jumps again
+    want = sum(np.log(np.asarray(m.density(x[:, j]))) for j, m in enumerate(mixed_model.margins))
+    store = _run_edges(mixed_model, x)
+    log_c = 0.0
+    for t, tree in enumerate(mixed_model.structure.trees):
+        for e in tree:
+            log_c = log_c + np.log(gen_density(e.copula, _edge_input(store, t, e, e.a),
+                                               _edge_input(store, t, e, e.b)))
+    want = want + log_c
+
+    calls = []
+    hfunc = vinebc.copula.hfunc
+    monkeypatch.setattr(vinebc.copula, "hfunc", lambda *a: calls.append(1) or hfunc(*a))
+    _run_edges(mixed_model, x)
+    n_store = len(calls)
+    got = vine_log_density(mixed_model, x)
+    assert np.array_equal(got, want)
+    assert len(calls) == 2 * n_store
+
+
 def test_log_density_zero_returns_neg_inf():
     m = MixtureMarginal(atoms=[], continuous=FrozenContinuous(stats.uniform(0, 1)), kind="interval")
     model = _manual_two_var_model(IndependenceCopula(), [m, m])
@@ -430,6 +456,24 @@ def test_inverse_independence_vine_is_marginal_quantile():
     assert x[0, 0] == 0.0
     assert x[0, 1] == pytest.approx(stats.norm.ppf(0.75))
     assert x[1, 0] == pytest.approx(float(np.asarray(m1.quantile(0.9))))
+
+
+def test_transforms_reject_nan(mixed_model):
+    x = vine_sample(mixed_model, 4, seed=6)
+    w = np.full(x.shape, 0.5)
+    w_nan = w.copy()
+    w_nan[1, 0] = np.nan
+    with pytest.raises(ValueError, match="noise"):
+        rosenblatt_forward(mixed_model, x, w_nan)
+    for bad in (np.nan, np.inf):
+        x_bad = x.copy()
+        x_bad[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            rosenblatt_forward(mixed_model, x_bad, w)
+    v = np.full(x.shape, 0.5)
+    v[0, 2] = np.nan
+    with pytest.raises(ValueError, match="inside"):
+        rosenblatt_inverse(mixed_model, v)
 
 
 def test_inverse_then_forward_reproduces_uniforms():
