@@ -780,16 +780,28 @@ def kendall_tau(x, y) -> float:
 def randomize_pseudo(a: PseudoObs, b: PseudoObs, rng: np.random.Generator):
     """One uniform jitter spreading discrete pseudo-observations over their jump.
 
-    The jitter is assigned in lexicographic order of the observation values so
-    the result is invariant under relabeling of the input rows.  A pair with no
-    discrete row is returned as it is, with no draw; a side with no discrete
-    row has u_left = u, so its u_left is left out of the sort keys.
+    The jitter is assigned in lexicographic order of the observation values
+    (a.u, a.u_left, b.u, b.u_left) so the result is invariant under
+    relabeling of the input rows; only the tied runs of a.u are sorted on the
+    other keys.  A pair with no discrete row is returned as it is, with no
+    draw; a side with no discrete row has u_left = u, so its u_left is left
+    out of the sort keys.
     """
     da, db = a.discrete.any(), b.discrete.any()
     if not (da or db):
         return a.u, b.u
-    keys = ((b.u_left, b.u) if db else (b.u,)) + ((a.u_left, a.u) if da else (a.u,))
-    order = np.lexsort(keys)
+    order = np.argsort(a.u, kind="stable")
+    ranked = a.u[order]
+    same = ranked[1:] == ranked[:-1]
+    if same.any():
+        tied = np.zeros(len(a), dtype=bool)
+        tied[1:] = same
+        tied[:-1] |= same
+        run = np.concatenate(([0], np.cumsum(~same)))[tied]
+        rows = order[tied]
+        keys = ((b.u_left[rows],) if db else ()) + (b.u[rows],)
+        keys += ((a.u_left[rows],) if da else ()) + (run,)
+        order[tied] = rows[np.lexsort(keys)]
     w = np.empty((2, len(a)))
     w[:, order] = rng.uniform(size=w.shape)
     return a.randomized(w[0]), b.randomized(w[1])

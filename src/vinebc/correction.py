@@ -24,7 +24,7 @@ from ._util import as_float_array, maybe_scalar, subseed
 from .copula import DEFAULT_FAMILY_SET, check_family_set
 from .errors import SchemaError
 from .marginal import MixtureMarginal, fit_marginal, normalize_kind
-from .vine import fit_vine, rosenblatt_forward, rosenblatt_inverse
+from .vine import fit_vine, rosenblatt_forward_from_fit, rosenblatt_inverse
 
 _NOISE_TAG = 11
 _MP_TAG = 12
@@ -139,8 +139,10 @@ def apply_correction(x_mp, reference: ReferenceFit, config: CorrectionConfig,
 
     The projection model (a vine seeded by ``subseed(config.seed, 12)`` for
     VBC, margins for UBC) is fitted to ``mp_fit``, an optional
-    overlap-extended estimation set, or else to ``x_mp``.  Returns the
-    corrected rows, aligned with ``x_mp`` and in order.
+    overlap-extended estimation set, or else to ``x_mp``.  VBC reads the
+    forward Rosenblatt transform of ``x_mp`` from the edge store of that fit
+    (``vine.rosenblatt_forward_from_fit``), so the projection vine is walked
+    once.  Returns the corrected rows, aligned with ``x_mp`` and in order.
     """
     x_mp = np.asarray(x_mp, dtype=float)
     kinds = reference.kinds
@@ -149,9 +151,12 @@ def apply_correction(x_mp, reference: ReferenceFit, config: CorrectionConfig,
                           f"reference {len(kinds)}")
     x_fit = x_mp if mp_fit is None else np.asarray(mp_fit, dtype=float)
     if reference.method == "vbc":
-        vine_mp = fit_vine(x_fit, kinds, seed=subseed(config.seed, _MP_TAG), **config.vine_kwargs())
+        store = {}
+        vine_mp = fit_vine(x_fit, kinds, seed=subseed(config.seed, _MP_TAG),
+                           **config.vine_kwargs(), store=store)
         noise = np.random.default_rng(subseed(config.seed, _NOISE_TAG)).uniform(size=x_mp.shape)
-        v = np.clip(rosenblatt_forward(vine_mp, x_mp, noise), 1e-9, 1.0 - 1e-9)
+        v = np.clip(rosenblatt_forward_from_fit(vine_mp, x_mp, noise, mp_fit, store), 1e-9, 1.0 - 1e-9)
+        del store  # free it before the inverse transform, which needs none of it
         x_hat_mc = rosenblatt_inverse(reference.model, v)
         mp_margins = vine_mp.margins
     else:

@@ -123,6 +123,7 @@ class ClimateTable:
         self.timestamps = ts
         self.members = mem
         self.values = vals
+        self._months = self._hours = None
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -140,11 +141,19 @@ class ClimateTable:
         return [v.name for v in self.variables]
 
     def months(self) -> np.ndarray:
-        return (self.timestamps.astype("datetime64[M]").astype(int) % 12) + 1
+        """The calendar month (1-12) of each row, computed once per table; read-only."""
+        if self._months is None:
+            self._months = (self.timestamps.astype("datetime64[M]").astype(int) % 12) + 1
+            self._months.flags.writeable = False
+        return self._months
 
     def hours(self) -> np.ndarray:
-        day = self.timestamps.astype("datetime64[D]")
-        return (self.timestamps - day).astype("timedelta64[h]").astype(int)
+        """The hour of day (0-23) of each row, computed once per table; read-only."""
+        if self._hours is None:
+            day = self.timestamps.astype("datetime64[D]")
+            self._hours = (self.timestamps - day).astype("timedelta64[h]").astype(int)
+            self._hours.flags.writeable = False
+        return self._hours
 
 
 def load_table(path, schema) -> ClimateTable:

@@ -10,6 +10,10 @@ maximum spanning tree on absolute Kendall's tau.  Each candidate pair is
 jittered once, jointly, across its atoms' jumps; its tau and, if the pair is
 chosen, its copula fit share that one draw, so the structure does not depend
 on the order of the rows.
+
+The forward Rosenblatt transform is read from an edge store: that of a fresh
+edge walk, or the one a fit built on its own rows, so the fit rows are
+transformed without a second walk (``rosenblatt_forward_from_fit``).
 """
 from __future__ import annotations
 
@@ -381,8 +385,14 @@ def fit_vine(
     seed: int = 0,
     truncation: int | None = None,
     var_names=None,
+    *,
+    store: dict | None = None,
 ) -> VineModel:
-    """Fit margins, select the structure and estimate all pair copulas."""
+    """Fit margins, select the structure and estimate all pair copulas.
+
+    A dict passed as ``store`` receives the fit's edge store on ``data``,
+    which ``rosenblatt_forward_from_fit`` reads.
+    """
     family_set = check_family_set(family_set)
     x = np.asarray(data, dtype=float)
     if x.ndim != 2:
@@ -398,12 +408,15 @@ def fit_vine(
             name = var_names[j] if var_names else f"variable {j}"
             raise EstimationError(f"margin of {name} has no continuous mass")
         margins.append(m)
+    edges = _marginal_pseudo(margins, x)
     if d == 1:
         structure = VineStructure(d=1, trees=[])
     else:
-        trees = _build_vine(_marginal_pseudo(margins, x), family_set, seed, truncation)
+        trees = _build_vine(edges, family_set, seed, truncation)
         structure = VineStructure(d=d, trees=trees)
         structure.validate()
+    if store is not None:
+        store.update(edges)
     return VineModel(margins=margins, structure=structure, var_names=list(var_names) if var_names else None)
 
 
@@ -441,26 +454,71 @@ def vine_log_density(model: VineModel, x) -> np.ndarray:
 # -- Rosenblatt transforms ------------------------------------------------------
 
 
-def rosenblatt_forward(model: VineModel, x, noise) -> np.ndarray:
-    """Randomized forward Rosenblatt transform along the vine.
-
-    Column j of the output carries the randomized conditional CDF of
-    variable j given the variables that precede it in the diagonal order:
-    V = F_left + W * (F - F_left), with the supplied noise W in [0, 1], and
-    V = F exactly where F_left = F (``PseudoObs.randomized``).
-    """
+def _forward_inputs(model: VineModel, x, noise) -> tuple:
+    """The data and noise of a forward transform as 2-d arrays, checked."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     w = np.atleast_2d(np.asarray(noise, dtype=float))
+    if x.shape[1] != model.d:
+        raise ValueError(f"expected {model.d} columns, got {x.shape[1]}")
     if x.shape != w.shape:
         raise ValueError("noise must match the data shape")
     if not np.isfinite(x).all():
         raise ValueError("data must be finite")
     if not np.all((w >= 0) & (w <= 1)):
         raise ValueError("noise must lie in [0, 1]")
-    store = _run_edges(model, x)
-    v = np.empty_like(x)
+    return x, w
+
+
+def _read_forward(model: VineModel, store: dict, w: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """The randomized forward transform of the store's rows ``rows`` with noise w."""
+    v = np.empty_like(w)
     for var, chain, _ in model._steps:
-        v[:, var] = store[chain[0] if chain else (-1, var)][var].randomized(w[:, var])
+        v[:, var] = store[chain[0] if chain else (-1, var)][var][rows].randomized(w[:, var])
+    return v
+
+
+def rosenblatt_forward(model: VineModel, x, noise) -> np.ndarray:
+    """Randomized forward Rosenblatt transform along the vine.
+
+    Column j of the output carries the randomized conditional CDF of
+    variable j given the variables that precede it in the diagonal order:
+    V = F_left + W * (F - F_left), with the supplied noise W in [0, 1], and
+    V = F exactly where F_left = F (``PseudoObs.randomized``), read from the
+    store of an edge walk on x.
+    """
+    x, w = _forward_inputs(model, x, noise)
+    return _read_forward(model, _run_edges(model, x), w)
+
+
+def _row_positions(x: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """The index of a row of ``pool`` equal to each row of x bit for bit, -1 where none."""
+    row = np.dtype((np.void, x.dtype.itemsize * x.shape[1]))
+    keys = np.ascontiguousarray(pool).view(row).ravel()
+    want = np.ascontiguousarray(x).view(row).ravel()
+    order = np.argsort(keys)
+    ranked = keys[order]
+    at = np.minimum(np.searchsorted(ranked, want), keys.size - 1)
+    return np.where(ranked[at] == want, order[at], -1)
+
+
+def rosenblatt_forward_from_fit(model: VineModel, x, noise, x_fit, store: dict) -> np.ndarray:
+    """``rosenblatt_forward(model, x, noise)`` for a model fitted to ``x_fit``,
+    or to x itself when ``x_fit`` is None.
+
+    ``store`` is the edge store that ``fit_vine(..., store=store)`` filled on
+    the fit rows.  Each h-output depends on its own row alone, so a row of x
+    equal bit for bit to a fit row is read from the store with the result
+    ``rosenblatt_forward`` gives; the other rows take the edge walk.
+    """
+    x, w = _forward_inputs(model, x, noise)
+    if x_fit is None:
+        return _read_forward(model, store, w)
+    at = _row_positions(x, np.asarray(x_fit, dtype=float))
+    hit = at >= 0
+    v = np.empty_like(w)
+    v[hit] = _read_forward(model, store, w[hit], at[hit])
+    if not hit.all():
+        v[~hit] = rosenblatt_forward(model, x[~hit], w[~hit])
     return v
 
 

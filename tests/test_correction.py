@@ -11,7 +11,7 @@ from vinebc.correction import (
     ubc_correct,
     vbc_correct,
 )
-from vinebc.errors import SchemaError
+from vinebc.errors import EstimationError, SchemaError
 from vinebc.evaluation import improvement_iw2, mci
 from vinebc.marginal import fit_marginal
 
@@ -153,6 +153,17 @@ def test_correctors_are_the_two_steps(truth5, biased5, method, corrector):
         apply_correction(x_mp[:, :4], reference, cfg)
     with pytest.raises(ValueError, match="unknown method"):
         fit_reference("qm", x_rc, x_mc, KINDS5, cfg)
+
+
+def test_vbc_rejects_non_finite_projection_rows(truth5, biased5):
+    reference = fit_reference("vbc", truth5.sample(800, 61), biased5.sample(800, 62), KINDS5, CFG)
+    x_mp = biased5.sample(600, 63)
+    bad = x_mp.copy()
+    bad[5, 0] = np.nan
+    with pytest.raises(EstimationError, match="sample contains non-finite values"):
+        apply_correction(bad, reference, CFG)
+    with pytest.raises(ValueError, match="data must be finite"):
+        apply_correction(bad, reference, CFG, mp_fit=x_mp)
 
 
 # -- ubc -------------------------------------------------------------------------

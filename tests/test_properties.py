@@ -17,8 +17,10 @@ Pair-copula strategies are bounded to these parameter ranges:
 * Rows against the un-skipped evaluation of a jump's zero left end are
   continuous in [1e-6, 1 - 1e-6], discrete with a jump in [1e-3, 0.3] and a
   left end in [0, 0.7], or discrete with u_left = 0 and u in [1e-3, 0.6].
-  Jittered pairs have 2 to 24 rows drawn from three continuous values and,
-  on a side that holds atoms, three jumps, one of them starting at 0.
+  Jittered pairs have 2 to 24 rows drawn from five continuous values, a
+  continuous value of the row's own in [0.06, 0.94] and, on a side that
+  holds atoms, five jumps, one of them starting at 0; the least value (0.05)
+  and the greatest (0.95) each hold a continuous row and a jump.
 
 Randomized-PIT samples have 5 to 27 rows of an interval margin with an atom
 of mass [0.01, 0.6] at 0.5 inside its support (a normal on 13 knots), with
@@ -278,14 +280,17 @@ class FixedNoise:
 @st.composite
 def tied_pairs(draw):
     """Pairs of 2 to 24 rows whose values repeat: each side is all continuous
-    or holds discrete rows, some of them with u_left = 0."""
+    or holds discrete rows, some of them with u_left = 0.  A run of equal u
+    holds continuous rows, discrete rows or both (one u, different u_left),
+    also at the least and the greatest u; other rows take a value of their own."""
     n = draw(st.integers(2, 24))
 
     def side():
-        values = [(u, u) for u in (0.2, 0.5, 0.7)]
+        values = [(u, u) for u in (0.05, 0.2, 0.5, 0.7, 0.95)]
         if draw(st.booleans()):
-            values += [(0.3, 0.0), (0.5, 0.3), (0.9, 0.7)]
-        rows = draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+            values += [(0.05, 0.0), (0.3, 0.0), (0.5, 0.3), (0.9, 0.7), (0.95, 0.6)]
+        own = st.floats(0.06, 0.94).map(lambda u: (u, u))
+        rows = draw(st.lists(st.sampled_from(values) | own, min_size=n, max_size=n))
         u, u_left = np.array(rows).T
         return PseudoObs(u, u_left)
 
@@ -294,6 +299,14 @@ def tied_pairs(draw):
 
 @PROPERTY_SETTINGS
 @given(tied_pairs())
+# runs of a.u at the first and the last sorted positions, each mixing
+# continuous and discrete rows, around a continuous run and a lone row
+@example((PseudoObs([0.95, 0.05, 0.4, 0.05, 0.95, 0.4, 0.6, 0.05, 0.95],
+                    [0.6, 0.05, 0.4, 0.0, 0.95, 0.4, 0.6, 0.05, 0.6]),
+          PseudoObs([0.5, 0.5, 0.2, 0.5, 0.5, 0.2, 0.9, 0.3, 0.5],
+                    [0.3, 0.5, 0.2, 0.0, 0.3, 0.2, 0.7, 0.0, 0.5])))
+@example((PseudoObs([0.7, 0.7, 0.2, 0.2], [0.7, 0.7, 0.2, 0.2]),
+          PseudoObs([0.9, 0.3, 0.9, 0.3], [0.7, 0.0, 0.9, 0.3])))
 def test_jitter_follows_the_four_key_order(pair):
     a, b = pair
     noise = np.linspace(0.01, 0.99, 2 * len(a)).reshape(2, -1)

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 import vinebc.copula
+import vinebc.vine
 from conftest import (
     PARAMETRIC_FAMILIES,
     TAU5,
@@ -28,6 +29,7 @@ from vinebc.vine import (
     count_structures,
     fit_vine,
     rosenblatt_forward,
+    rosenblatt_forward_from_fit,
     rosenblatt_inverse,
     vine_log_density,
     vine_sample,
@@ -474,6 +476,85 @@ def test_transforms_reject_nan(mixed_model):
     v[0, 2] = np.nan
     with pytest.raises(ValueError, match="inside"):
         rosenblatt_inverse(mixed_model, v)
+
+
+def test_forward_rejects_a_column_count_other_than_d(mixed_model):
+    x = vine_sample(mixed_model, 4, seed=7)
+    for cols in (x[:, :2], np.hstack([x, x[:, :1]])):
+        with pytest.raises(ValueError, match="expected 3 columns"):
+            rosenblatt_forward(mixed_model, cols, np.full(cols.shape, 0.5))
+
+
+def _zero_inflated_rows(n, seed):
+    """Rows of a zero-inflated, an interval and a nonnegative variable, dependent."""
+    rng = np.random.default_rng(seed)
+    z = rng.multivariate_normal(np.zeros(3), nearest_correlation(np.full((3, 3), 0.4)), size=n)
+    return np.column_stack([np.where(z[:, 0] < -0.3, 0.0, z[:, 0] + 0.3), z[:, 1], np.exp(z[:, 2])])
+
+
+@pytest.fixture(scope="module")
+def fit_with_store():
+    """A vine fitted to rows that repeat some rows, with the edge store of the fit."""
+    base = _zero_inflated_rows(800, 41)
+    x_fit = np.vstack([base, base[[3, 3, 17, 250]]])
+    store = {}
+    model = fit_vine(x_fit, ["zero_inflated", "interval", "nonnegative"],
+                     family_set=PARAMETRIC_FAMILIES, seed=5, store=store)
+    return model, x_fit, store
+
+
+def _walks(monkeypatch):
+    """Record the row count of every edge walk of the forward transform."""
+    rows, run_edges = [], vinebc.vine._run_edges
+
+    def counted(model, x):
+        rows.append(len(x))
+        return run_edges(model, x)
+
+    monkeypatch.setattr(vinebc.vine, "_run_edges", counted)
+    return rows
+
+
+def test_fit_store_is_the_edge_walk_of_the_fit_rows(fit_with_store):
+    model, x_fit, store = fit_with_store
+    walked = _run_edges(model, x_fit)
+    assert store.keys() == walked.keys()
+    for key, outputs in walked.items():
+        for var, po in outputs.items():
+            assert po.u.tobytes() == store[key][var].u.tobytes()
+            assert po.u_left.tobytes() == store[key][var].u_left.tobytes()
+
+
+def test_forward_from_fit_reads_the_fit_rows(fit_with_store, monkeypatch):
+    model, x_fit, store = fit_with_store
+    w = np.random.default_rng(42).uniform(size=x_fit.shape)
+    want = rosenblatt_forward(model, x_fit, w)
+    walks = _walks(monkeypatch)
+    assert rosenblatt_forward_from_fit(model, x_fit, w, None, store).tobytes() == want.tobytes()
+    # a scattered subset, out of order, that repeats rows of x_fit and rows
+    # that x_fit holds twice
+    rows = np.array([802, 3, 799, 0, 17, 17, 250, 801, 3, 560, 800])
+    assert np.unique(x_fit[rows], axis=0).shape[0] < rows.size
+    got = rosenblatt_forward_from_fit(model, x_fit[rows], w[rows], x_fit, store)
+    assert walks == []
+    assert got.tobytes() == rosenblatt_forward(model, x_fit[rows], w[rows]).tobytes()
+
+
+def test_forward_from_fit_walks_the_rows_the_fit_lacks(fit_with_store, monkeypatch):
+    model, x_fit, store = fit_with_store
+    x = np.vstack([x_fit[[10, 5]], _zero_inflated_rows(3, 43), x_fit[[7]]])
+    x[1, 1] = np.nextafter(x[1, 1], np.inf)  # one ulp off a fit row
+    w = np.random.default_rng(44).uniform(size=x.shape)
+    want = rosenblatt_forward(model, x, w)
+    walks = _walks(monkeypatch)
+    assert rosenblatt_forward_from_fit(model, x, w, x_fit, store).tobytes() == want.tobytes()
+    assert walks == [4]
+    w[0, 0] = 1.5
+    with pytest.raises(ValueError, match="noise"):
+        rosenblatt_forward_from_fit(model, x, w, x_fit, store)
+    x[0, 2] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        rosenblatt_forward_from_fit(model, x, np.full(x.shape, 0.5), x_fit, store)
 
 
 def test_inverse_then_forward_reproduces_uniforms():
