@@ -301,10 +301,13 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
             if key.label in reference_failures:
                 unit_failures[unit] = reference_failures[key.label]
                 continue
+            # both row lists are sorted and the core rows lie among the
+            # estimation rows, so a core row's position is its rank there
             est_rows = mp_chunks[key].estimation_rows
-            tasks[unit] = partial(apply_correction, mp.values[rows], references[key.label],
+            fit_rows = est_rows[mp.members[est_rows] == member]
+            tasks[unit] = partial(apply_correction, mp.values[fit_rows], references[key.label],
                                   config.with_seed(unit_seed),
-                                  mp_fit=mp.values[est_rows[mp.members[est_rows] == member]])
+                                  rows=np.searchsorted(fit_rows, rows))
         results, failures = _map_units(tasks, workers, pool)
     failures.update(unit_failures)
 
@@ -393,18 +396,22 @@ def cmd_evaluate(cfg: dict, model_path: str, corrected_path: str, ref_path: str,
 
     method = "corrected"
     ref_chunks = make_chunks(ref)
-    plan, tasks, not_corrected = {}, {}, {}
+    plan, tasks, unit_failures = {}, {}, {}
     for unit, key, member, unit_seed, rows in _units(model, make_chunks(model), seed):
-        ref_rows = ref_chunks[key].core_rows
-        if rows.size == 0 or ref_rows.size == 0:
+        if rows.size == 0:
             continue
         n_present = int(present[rows].sum())
         if n_present == 0:
-            not_corrected[unit] = "not corrected: the corrected table has none of its rows"
+            unit_failures[unit] = "not corrected: the corrected table has none of its rows"
             continue
         if n_present < rows.size:
             raise VinebcError(f"unit {unit} is only partly corrected: the corrected table has "
                               f"{n_present} of its {rows.size} rows")
+        ref_rows = ref_chunks[key].core_rows
+        if ref_rows.size == 0:
+            unit_failures[unit] = (f"not evaluated: the reference table has no rows "
+                                   f"in chunk {key.label}")
+            continue
         plan[unit] = (key, member, unit_seed, rows)
         tasks[unit] = partial(_evaluate_unit, model.values[rows], corrected_values[rows],
                               ref.values[ref_rows], unit_seed)
@@ -412,7 +419,7 @@ def cmd_evaluate(cfg: dict, model_path: str, corrected_path: str, ref_path: str,
     report = MetricReport()
     series_rows = []
     results, failures = _map_units(tasks, cfg.get("workers", 1))
-    failures.update(not_corrected)
+    failures.update(unit_failures)
     for unit, (w2_model, w2_corr, margin, cop, series, mci_mean) in results.items():
         key, member, unit_seed, rows = plan[unit]
         report.add(

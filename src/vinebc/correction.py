@@ -10,9 +10,9 @@ no cross-variable coupling.
 
 Both correctors run in two steps.  ``fit_reference`` fits what depends on
 the reference and calibration rows alone (the reference vine or margins, and
-the calibration margins); ``apply_correction`` fits the projection model and
-corrects the projection rows against it, so the members of one chunk can
-share the first step.
+the calibration margins); ``apply_correction`` fits the projection model to a
+member's estimation rows and corrects the rows it names by their positions
+there, so the members of one chunk can share the first step.
 """
 from __future__ import annotations
 
@@ -133,29 +133,30 @@ def fit_reference(method: str, x_rc, x_mc, kinds, config: CorrectionConfig) -> R
     return ReferenceFit(method, kinds, model, mc_margins)
 
 
-def apply_correction(x_mp, reference: ReferenceFit, config: CorrectionConfig,
-                     mp_fit=None) -> np.ndarray:
-    """The second step: correct the projection rows ``x_mp`` against ``reference``.
+def apply_correction(x_fit, reference: ReferenceFit, config: CorrectionConfig,
+                     rows=None) -> np.ndarray:
+    """The second step: fit the projection model to ``x_fit`` and correct the
+    rows ``x_fit[rows]`` (every row when ``rows`` is None) against ``reference``.
 
-    The projection model (a vine seeded by ``subseed(config.seed, 12)`` for
-    VBC, margins for UBC) is fitted to ``mp_fit``, an optional
-    overlap-extended estimation set, or else to ``x_mp``.  VBC reads the
-    forward Rosenblatt transform of ``x_mp`` from the edge store of that fit
-    (``vine.rosenblatt_forward_from_fit``), so the projection vine is walked
-    once.  Returns the corrected rows, aligned with ``x_mp`` and in order.
+    The projection model is a vine seeded by ``subseed(config.seed, 12)`` for
+    VBC, margins for UBC; ``x_fit`` is the projection rows or an
+    overlap-extended estimation set that holds them.  VBC reads the forward
+    Rosenblatt transform of the corrected rows from the edge store of that
+    fit (``vine.rosenblatt_forward_from_fit``), so the projection vine is
+    walked once.  Returns the corrected rows, aligned with ``rows`` and in order.
     """
-    x_mp = np.asarray(x_mp, dtype=float)
+    x_fit = np.asarray(x_fit, dtype=float)
     kinds = reference.kinds
-    if x_mp.shape[1] != len(kinds):
-        raise SchemaError(f"variable count mismatch: projection {x_mp.shape[1]}, "
+    if x_fit.shape[1] != len(kinds):
+        raise SchemaError(f"variable count mismatch: projection {x_fit.shape[1]}, "
                           f"reference {len(kinds)}")
-    x_fit = x_mp if mp_fit is None else np.asarray(mp_fit, dtype=float)
+    x_mp = x_fit if rows is None else x_fit[rows]
     if reference.method == "vbc":
         store = {}
         vine_mp = fit_vine(x_fit, kinds, seed=subseed(config.seed, _MP_TAG),
                            **config.vine_kwargs(), store=store)
         noise = np.random.default_rng(subseed(config.seed, _NOISE_TAG)).uniform(size=x_mp.shape)
-        v = np.clip(rosenblatt_forward_from_fit(vine_mp, x_mp, noise, mp_fit, store), 1e-9, 1.0 - 1e-9)
+        v = np.clip(rosenblatt_forward_from_fit(vine_mp, store, noise, rows), 1e-9, 1.0 - 1e-9)
         del store  # free it before the inverse transform, which needs none of it
         x_hat_mc = rosenblatt_inverse(reference.model, v)
         mp_margins = vine_mp.margins
@@ -178,21 +179,20 @@ def _project(x_hat_mc, x_mp, mc_margins, mp_margins, kinds) -> np.ndarray:
     return out
 
 
-def vbc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig, mp_fit=None) -> CorrectedSet:
+def vbc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig) -> CorrectedSet:
     """Multivariate vine-copula correction of the projection rows.
 
-    The reference vine is fitted to ``x_rc``, the reference estimation sample;
-    ``mp_fit`` optionally supplies an overlap-extended estimation set for the
-    projection vine.  The rows of ``x_mp`` are the ones corrected and
+    The reference vine is fitted to ``x_rc``, the reference estimation sample,
+    and the projection vine to ``x_mp``, whose rows are corrected and
     returned, aligned and in order.  ``x_mc`` pools all ensemble members of
     the calibration period and only feeds the per-variable delta mapping.
     This is ``fit_reference`` followed by ``apply_correction``.
     """
     reference = fit_reference("vbc", x_rc, x_mc, kinds, config)
-    return CorrectedSet(apply_correction(x_mp, reference, config, mp_fit=mp_fit))
+    return CorrectedSet(apply_correction(x_mp, reference, config))
 
 
-def ubc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig, mp_fit=None) -> CorrectedSet:
+def ubc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig) -> CorrectedSet:
     """Univariate quantile-delta-mapping baseline; preserves per-margin ranks.
 
     UBC has no settings of its own: ``config`` is taken so that both
@@ -200,4 +200,4 @@ def ubc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig, mp_fit=None) 
     ``apply_correction``.
     """
     reference = fit_reference("ubc", x_rc, x_mc, kinds, config)
-    return CorrectedSet(apply_correction(x_mp, reference, config, mp_fit=mp_fit))
+    return CorrectedSet(apply_correction(x_mp, reference, config))

@@ -12,8 +12,9 @@ chosen, its copula fit share that one draw, so the structure does not depend
 on the order of the rows.
 
 The forward Rosenblatt transform is read from an edge store: that of a fresh
-edge walk, or the one a fit built on its own rows, so the fit rows are
-transformed without a second walk (``rosenblatt_forward_from_fit``).
+edge walk, or the one a fit built on its own rows, so rows of the fit, named
+by their positions in it, are transformed without a second walk
+(``rosenblatt_forward_from_fit``).
 """
 from __future__ import annotations
 
@@ -391,7 +392,8 @@ def fit_vine(
     """Fit margins, select the structure and estimate all pair copulas.
 
     A dict passed as ``store`` receives the fit's edge store on ``data``,
-    which ``rosenblatt_forward_from_fit`` reads.
+    from which ``rosenblatt_forward_from_fit`` reads the forward transform of
+    the rows of ``data`` at given positions.
     """
     family_set = check_family_set(family_set)
     x = np.asarray(data, dtype=float)
@@ -454,29 +456,6 @@ def vine_log_density(model: VineModel, x) -> np.ndarray:
 # -- Rosenblatt transforms ------------------------------------------------------
 
 
-def _forward_inputs(model: VineModel, x, noise) -> tuple:
-    """The data and noise of a forward transform as 2-d arrays, checked."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    w = np.atleast_2d(np.asarray(noise, dtype=float))
-    if x.shape[1] != model.d:
-        raise ValueError(f"expected {model.d} columns, got {x.shape[1]}")
-    if x.shape != w.shape:
-        raise ValueError("noise must match the data shape")
-    if not np.isfinite(x).all():
-        raise ValueError("data must be finite")
-    if not np.all((w >= 0) & (w <= 1)):
-        raise ValueError("noise must lie in [0, 1]")
-    return x, w
-
-
-def _read_forward(model: VineModel, store: dict, w: np.ndarray, rows=slice(None)) -> np.ndarray:
-    """The randomized forward transform of the store's rows ``rows`` with noise w."""
-    v = np.empty_like(w)
-    for var, chain, _ in model._steps:
-        v[:, var] = store[chain[0] if chain else (-1, var)][var][rows].randomized(w[:, var])
-    return v
-
-
 def rosenblatt_forward(model: VineModel, x, noise) -> np.ndarray:
     """Randomized forward Rosenblatt transform along the vine.
 
@@ -486,39 +465,34 @@ def rosenblatt_forward(model: VineModel, x, noise) -> np.ndarray:
     V = F exactly where F_left = F (``PseudoObs.randomized``), read from the
     store of an edge walk on x.
     """
-    x, w = _forward_inputs(model, x, noise)
-    return _read_forward(model, _run_edges(model, x), w)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != model.d:
+        raise ValueError(f"expected {model.d} columns, got {x.shape[1]}")
+    if not np.isfinite(x).all():
+        raise ValueError("data must be finite")
+    return rosenblatt_forward_from_fit(model, _run_edges(model, x), noise)
 
 
-def _row_positions(x: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """The index of a row of ``pool`` equal to each row of x bit for bit, -1 where none."""
-    row = np.dtype((np.void, x.dtype.itemsize * x.shape[1]))
-    keys = np.ascontiguousarray(pool).view(row).ravel()
-    want = np.ascontiguousarray(x).view(row).ravel()
-    order = np.argsort(keys)
-    ranked = keys[order]
-    at = np.minimum(np.searchsorted(ranked, want), keys.size - 1)
-    return np.where(ranked[at] == want, order[at], -1)
+def rosenblatt_forward_from_fit(model: VineModel, store: dict, noise, rows=None) -> np.ndarray:
+    """``rosenblatt_forward(model, x_fit[rows], noise)``, read from the edge
+    store of x_fit without a walk.
 
-
-def rosenblatt_forward_from_fit(model: VineModel, x, noise, x_fit, store: dict) -> np.ndarray:
-    """``rosenblatt_forward(model, x, noise)`` for a model fitted to ``x_fit``,
-    or to x itself when ``x_fit`` is None.
-
-    ``store`` is the edge store that ``fit_vine(..., store=store)`` filled on
-    the fit rows.  Each h-output depends on its own row alone, so a row of x
-    equal bit for bit to a fit row is read from the store with the result
-    ``rosenblatt_forward`` gives; the other rows take the edge walk.
+    ``store`` is the edge store of the rows x_fit, as ``fit_vine(x_fit, ...,
+    store=store)`` fills it for the rows it fits; ``rows`` are positions in
+    x_fit, in any order and with repeats, or every row when None.  Each
+    h-output depends on its own row alone, so the store read at those
+    positions is what a fresh edge walk gives.  ``noise`` holds one row per
+    row read and lies in [0, 1].
     """
-    x, w = _forward_inputs(model, x, noise)
-    if x_fit is None:
-        return _read_forward(model, store, w)
-    at = _row_positions(x, np.asarray(x_fit, dtype=float))
-    hit = at >= 0
+    rows = slice(None) if rows is None else rows
+    w = np.atleast_2d(np.asarray(noise, dtype=float))
+    if w.shape != (len(store[(-1, 0)][0].u[rows]), model.d):
+        raise ValueError("noise must match the data shape")
+    if not np.all((w >= 0) & (w <= 1)):
+        raise ValueError("noise must lie in [0, 1]")
     v = np.empty_like(w)
-    v[hit] = _read_forward(model, store, w[hit], at[hit])
-    if not hit.all():
-        v[~hit] = rosenblatt_forward(model, x[~hit], w[~hit])
+    for var, chain, _ in model._steps:
+        v[:, var] = store[chain[0] if chain else (-1, var)][var][rows].randomized(w[:, var])
     return v
 
 

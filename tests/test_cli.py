@@ -300,10 +300,10 @@ def test_correct_unit_linalg_error_exit_code(sim_dir, tmp_path, capsys, monkeypa
     broken_seed = subseed(CONFIG["seed"], 2, 2)
     apply = vinebc.cli.apply_correction
 
-    def failing_apply(x_mp, reference, config, mp_fit=None):
+    def failing_apply(x_fit, reference, config, rows=None):
         if config.seed == broken_seed:
             raise np.linalg.LinAlgError("singular matrix")
-        return apply(x_mp, reference, config, mp_fit=mp_fit)
+        return apply(x_fit, reference, config, rows=rows)
 
     monkeypatch.setattr(vinebc.cli, "apply_correction", failing_apply)
     out = tmp_path / "o"
@@ -325,6 +325,35 @@ def test_correct_unit_linalg_error_exit_code(sim_dir, tmp_path, capsys, monkeypa
     units = {(r["chunk"], r["member"]) for r in rows}
     assert len(units) == 15 and (chunk.label, "2") not in units
     assert (chunk.label, "1") in units
+
+
+def test_correct_passes_each_unit_its_fit_rows_and_core_positions(sim_dir, tmp_path,
+                                                                  monkeypatch):
+    monkeypatch.delenv("VINEBC_WORKERS", raising=False)
+    calls = {}
+    apply = vinebc.cli.apply_correction
+
+    def recording_apply(x_fit, reference, config, rows=None):
+        calls[config.seed] = (x_fit, rows)
+        return apply(x_fit, reference, config, rows=rows)
+
+    monkeypatch.setattr(vinebc.cli, "apply_correction", recording_apply)
+    assert _correct(sim_dir, "ubc", tmp_path / "o") == EXIT_OK
+    seed, overlap = CONFIG["seed"], CONFIG["correction"]["overlap_fraction"]
+    mp = load_table(sim_dir["sim"] / "model_projection.csv", _specs())
+    chunks = vinebc.cli._extended_chunks(mp, overlap, seed, 1)
+    assert len(calls) == 16
+    for ci, key in enumerate(ALL_CHUNK_KEYS):
+        for member in (1, 2):
+            x_fit, rows = calls[subseed(seed, ci, member)]
+            est, core = chunks[key].estimation_rows, chunks[key].core_rows
+            # the member's estimation rows, in row order
+            fit_rows = est[mp.members[est] == member]
+            assert x_fit.tobytes() == mp.values[fit_rows].tobytes()
+            # at the positions: the member's core rows, in row order
+            want = mp.values[core[mp.members[core] == member]]
+            assert x_fit[rows].tobytes() == want.tobytes()
+            assert len(rows) < len(x_fit)
 
 
 def test_correct_vbc_fits_one_reference_vine_per_chunk(sim_dir, tmp_path, monkeypatch):
@@ -475,6 +504,29 @@ def test_evaluate_partially_corrected_table(sim_dir, corrected_dir, tmp_path, ca
     full_rows = [r for r in open(full / "report.csv") if f",{dropped[0]},1," not in r]
     assert open(out / "report.csv").readlines() == full_rows
     assert json.load(open(out / "report.json"))["corrected"]["n_units"] == 15
+
+
+def test_evaluate_unit_without_reference_rows_fails(sim_dir, corrected_dir, tmp_path, capsys):
+    # a reference table of January to June only: the SON chunks have no rows
+    header, *rows = (sim_dir["sim"] / "reference_projection.csv").read_text().splitlines()
+    half = [r for r in rows if int(r[5:7]) <= 6]
+    assert 0 < len(half) < len(rows)
+    ref = tmp_path / "reference.csv"
+    ref.write_text("\n".join([header] + half) + "\n")
+    out = tmp_path / "eval"
+    status = run_pipeline("evaluate", sim_dir["cfg"],
+                          model_path=str(sim_dir["sim"] / "model_projection.csv"),
+                          corrected_path=str(corrected_dir / "corrected_vbc.csv"),
+                          ref_path=str(ref), out_dir=str(out))
+    assert status == EXIT_PARTIAL
+    message = "not evaluated: the reference table has no rows in chunk "
+    failed = {f"{k.label}/m{m}": message + k.label
+              for k in ALL_CHUNK_KEYS if k.season == "SON" for m in (1, 2)}
+    assert len(failed) == 4
+    err = capsys.readouterr().err
+    assert all(f"{unit}: {message}" in err for unit, message in failed.items())
+    assert json.load(open(out / "manifest_evaluate.json"))["failures"] == failed
+    assert json.load(open(out / "report.json"))["corrected"]["n_units"] == 12
 
 
 def test_evaluate_matches_rows_not_positions(sim_dir, corrected_dir, tmp_path):

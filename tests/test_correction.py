@@ -126,9 +126,6 @@ def test_vbc_alignment_nonnegativity_determinism(truth5, biased5):
     for j, kind in enumerate(KINDS5):
         if kind != "interval":
             assert np.all(a.values[:, j] >= 0.0)
-    # zeros of the model stay aligned rows (no reordering)
-    sub = vbc_correct(x_mp[:1500], x_rc, x_mc, KINDS5, CFG.with_seed(9), mp_fit=x_mp)
-    assert sub.values.shape[0] == 1500
 
 
 def test_vbc_schema_mismatch_raises(truth5):
@@ -145,9 +142,9 @@ def test_correctors_are_the_two_steps(truth5, biased5, method, corrector):
     x_rc, x_mc, x_mp = truth5.sample(1500, 51), biased5.sample(1500, 52), biased5.sample(1200, 53)
     cfg = CFG.with_seed(4)
     reference = fit_reference(method, x_rc, x_mc, KINDS5, cfg)
-    for rows, mp_fit in ((slice(0, 600), None), (slice(600, 1200), x_mp)):
-        by_hand = apply_correction(x_mp[rows], reference, cfg, mp_fit=mp_fit)
-        whole = corrector(x_mp[rows], x_rc, x_mc, KINDS5, cfg, mp_fit=mp_fit).values
+    for rows in (slice(0, 600), slice(600, 1200)):
+        by_hand = apply_correction(x_mp[rows], reference, cfg)
+        whole = corrector(x_mp[rows], x_rc, x_mc, KINDS5, cfg).values
         assert by_hand.tobytes() == whole.tobytes()
     with pytest.raises(SchemaError):
         apply_correction(x_mp[:, :4], reference, cfg)
@@ -155,15 +152,32 @@ def test_correctors_are_the_two_steps(truth5, biased5, method, corrector):
         fit_reference("qm", x_rc, x_mc, KINDS5, cfg)
 
 
-def test_vbc_rejects_non_finite_projection_rows(truth5, biased5):
+def test_apply_correction_corrects_the_rows_at_the_given_positions(truth5, biased5):
+    """The projection model is fitted to every row of ``x_fit``, and only the
+    rows at ``rows`` are corrected, in that order."""
+    x_rc, x_mc, x_fit = truth5.sample(1200, 54), biased5.sample(1200, 55), biased5.sample(900, 56)
+    cfg = CFG.with_seed(5)
+    # UBC corrects each row on its own, so a subset is the whole correction's rows
+    ubc = fit_reference("ubc", x_rc, x_mc, KINDS5, cfg)
+    rows = np.array([899, 4, 4, 300, 0, 517, 300])
+    subset = apply_correction(x_fit, ubc, cfg, rows=rows)
+    assert subset.tobytes() == apply_correction(x_fit, ubc, cfg)[rows].tobytes()
+    # VBC draws one noise row per corrected row: every position, in order, is
+    # the default
+    vbc = fit_reference("vbc", x_rc, x_mc, KINDS5, cfg)
+    every = apply_correction(x_fit, vbc, cfg, rows=np.arange(len(x_fit)))
+    assert every.tobytes() == apply_correction(x_fit, vbc, cfg).tobytes()
+
+
+@pytest.mark.parametrize("rows", [None, np.array([0, 1, 2])], ids=["all", "without_it"])
+def test_vbc_rejects_non_finite_projection_rows(truth5, biased5, rows):
+    # the projection vine is fitted to every row, so a non-finite row fails the
+    # fit whether or not it is among the corrected rows
     reference = fit_reference("vbc", truth5.sample(800, 61), biased5.sample(800, 62), KINDS5, CFG)
-    x_mp = biased5.sample(600, 63)
-    bad = x_mp.copy()
+    bad = biased5.sample(600, 63)
     bad[5, 0] = np.nan
     with pytest.raises(EstimationError, match="sample contains non-finite values"):
-        apply_correction(bad, reference, CFG)
-    with pytest.raises(ValueError, match="data must be finite"):
-        apply_correction(bad, reference, CFG, mp_fit=x_mp)
+        apply_correction(bad, reference, CFG, rows=rows)
 
 
 # -- ubc -------------------------------------------------------------------------

@@ -528,33 +528,32 @@ def test_fit_store_is_the_edge_walk_of_the_fit_rows(fit_with_store):
 def test_forward_from_fit_reads_the_fit_rows(fit_with_store, monkeypatch):
     model, x_fit, store = fit_with_store
     w = np.random.default_rng(42).uniform(size=x_fit.shape)
-    want = rosenblatt_forward(model, x_fit, w)
+    # every fit row; a scattered subset, out of order; and positions that
+    # repeat, some of them at rows that x_fit itself holds twice
+    cases = [(None, w), (np.array([802, 3, 799, 0, 17, 250, 801, 560, 800]), w[:9]),
+             (np.array([17, 3, 17, 801, 3, 800, 3]), w[:7])]
+    wants = [rosenblatt_forward(model, x_fit if rows is None else x_fit[rows], noise)
+             for rows, noise in cases]
     walks = _walks(monkeypatch)
-    assert rosenblatt_forward_from_fit(model, x_fit, w, None, store).tobytes() == want.tobytes()
-    # a scattered subset, out of order, that repeats rows of x_fit and rows
-    # that x_fit holds twice
-    rows = np.array([802, 3, 799, 0, 17, 17, 250, 801, 3, 560, 800])
-    assert np.unique(x_fit[rows], axis=0).shape[0] < rows.size
-    got = rosenblatt_forward_from_fit(model, x_fit[rows], w[rows], x_fit, store)
+    for (rows, noise), want in zip(cases, wants):
+        assert rosenblatt_forward_from_fit(model, store, noise, rows).tobytes() == want.tobytes()
     assert walks == []
-    assert got.tobytes() == rosenblatt_forward(model, x_fit[rows], w[rows]).tobytes()
 
 
-def test_forward_from_fit_walks_the_rows_the_fit_lacks(fit_with_store, monkeypatch):
+def test_forward_from_fit_checks_the_noise(fit_with_store):
     model, x_fit, store = fit_with_store
-    x = np.vstack([x_fit[[10, 5]], _zero_inflated_rows(3, 43), x_fit[[7]]])
-    x[1, 1] = np.nextafter(x[1, 1], np.inf)  # one ulp off a fit row
-    w = np.random.default_rng(44).uniform(size=x.shape)
-    want = rosenblatt_forward(model, x, w)
-    walks = _walks(monkeypatch)
-    assert rosenblatt_forward_from_fit(model, x, w, x_fit, store).tobytes() == want.tobytes()
-    assert walks == [4]
+    rows = np.array([10, 5, 7])
+    w = np.full((3, 3), 0.5)
     w[0, 0] = 1.5
-    with pytest.raises(ValueError, match="noise"):
-        rosenblatt_forward_from_fit(model, x, w, x_fit, store)
+    with pytest.raises(ValueError, match="noise must lie in"):
+        rosenblatt_forward_from_fit(model, store, w, rows)
+    for at, shape in ((rows, (2, 3)), (rows, (3, 2)), (None, (len(x_fit) - 1, 3))):
+        with pytest.raises(ValueError, match="noise must match"):
+            rosenblatt_forward_from_fit(model, store, np.full(shape, 0.5), at)
+    x = x_fit[rows]
     x[0, 2] = np.inf
     with pytest.raises(ValueError, match="finite"):
-        rosenblatt_forward_from_fit(model, x, np.full(x.shape, 0.5), x_fit, store)
+        rosenblatt_forward(model, x, np.full(x.shape, 0.5))
 
 
 def test_inverse_then_forward_reproduces_uniforms():
