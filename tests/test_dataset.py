@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 import warnings
 from datetime import datetime
@@ -138,6 +140,19 @@ LOAD_ERRORS = {
                                                 "string to float: '?'"),
     "member beyond int64": ([(2, 1, 2**63), (5, 3, "?")],
                             f"member out of range in row 3: '{2**63}'"),
+    # int() and float() take these, numpy's reader does not
+    "underscore in the member": ([(2, 1, "1_000"), (5, 3, "?")],
+                                 "non-numeric cell in row 3: not an ASCII number without "
+                                 "underscores: '1_000'"),
+    "non-ASCII digit in the member": ([(2, 1, "\u0661")],
+                                      "non-numeric cell in row 3: not an ASCII number without "
+                                      "underscores: '\u0661'"),
+    "underscore in a variable": ([(4, 5, "2_5.0"), (6, 3, "?")],
+                                 "non-numeric cell in row 5: not an ASCII number without "
+                                 "underscores: '2_5.0'"),
+    "non-ASCII digit in a variable": ([(4, 3, " \uff11.5")],
+                                      "non-numeric cell in row 5: not an ASCII number without "
+                                      "underscores: ' \uff11.5'"),
 }
 
 
@@ -192,6 +207,12 @@ CELL_FAULTS = [
     (range(2, 7), ["?", "abc"], 1,
      lambda cell, j, row_no: (f"non-numeric cell in row {row_no}: "
                               f"could not convert string to float: {cell!r}")),
+    ([1], ["1_000", "\u0661"], 1,
+     lambda cell, j, row_no: (f"non-numeric cell in row {row_no}: "
+                              f"not an ASCII number without underscores: {cell!r}")),
+    (range(2, 7), ["2_5.0", "\uff11"], 1,
+     lambda cell, j, row_no: (f"non-numeric cell in row {row_no}: "
+                              f"not an ASCII number without underscores: {cell!r}")),
     (range(2, 7), ["nan", "inf", "-inf"], 6,
      lambda cell, j, row_no: (f"non-finite value {float(cell)} in column "
                               f"{SCHEMA5[j - 2].name!r}, row {row_no}")),
@@ -258,6 +279,33 @@ def test_load_table_ignores_missing_extra_cells(tmp_path):
     assert table.values.tolist() == [[3.0]]
 
 
+@pytest.mark.parametrize("header, name", [("timestamp,member,t,t", "t"),
+                                          ("timestamp,member,timestamp,t", "timestamp"),
+                                          ("member,timestamp,t,member", "member")])
+def test_load_table_duplicate_needed_column_is_a_schema_error(tmp_path, header, name):
+    path = tmp_path / "in.csv"
+    path.write_text(header + "\n2000-01-01T00:00:00,1,3.0,9.0\n")
+    with pytest.raises(SchemaError) as err:
+        load_table(path, [VariableSpec("t", "interval")])
+    assert str(err.value) == f"{path}: duplicate column {name!r}"
+
+
+def test_load_table_allows_duplicate_ignored_columns(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("note,timestamp,member,t,note\nx,2000-01-01T00:00:00,1,3.0,y\n")
+    table = load_table(path, [VariableSpec("t", "interval")])
+    assert table.values.tolist() == [[3.0]]
+
+
+def test_load_table_row_of_quoted_empty_cells_is_not_blank(tmp_path):
+    """A blank row is a line of commas and whitespace; quotes make a row."""
+    path = tmp_path / "in.csv"
+    path.write_text('timestamp,member,t\n2000-01-01T00:00:00,1,3.0\n"",""\n')
+    with pytest.raises(TableFormatError) as err:
+        load_table(path, [VariableSpec("t", "interval")])
+    assert str(err.value) == f"{path}: row 2 has 2 cells, the header has 3"
+
+
 def _fromisoformat_s(cell):
     """A timestamp cell's value as parsed one cell at a time."""
     return np.datetime64(datetime.fromisoformat(cell.strip()), "s")
@@ -268,6 +316,8 @@ def _fromisoformat_s(cell):
     "2000-01-01T03:00:00+01:00", "2000-01-01T03:00:00.7", "2000-01-01T03",
     "20000101T030000", "NaT", "now", "0000-01-01T03:00:00", "10000-01-01T03:00:00",
     "2000-01-01T24:00:00", "2000-02-30T03:00:00", "2000-01-01T03:00:00Z",
+    "2000-00-01T03:00:00", "2000-01-00T03:00:00", "2000-01-32T03:00:00",
+    "2000-01-01T03:60:00", "2000-01-01T03:00:60",
 ])
 def test_load_table_timestamp_forms_match_fromisoformat(tmp_path, form):
     """Every form parses to what ``datetime.fromisoformat`` gives on this Python,
@@ -325,6 +375,96 @@ def test_table_rejects_negative_bounded_values():
     vals[1, 1] = -0.5
     with pytest.raises(TableFormatError, match="'p'"):
         ClimateTable(SCHEMA5, ts, [1, 1], vals)
+
+
+def _oracle_load(text, names):
+    """What ``load_table`` reads from ``text``, one row at a time: ``csv``
+    cells, ``datetime.fromisoformat``, ``int`` and ``float``; raises
+    TableFormatError, ValueError or IndexError where a row is bad."""
+    header, *rows = csv.reader(io.StringIO(text, newline=""))
+    header = [h.strip() for h in header]
+    cols = [header.index(name) for name in ["timestamp", "member"] + names]
+    stamps, members, values = [], [], []
+    for row in rows:
+        if not "".join(row).strip():
+            continue
+        ts, member, *cells = [row[c] for c in cols]  # IndexError on a short row
+        stamps.append(np.datetime64(datetime.fromisoformat(ts.strip()), "s"))
+        members.append(int(member))
+        values.append([float(c) for c in cells])
+    if not np.isfinite(values).all():
+        raise TableFormatError("a non-finite value")
+    return ClimateTable([VariableSpec(n, "interval") for n in names], stamps, members, values)
+
+
+# number cells as repr gives them and in the other forms float() reads: -0,
+# subnormals, overflow to inf, long decimals, a bare point, a sign, an E
+NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["-0.0", "-0", "5e-324", "2.225073858507201e-308", "1e400", "-1e400",
+                     "1.", ".5", "+1.5", "1E5", "-2.5e-3"]),
+    st.from_regex(r"\A-?[0-9]\.[0-9]{40,60}\Z"),
+)
+MEMBER_CELLS = st.one_of(st.integers(-2**63, 2**63 - 1).map(str),
+                         st.sampled_from(["+7", "007", "-0"]))
+# canonical timestamps of years 1-9999; the day may not exist in its month
+# (Feb 29 of a year that is not a leap year, Apr 31), which fromisoformat rejects
+TIMESTAMP_CELLS = st.one_of(
+    st.tuples(st.integers(1, 9999), st.integers(1, 12), st.integers(1, 31),
+              st.integers(0, 23), st.integers(0, 59), st.integers(0, 59)),
+    st.tuples(st.sampled_from([4, 1600, 1900, 2000, 2023, 2024, 2100, 9996, 9999]), st.just(2),
+              st.integers(28, 29), st.integers(0, 23), st.integers(0, 59), st.integers(0, 59)),
+).map(lambda f: "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}".format(*f))
+# cells of columns the schema does not name, with quoted commas and line breaks
+EXTRA_CELLS = st.sampled_from(["x", "", "DJF-day", '"a,b"', '"line\nbreak"', '"q""uote"',
+                               '"\r\n, ,\n"'])
+
+
+@st.composite
+def _tables(draw):
+    """The text of a random table and the names of its variables."""
+    names = [f"v{j}" for j in range(draw(st.integers(1, 3), label="variables"))]
+    extras = [f"e{j}" for j in range(draw(st.integers(0, 2), label="extra columns"))]
+    columns = draw(st.permutations(["timestamp", "member"] + names + extras), label="order")
+    last = max(columns.index(c) for c in ["timestamp", "member"] + names)
+    stamps = sorted(draw(st.lists(TIMESTAMP_CELLS, min_size=1, max_size=10, unique=True),
+                         label="timestamps"))
+    newline = draw(st.sampled_from(["\n", "\r\n"]), label="line end")
+
+    def dress(cell):  # pad a cell with spaces and maybe quote it
+        cell = " " * draw(st.integers(0, 2)) + cell + " " * draw(st.integers(0, 2))
+        return f'"{cell}"' if draw(st.booleans()) else cell
+
+    lines = [",".join(columns)]
+    for stamp in stamps:
+        lines += draw(st.lists(st.sampled_from(["", " , ,", "   "]), max_size=1), label="blank")
+        cells = {"timestamp": stamp, "member": draw(MEMBER_CELLS)}
+        cells.update({n: draw(NUMBER_CELLS) for n in names})
+        row = [dress(cells[c]) if c in cells else draw(EXTRA_CELLS) for c in columns]
+        lines.append(",".join(row[:draw(st.integers(last + 1, len(row)), label="cells")]))
+    return newline.join(lines) + newline, names
+
+
+@settings(deadline=None, max_examples=300)
+@given(_tables())
+def test_load_table_matches_row_by_row_parse(tmp_path_factory, table):
+    """numpy's reader gives, bit for bit, what csv, fromisoformat, int and
+    float give one row at a time, and fails where they fail."""
+    text, names = table
+    path = tmp_path_factory.mktemp("oracle") / "in.csv"
+    path.write_text(text, newline="")
+    specs = [VariableSpec(n, "interval") for n in names]
+    try:
+        expected = _oracle_load(text, names)
+    except (TableFormatError, ValueError, IndexError):
+        with pytest.raises(TableFormatError):
+            load_table(path, specs)
+        return
+    table = load_table(path, specs)
+    assert table.timestamps.dtype == expected.timestamps.dtype
+    assert table.timestamps.view(np.int64).tolist() == expected.timestamps.view(np.int64).tolist()
+    assert table.members.tolist() == expected.members.tolist()
+    assert table.values.tobytes() == expected.values.tobytes()
 
 
 # -- chunking --------------------------------------------------------------------
