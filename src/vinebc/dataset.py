@@ -168,9 +168,9 @@ def load_table(path, schema) -> ClimateTable:
     The header must contain ``timestamp``, ``member`` and every schema name,
     each once; extra columns are ignored.  Blank lines are skipped, and
     numpy's reader parses the member and the variables in one pass and the
-    timestamps in another; only if that fails or finds a non-finite value
-    does ``_first_row_error`` scan the rows in file order for the 1-based
-    data row (blank rows count) to report.
+    timestamps in another.  If that fails, finds a non-finite value or meets
+    a table holding a NUL character, ``_first_row_error`` scans the rows in
+    file order for the 1-based data row (blank rows count) to report.
     """
     specs = list(schema)
     if not specs:
@@ -188,6 +188,8 @@ def load_table(path, schema) -> ClimateTable:
         header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise TableFormatError(f"{path}: empty file") from None
+    except csv.Error as exc:  # Python 3.10's reader rejects a line holding NUL
+        raise TableFormatError(f"{path}: header: {exc}") from None
     names = ["timestamp", "member"] + [v.name for v in specs]
     for name in names:
         count = header.count(name)
@@ -200,23 +202,35 @@ def load_table(path, schema) -> ClimateTable:
     needed = [header.index(name) for name in names]
     numbers = np.dtype([("member", np.int64), ("values", np.float64, len(specs))])
     try:
-        columns = np.loadtxt(data, dtype=numbers, usecols=needed[1:], **_CSV)
+        with warnings.catch_warnings():
+            # numpy's reader from 1.23 on reads an integer cell such as 1.5
+            # through float with only a DeprecationWarning, until a release
+            # ends the deprecation (2.4 rejects the cell)
+            warnings.simplefilter("error", DeprecationWarning)
+            columns = np.loadtxt(data, dtype=numbers, usecols=needed[1:], **_CSV)
         timestamps = _parse_timestamps(np.loadtxt(data, dtype=str, usecols=needed[0], **_CSV))
-    except ValueError:
+    except (ValueError, DeprecationWarning):
         columns = None
-    if columns is None or not np.isfinite(columns["values"]).all():
-        raise TableFormatError(f"{path}: {_first_row_error(lines, needed, len(header), specs)}")
+    parsed = columns is not None and np.isfinite(columns["values"]).all()
+    # numpy's string arrays drop a timestamp cell's trailing NULs, so the row
+    # scan reads the cells of a table holding a NUL
+    if not parsed or "\x00" in "".join(data):
+        error = _first_row_error(lines, needed, len(header), specs)
+        if error is not None:
+            raise TableFormatError(f"{path}: {error}")
+        if not parsed:
+            raise AssertionError("numpy's reader failed on rows that each parse")
     # contiguous arrays of their own, not views into the interleaved records
     return ClimateTable(specs, timestamps, np.ascontiguousarray(columns["member"]),
                         np.ascontiguousarray(columns["values"]))
 
 
-def _first_row_error(lines, needed, n_header, specs) -> str:
+def _first_row_error(lines, needed, n_header, specs):
     """The error of the first bad row in file order (blank rows count), and of
     the first check it fails: its length, the timestamp, the member, each
-    variable in ``specs``, then each one's finiteness.  ``lines`` are the
-    lines after the header and ``needed`` holds the columns of the timestamp,
-    the member and the variables.
+    variable in ``specs``, then each one's finiteness; None if every row
+    passes.  ``lines`` are the lines after the header and ``needed`` holds the
+    columns of the timestamp, the member and the variables.
 
     Each check accepts what numpy's reader accepts.  A blank line is read as
     an empty line, which is a row of no cells or adds nothing to a quoted
@@ -225,25 +239,33 @@ def _first_row_error(lines, needed, n_header, specs) -> str:
     ts_col, member_col, *value_cols = needed
     last = max(needed)
     rows = csv.reader("" if _BLANK_LINE(line) else line for line in lines)
-    for row_no, row in enumerate(rows, start=1):
-        if not row:
-            continue
-        if len(row) <= last:
-            return f"row {row_no} has {len(row)} cells, the header has {n_header}"
-        try:
-            _parse_timestamps(np.array([row[ts_col]]))
-        except ValueError:
-            return f"cannot parse timestamp {row[ts_col]!r} in row {row_no}"
-        try:
-            if not -2**63 <= _number(int, row[member_col]) < 2**63:  # numpy's int64 range
-                return f"member out of range in row {row_no}: {row[member_col]!r}"
-            values = [_number(float, row[j]) for j in value_cols]
-        except ValueError as exc:
-            return f"non-numeric cell in row {row_no}: {exc}"
-        for spec, value in zip(specs, values):
-            if not math.isfinite(value):
-                return f"non-finite value {value} in column {spec.name!r}, row {row_no}"
-    raise AssertionError("numpy's reader failed on rows that each parse")
+    row_no = 0
+    try:
+        for row_no, row in enumerate(rows, start=1):
+            if not row:
+                continue
+            if len(row) <= last:
+                return f"row {row_no} has {len(row)} cells, the header has {n_header}"
+            try:
+                # fromisoformat rejects a NUL, which numpy's string array
+                # drops from the end of a cell
+                if "\x00" in row[ts_col]:
+                    raise ValueError("NUL character")
+                _parse_timestamps(np.array([row[ts_col]]))
+            except ValueError:
+                return f"cannot parse timestamp {row[ts_col]!r} in row {row_no}"
+            try:
+                if not -2**63 <= _number(int, row[member_col]) < 2**63:  # numpy's int64 range
+                    return f"member out of range in row {row_no}: {row[member_col]!r}"
+                values = [_number(float, row[j]) for j in value_cols]
+            except ValueError as exc:
+                return f"non-numeric cell in row {row_no}: {exc}"
+            for spec, value in zip(specs, values):
+                if not math.isfinite(value):
+                    return f"non-finite value {value} in column {spec.name!r}, row {row_no}"
+    except csv.Error as exc:  # Python 3.10's reader rejects a line holding NUL
+        return f"row {row_no + 1}: {exc}"
+    return None
 
 
 def _number(parse, cell):
@@ -259,47 +281,35 @@ def _number(parse, cell):
 # the canonical timestamp form as UCS4 code points: each character's lowest
 # code, and how far above it the character may go (9 for a digit, 0 otherwise)
 _ISO_LOW = np.array(["0000-00-00T00:00:00"]).view(np.uint32)
-_ISO_DIGIT = _ISO_LOW == ord("0")
-_ISO_SPAN = 9 * _ISO_DIGIT.astype(np.uint32)
-# the place value of each digit in its field: the year, month, day, hour,
-# minute and second, each field ending at a separator
-_ISO_FIELDS = np.zeros((_ISO_LOW.size, 6))
-_ISO_FIELDS[_ISO_DIGIT, np.cumsum(~_ISO_DIGIT)[_ISO_DIGIT]] = [1000, 100, 10, 1] + [10, 1] * 5
-# the length of each month of a common year by its two digits; 0 outside 1-12
-_MONTH_DAYS = np.zeros(100, dtype=np.int64)
-_MONTH_DAYS[1:13] = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
+_ISO_SPAN = 9 * (_ISO_LOW == ord("0")).astype(np.uint32)
+_ISO_FIRST = np.datetime64("0001-01-01T00:00:00", "s")
 
 
 def _parse_timestamps(cells):
     """``datetime64[s]`` values of a numpy string array of timestamp cells,
     stripped here; a cell that does not parse raises ValueError.
 
-    A cell in the canonical ``YYYY-MM-DDTHH:MM:SS`` form, which
-    ``write_table_csv`` writes, is read from its digits when each field is in
-    range (a year from 1, a day that its month has); every other cell goes
-    through ``datetime.fromisoformat``, which decides what is accepted.
-    (Sending every cell through ``fromisoformat`` is one path, but numpy
-    converts the resulting ``datetime`` objects one by one, about 1.5 us each
-    on a 2-vCPU Xeon, which made ``correct``'s UBC stage 12% slower on
+    Cells in the canonical ``YYYY-MM-DDTHH:MM:SS`` form, which
+    ``write_table_csv`` writes, take numpy's vectorised parse; every other
+    cell goes through ``datetime.fromisoformat``, which decides what is
+    accepted.  (Sending every cell through ``fromisoformat`` is one path, but
+    numpy converts the resulting ``datetime`` objects one by one, about 1.5 us
+    each on a 2-vCPU Xeon, which made ``correct``'s UBC stage 12% slower on
     ``ensemble_d3``.)
     """
     text = np.strings.strip(cells)
     n, width = text.size, _ISO_LOW.size
-    seconds = np.zeros(n, dtype=np.int64)
+    out = np.empty(n, dtype="datetime64[s]")
     canonical = np.zeros(n, dtype=bool)
     if text.dtype.itemsize >= _ISO_LOW.nbytes:
         above = text.view(np.uint32).reshape(n, -1)[:, :width] - _ISO_LOW
         canonical = (np.strings.str_len(text) == width) & (above <= _ISO_SPAN).all(axis=1)
-        # the fields are below 10**4, so the float product is exact
-        fields = (above[canonical] @ _ISO_FIELDS).astype(np.int64)
-        year, month, day, hour, minute, second = fields.T
-        leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-        in_range = ((year >= 1) & (day >= 1) & (day <= _MONTH_DAYS[month] + (leap & (month == 2)))
-                    & (hour <= 23) & (minute <= 59) & (second <= 59))
-        days = _days_from_civil(year, month, day)
-        seconds[canonical] = ((days * 24 + hour) * 60 + minute) * 60 + second
-        canonical[canonical] = in_range
-    out = seconds.view("datetime64[s]")
+        try:
+            out[canonical] = text[canonical].astype("datetime64[s]")
+            # numpy takes year 0, which fromisoformat does not
+            canonical[canonical] = out[canonical] >= _ISO_FIRST
+        except ValueError:  # a field out of range; fromisoformat finds the row
+            canonical[:] = False
     for k in np.flatnonzero(~canonical):
         stamp = datetime.fromisoformat(text[k])
         out[k] = np.datetime64(stamp.replace(tzinfo=None), "s")
@@ -310,15 +320,6 @@ def _parse_timestamps(cells):
             # unlike datetime's, reaches past years 1 and 9999
             out[k] -= np.timedelta64(int(offset.total_seconds() / 60), "m")
     return out
-
-
-def _days_from_civil(year, month, day):
-    """Days from 1970-01-01 to proleptic Gregorian dates, for years from 0
-    (H. Hinnant's days_from_civil, with a year that starts in March)."""
-    y = year - (month <= 2)
-    yoe = y % 400
-    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    return y // 400 * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
 
 
 def chunk_key_of(timestamp) -> ChunkKey:

@@ -1,6 +1,7 @@
 import csv
 import io
 import re
+import sys
 import warnings
 from datetime import datetime
 
@@ -153,6 +154,11 @@ LOAD_ERRORS = {
     "non-ASCII digit in a variable": ([(4, 3, " \uff11.5")],
                                       "non-numeric cell in row 5: not an ASCII number without "
                                       "underscores: ' \uff11.5'"),
+    # numpy's string arrays drop trailing NULs; Python 3.10's csv reader
+    # rejects a line holding one
+    "NUL after a timestamp": ([(3, 0, "2019-01-01T09:00:00\x00")],
+                              f"cannot parse timestamp {'2019-01-01T09:00:00' + chr(0)!r} in row 4"
+                              if sys.version_info >= (3, 11) else "row 4: line contains NUL"),
 }
 
 
@@ -304,6 +310,64 @@ def test_load_table_row_of_quoted_empty_cells_is_not_blank(tmp_path):
     with pytest.raises(TableFormatError) as err:
         load_table(path, [VariableSpec("t", "interval")])
     assert str(err.value) == f"{path}: row 2 has 2 cells, the header has 3"
+
+
+def test_load_table_nul_in_an_ignored_column(tmp_path):
+    path = tmp_path / "in.csv"
+    path.write_text("timestamp,member,t,note\n2000-01-01T00:00:00,1,3.0,a\x00\n")
+    if sys.version_info >= (3, 11):
+        assert load_table(path, [VariableSpec("t", "interval")]).values.tolist() == [[3.0]]
+    else:
+        with pytest.raises(TableFormatError, match="row 1: line contains NUL"):
+            load_table(path, [VariableSpec("t", "interval")])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("timestamp,member,t,no\x00te\n2000-01-01T00:00:00,1,3.0,a\n", "header: line contains NUL"),
+    ("timestamp,member,t,note\n2000-01-01T00:00:00,1,3.0,a\n\n2000-01-01T03:00:00,1,3.0,b\x00\n",
+     "row 3: line contains NUL"),
+])
+def test_load_table_reports_a_nul_line_the_csv_reader_rejects(tmp_path, monkeypatch, text, message):
+    """Python 3.10's csv reader, emulated here, raises csv.Error on a line
+    holding NUL (3.11 reads it); that is a data error, not a traceback."""
+    reader = csv.reader
+
+    def reader_rejecting_nul(lines, *args, **kwargs):
+        def check(line):
+            if "\x00" in line:
+                raise csv.Error("line contains NUL")
+            return line
+        return reader(map(check, lines), *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", reader_rejecting_nul)
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    with pytest.raises(TableFormatError) as err:
+        load_table(path, [VariableSpec("t", "interval")])
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_load_table_member_read_through_float_is_a_data_error(tmp_path, monkeypatch):
+    """numpy's reader has read an integer cell such as 1.5 through float with
+    only a DeprecationWarning (emulated here); the row scan reports the cell."""
+    loadtxt = np.loadtxt
+
+    def loadtxt_int_via_float(lines, dtype, **kwargs):
+        if np.dtype(dtype).names:  # the pass over the member and the variables
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            lines = [line.replace(",1.5,", ",1,") for line in lines]
+        return loadtxt(lines, dtype=dtype, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_int_via_float)
+    path = tmp_path / "in.csv"
+    rows = hourly_rows(4)
+    rows[2][1] = "1.5"
+    write_csv(path, rows)
+    with pytest.raises(TableFormatError) as err:
+        load_table(path, SCHEMA5)
+    assert str(err.value) == (f"{path}: non-numeric cell in row 3: "
+                              "invalid literal for int() with base 10: '1.5'")
 
 
 def _fromisoformat_s(cell):
