@@ -1,5 +1,7 @@
-"""Small shared helpers (seed derivation, scalar/array plumbing)."""
+"""Small shared helpers (seed derivation, scalar/array plumbing, array records)."""
 from __future__ import annotations
+
+import base64
 
 import numpy as np
 
@@ -19,3 +21,33 @@ def maybe_scalar(out: np.ndarray, *inputs):
     if all(np.isscalar(v) or np.ndim(v) == 0 for v in inputs):
         return float(out[0]) if out.ndim else float(out)
     return out
+
+
+# the version of model and margin records: 2 since their arrays are encode_f8 text
+RECORD_VERSION = 2
+
+
+def check_record_version(record: dict, what: str) -> None:
+    """ValueError unless ``record`` is of ``RECORD_VERSION``."""
+    version = record.get("version")
+    if version != RECORD_VERSION:
+        raise ValueError(f"{what} record version {version!r} is not {RECORD_VERSION}; "
+                         "re-run `vinebc fit` to write the model again")
+
+
+def encode_f8(a) -> str:
+    """An array's values, in C order, as base64 text of their little-endian
+    float64 bytes: a model record's one encoding of a float array."""
+    return base64.b64encode(np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode_f8(text) -> np.ndarray:
+    """The 1-d float64 array ``encode_f8`` wrote, bit for bit; ValueError for
+    anything but base64 text of a multiple of 8 bytes."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except (TypeError, ValueError):  # not text, not ASCII, or not base64
+        raise ValueError("an array field must be base64 text of float64 bytes") from None
+    if len(raw) % 8:
+        raise ValueError(f"an array field holds {len(raw)} bytes, not a multiple of 8")
+    return np.frombuffer(raw, dtype="<f8").astype(float)

@@ -28,7 +28,7 @@ import warnings
 import numpy as np
 from scipy import integrate, optimize, special, stats
 
-from ._util import as_float_array
+from ._util import as_float_array, decode_f8, encode_f8
 from .errors import DomainError, EstimationError, NumericsError
 from .marginal import PseudoObs
 
@@ -218,6 +218,11 @@ class BivariateCopula:
 
     def to_dict(self) -> dict:
         return {"family": self.family, "rotation": self.rotation, **self._params()}
+
+    @classmethod
+    def _from_params(cls, **params) -> "BivariateCopula":
+        """The copula of a record's parameters: ``to_dict`` less its family (and a zero rotation)."""
+        return cls(**params)
 
 
 class IndependenceCopula(BivariateCopula):
@@ -507,7 +512,18 @@ class CheckerboardCopula(BivariateCopula):
         self._colcum[1:, :] = w.cumsum(axis=0)
 
     def _params(self):
-        return {"weights": self.weights.tolist()}
+        return {"weights": encode_f8(self.weights)}
+
+    @classmethod
+    def _from_params(cls, weights) -> "CheckerboardCopula":
+        w = decode_f8(weights)
+        m = math.isqrt(w.size)
+        if m * m != w.size:
+            raise ValueError(f"checkerboard weights hold {w.size} values, not a square number")
+        return cls(w.reshape(m, m))
+
+    def __repr__(self):
+        return f"CheckerboardCopula(m={self.m})"
 
     def _cells(self, u):
         k = np.minimum((u * self.m).astype(int), self.m - 1)
@@ -588,7 +604,7 @@ def copula_from_dict(d: dict) -> BivariateCopula:
         raise ValueError(f"unknown copula family {fam!r}")
     if not params.get("rotation"):
         params.pop("rotation", None)  # unrotatable families take no rotation
-    return _FAMILY_CLASSES[fam](**params)
+    return _FAMILY_CLASSES[fam]._from_params(**params)
 
 
 # -- generalized density and h-functions -------------------------------------

@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from ._util import as_float_array, maybe_scalar
+from ._util import RECORD_VERSION, as_float_array, check_record_version, decode_f8, encode_f8, maybe_scalar
 from .errors import DomainError, EstimationError
 
 GRID_SIZE = 512
@@ -31,6 +31,8 @@ MIN_SAMPLE = 30
 _MASS_TOL = 1e-9
 
 SUPPORT_KINDS = ("interval", "nonnegative", "zero_inflated")
+# the bounded supports, whose continuous part is a grid in log(x)
+LOG_SCALE_KINDS = ("nonnegative", "zero_inflated")
 
 
 def normalize_kind(kind: str) -> str:
@@ -200,16 +202,16 @@ class GridDensity:
     def to_dict(self) -> dict:
         return {
             "transform": "log" if self.log_scale else "identity",
-            "knots": self.knots.tolist(),
-            "pdf": self.pdf_values.tolist(),
+            "knots": encode_f8(self.knots),
+            "pdf": encode_f8(self.pdf_values),
             "tail_scale_lo": self.tail_scale_lo,
             "tail_scale_hi": self.tail_scale_hi,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridDensity":
-        return cls(d["knots"], d["pdf"], d["tail_scale_lo"], d["tail_scale_hi"],
-                   log_scale=d["transform"] == "log")
+        return cls(decode_f8(d["knots"]), decode_f8(d["pdf"]), d["tail_scale_lo"],
+                   d["tail_scale_hi"], log_scale=d["transform"] == "log")
 
 
 class MixtureMarginal:
@@ -322,19 +324,22 @@ class MixtureMarginal:
         if self.continuous is not None and not isinstance(self.continuous, GridDensity):
             raise TypeError("only grid-backed margins are serializable")
         return {
-            "version": 1,
+            "version": RECORD_VERSION,
             "kind": self.kind,
             "atoms": [[v, m] for v, m in zip(self.atom_values, self.atom_masses)],
-            # the KDE bandwidth is the grid's tail scale
-            "bandwidth": None if self.continuous is None else self.continuous.tail_scale_lo,
-            "degenerate_continuous": self.degenerate_continuous,
             "continuous": None if self.continuous is None else self.continuous.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "MixtureMarginal":
-        cont = None if d["continuous"] is None else GridDensity.from_dict(d["continuous"])
-        return cls(atoms=d["atoms"], continuous=cont, kind=d["kind"])
+        check_record_version(d, "margin")
+        kind = normalize_kind(d["kind"])
+        grid = d["continuous"]
+        transform = "log" if kind in LOG_SCALE_KINDS else "identity"
+        if grid is not None and grid["transform"] != transform:
+            raise ValueError(f"a {kind} margin cannot have a {grid['transform']!r} grid")
+        cont = None if grid is None else GridDensity.from_dict(grid)
+        return cls(atoms=d["atoms"], continuous=cont, kind=kind)
 
 
 # -- fitting ---------------------------------------------------------------
@@ -404,7 +409,7 @@ def fit_marginal(sample, kind: str) -> MixtureMarginal:
         atoms = [(float(v), float(c) / n) for v, c in zip(values[is_atom], counts[is_atom])]
         cont = x[~np.isin(x, values[is_atom])]
 
-    log_scale = kind in ("nonnegative", "zero_inflated")
+    log_scale = kind in LOG_SCALE_KINDS
     if log_scale and cont.size:
         nonpos = cont <= 0
         if np.any(nonpos):

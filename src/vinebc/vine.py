@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import subseed
+from ._util import RECORD_VERSION, check_record_version, subseed
 from .copula import (
     DEFAULT_FAMILY_SET,
     BivariateCopula,
@@ -188,7 +188,7 @@ class VineModel:
     def to_dict(self) -> dict:
         return {
             "format": "vinebc-model",
-            "version": 1,
+            "version": RECORD_VERSION,
             "d": self.d,
             "var_names": self.var_names,
             "margins": [m.to_dict() for m in self.margins],
@@ -212,6 +212,7 @@ class VineModel:
     def from_dict(cls, d: dict) -> "VineModel":
         if d.get("format") != "vinebc-model":
             raise ValueError("not a vine model record")
+        check_record_version(d, "model")
         margins = [MixtureMarginal.from_dict(m) for m in d["margins"]]
         trees = [
             [
@@ -231,7 +232,10 @@ class VineModel:
         structure.validate()
         if len(margins) != structure.d:
             raise ValueError(f"expected {structure.d} margins, got {len(margins)}")
-        return cls(margins=margins, structure=structure, var_names=d.get("var_names"))
+        var_names = d.get("var_names")
+        if var_names is not None and len(var_names) != structure.d:
+            raise ValueError(f"expected {structure.d} variable names, got {len(var_names)}")
+        return cls(margins=margins, structure=structure, var_names=var_names)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -428,6 +428,7 @@ def test_checkerboard_is_doubly_stochastic():
     cop = CheckerboardCopula.fit(u[:, 0], u[:, 1], resolution=32)
     assert np.abs(cop.weights.sum(axis=0) - 1.0 / 32).max() < 1e-9
     assert np.abs(cop.weights.sum(axis=1) - 1.0 / 32).max() < 1e-9
+    assert repr(cop) == "CheckerboardCopula(m=32)"  # not its 1,024 masses
 
 
 def test_serialization_all_families():

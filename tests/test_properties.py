@@ -33,16 +33,22 @@ to the atoms: -1 and 0.5 (interval), 1.25 (nonnegative) or 0 (zero-inflated).
 Joint-CDF samples have 1 to 70 rows of 1 to 5 columns, drawn from a few
 repeated values (0 among them, as an atom), floats in [-3, 3] and NaN.
 
+Float64 arrays written as model-record text have 0 to 40 values of any bit
+pattern (every NaN payload, both infinities, -0.0 and the subnormals among
+them), in 1 or 2 dimensions.
+
 Climate tables written to CSV and read back have 1 to 3 interval variables
 holding any finite float (-0.0, the smallest subnormal and the largest float
 among them), 1 to 3 members and timestamps anywhere in years 1 to 9999.
 """
+import base64
 import json
 import os
 import tempfile
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -65,6 +71,7 @@ from vinebc.copula import (
     hfunc_inverse,
     randomize_pseudo,
 )
+from vinebc._util import decode_f8, encode_f8
 from vinebc.cli import write_table_csv
 from vinebc.dataset import ALL_CHUNK_KEYS, ClimateTable, VariableSpec, load_table
 from vinebc.evaluation import empirical_joint_cdf, empirical_randomized_pit
@@ -417,6 +424,38 @@ def test_serialization_round_trip_is_exact(cop, points):
     assert type(clone) is type(cop) and clone.rotation == cop.rotation
     for method in ("cdf", "du", "dv"):
         assert np.array_equal(getattr(clone, method)(u, v), getattr(cop, method)(u, v))
+
+
+float64_bits = arrays(np.uint64, st.one_of(st.integers(0, 40), st.tuples(st.integers(0, 6),
+                                                                        st.integers(0, 6))),
+                     elements=st.integers(0, 2**64 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(float64_bits)
+@example(np.array([0x8000000000000000, 1, 0x000FFFFFFFFFFFFF, 0x7FF0000000000000,
+                   0xFFF0000000000000, 0x7FF8000000000000, 0x7FF0000000000001,
+                   0xFFFFFFFFFFFFFFFF], dtype=np.uint64))
+def test_array_text_round_trips_bit_for_bit(bits):
+    """Bits: -0.0, the least subnormal, the greatest subnormal, +inf, -inf, the
+    quiet NaN, a signalling NaN and a negative NaN with every payload bit set."""
+    a = bits.view(np.float64)
+    text = encode_f8(a)
+    assert isinstance(text, str)
+    back = decode_f8(json.loads(json.dumps(text)))
+    assert back.dtype == np.float64 and back.shape == (a.size,)
+    assert np.array_equal(back.view(np.uint64), bits.ravel())
+
+
+def test_array_text_rejects_what_it_cannot_have_written():
+    for bad in ("not base64!", "AAAA=AAA", "é", ["AAAAAAAAAAA="], None):
+        with pytest.raises(ValueError, match="base64"):
+            decode_f8(bad)
+    with pytest.raises(ValueError, match="multiple of 8"):
+        decode_f8(base64.b64encode(bytes(12)).decode("ascii"))
+    record = {"family": "checkerboard", "weights": encode_f8(np.full(5, 0.2))}
+    with pytest.raises(ValueError, match="square"):
+        copula_from_dict(record)
 
 
 def brute_joint_cdf(data, x):

@@ -638,17 +638,48 @@ def test_sample_reproduces_pairwise_taus(mixed_model):
 # -- serialization ---------------------------------------------------------------
 
 
-def test_model_save_load_bit_exact(tmp_path, mixed_model):
+@pytest.fixture(scope="module")
+def checkerboard_model():
+    """A default-family fit of a zero-inflated, an interval and a nonnegative variable,
+    whose dependent edges are checkerboards."""
+    rng = np.random.default_rng(35)
+    z = rng.multivariate_normal(np.zeros(3), nearest_correlation(np.full((3, 3), 0.6)), size=3000)
+    x = np.column_stack([np.maximum(z[:, 0] - 0.3, 0.0), z[:, 1], np.exp(z[:, 2])])
+    return fit_vine(x, ["zero_inflated", "interval", "nonnegative"], seed=9)
+
+
+def _array_fields(record):
+    """The float-array fields of a model record: grid knots and pdf, checkerboard weights."""
+    for m in record["margins"]:
+        if m["continuous"] is not None:
+            yield m["continuous"]["knots"]
+            yield m["continuous"]["pdf"]
+    for tree in record["trees"]:
+        for e in tree:
+            if e["copula"]["family"] == "checkerboard":
+                yield e["copula"]["weights"]
+
+
+@pytest.mark.parametrize("fixture", ["mixed_model", "checkerboard_model"])
+def test_model_save_load_bit_exact(tmp_path, request, fixture):
+    model = request.getfixturevalue(fixture)
     path = tmp_path / "model.json"
-    mixed_model.save(path)
+    model.save(path)
     clone = VineModel.load(path)
-    assert clone.order == mixed_model.order
-    x = vine_sample(mixed_model, 100, seed=46)
-    assert np.array_equal(vine_log_density(clone, x), vine_log_density(mixed_model, x))
-    assert np.array_equal(vine_sample(clone, 50, seed=47), vine_sample(mixed_model, 50, seed=47))
-    blob1 = json.dumps(mixed_model.to_dict(), sort_keys=True)
+    assert clone.order == model.order
+    x = vine_sample(model, 100, seed=46)
+    assert np.array_equal(vine_log_density(clone, x), vine_log_density(model, x))
+    assert np.array_equal(vine_sample(clone, 50, seed=47), vine_sample(model, 50, seed=47))
+    blob1 = json.dumps(model.to_dict(), sort_keys=True)
     blob2 = json.dumps(clone.to_dict(), sort_keys=True)
     assert blob1 == blob2
+    record = json.loads(path.read_text())
+    fields = list(_array_fields(record))
+    assert fields and all(isinstance(f, str) for f in fields)
+    if fixture == "checkerboard_model":
+        assert model.margins[0].atom_values.tolist() == [0.0]
+        families = {e.copula.family for tree in model.structure.trees for e in tree}
+        assert "checkerboard" in families
 
 
 # corruptions of a saved d=3 model record
@@ -663,6 +694,11 @@ MODEL_CORRUPTIONS = {
     "tree-1 edge naming child 4": lambda r: r["trees"][1][0].update(child_a=4),
     "tree-1 edge naming child -2 for child 0": lambda r: r["trees"][1][0].update(
         {k: -2 for k in ("child_a", "child_b") if r["trees"][1][0][k] == 0}),
+    "one variable name for three variables": lambda r: r.update(var_names=["a"]),
+    "model version 7": lambda r: r.update(version=7),
+    "margin version 99": lambda r: r["margins"][0].update(version=99),
+    # a nonnegative margin relabelled interval keeps its log grid
+    "log-grid margin of kind interval": lambda r: r["margins"][2].update(kind="interval"),
 }
 
 
@@ -673,4 +709,18 @@ def test_model_load_rejects_malformed_record(tmp_path, mixed_model, corrupt):
     path = tmp_path / "model.json"
     path.write_text(json.dumps(record))
     with pytest.raises(ValueError):
+        VineModel.load(path)
+
+
+def test_model_load_asks_to_refit_a_version_1_record(tmp_path, mixed_model):
+    """Version 1 wrote each array as a JSON list of floats."""
+    record = mixed_model.to_dict()
+    record["version"] = 1
+    for m, margin in zip(record["margins"], mixed_model.margins):
+        m["version"] = 1
+        m["continuous"].update(knots=margin.continuous.knots.tolist(),
+                               pdf=margin.continuous.pdf_values.tolist())
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(record))
+    with pytest.raises(ValueError, match="re-run `vinebc fit`"):
         VineModel.load(path)
