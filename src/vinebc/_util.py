@@ -27,11 +27,11 @@ def maybe_scalar(out: np.ndarray, *inputs):
 RECORD_VERSION = 2
 
 
-def check_record_version(record: dict, what: str) -> None:
+def check_record_version(record: dict) -> None:
     """ValueError unless ``record`` is of ``RECORD_VERSION``."""
     version = record.get("version")
     if version != RECORD_VERSION:
-        raise ValueError(f"{what} record version {version!r} is not {RECORD_VERSION}; "
+        raise ValueError(f"version {version!r} is not {RECORD_VERSION}; "
                          "re-run `vinebc fit` to write the model again")
 
 

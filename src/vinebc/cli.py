@@ -2,12 +2,12 @@
 
 A single JSON config file drives every command; environment variables
 ``VINEBC_SEED`` and ``VINEBC_WORKERS`` override only the master seed and the
-parallelism degree.  Fit units and the reference fits of ``correct`` (one
-per chunk) and correction and evaluation units (one per chunk and member)
-carry seeds derived from the master seed, and all of them run through one
-runner (``_map_units``): ``workers`` > 1 runs them on a process pool, and a
-unit that fails on bad data fails alone.  Outputs are byte-identical at any
-parallelism degree.
+parallelism degree.  The reference fits (one per chunk, which ``fit`` saves
+and ``correct`` corrects against) and correction and evaluation units (one
+per chunk and member) carry seeds derived from the master seed, and all of
+them run through one runner (``_map_units``): ``workers`` > 1 runs them on a
+process pool, and a unit that fails on bad data fails alone.  Outputs are
+byte-identical at any parallelism degree.
 Exit codes: 0 success, 1 config error, 2 data error, 3 partial unit failure.
 """
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from ._util import subseed
-from .correction import CorrectionConfig, apply_correction, fit_reference
+from .correction import CorrectionConfig, apply_correction, fit_reference, fit_reference_vine
 from .dataset import (
     ALL_CHUNK_KEYS,
     ClimateTable,
@@ -48,7 +48,6 @@ from .evaluation import (
 )
 from .marginal import normalize_kind
 from .synthetic import BiasSpec, GroundTruth, MarginSpec, make_ensemble_table
-from .vine import fit_vine
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -60,8 +59,8 @@ _CORRECTION_FIELDS = tuple(f.name for f in dataclasses.fields(CorrectionConfig) 
 # CSV columns besides the variables; no variable may take one of these names
 _RESERVED_COLUMNS = ("timestamp", "member", "chunk", "method", "unit_seed")
 # tag of each chunk's reference-fit seed, subseed(seed, _REFERENCE_TAG, chunk
-# index): no chunk index (0-7, which leads every unit seed), overlap tag (1-3)
-# or fit tag (4) takes it
+# index): no chunk index (0-7, which leads every unit seed) or overlap tag
+# (1-3) takes it
 _REFERENCE_TAG = 8
 # a unit that raises one of these fails alone (ValueError covers numpy's
 # LinAlgError); any other exception is a programming error and propagates
@@ -256,6 +255,14 @@ def _extended_chunks(table: ClimateTable, overlap_fraction: float, seed: int, ta
             for i, (k, c) in enumerate(make_chunks(table).items())}
 
 
+def _reference_estimation(table: ClimateTable, overlap_fraction: float, seed: int) -> tuple:
+    """Each chunk's reference estimation, one for ``fit`` and ``correct``:
+    ({key: chunk whose estimation rows the reference fit takes (overlap tag
+    2)}, {key: the fit's seed, subseed(seed, _REFERENCE_TAG, chunk index)})."""
+    seeds = {key: subseed(seed, _REFERENCE_TAG, ci) for ci, key in enumerate(ALL_CHUNK_KEYS)}
+    return _extended_chunks(table, overlap_fraction, seed, 2), seeds
+
+
 def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str,
                 out_dir: str) -> int:
     """Correct in two stages: fit each chunk's reference once (``fit_reference``),
@@ -274,7 +281,7 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
     mc = load_table(mc_path, specs)
 
     mp_chunks = _extended_chunks(mp, config.overlap_fraction, seed, 1)
-    rc_chunks = _extended_chunks(rc, config.overlap_fraction, seed, 2)
+    rc_chunks, rc_seeds = _reference_estimation(rc, config.overlap_fraction, seed)
     mc_chunks = _extended_chunks(mc, config.overlap_fraction, seed, 3)
 
     unit_seeds, plan = {}, {}
@@ -285,9 +292,9 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
 
     planned = {key for key, *_ in plan.values()}
     reference_seeds, reference_tasks = {}, {}
-    for ci, key in enumerate(ALL_CHUNK_KEYS):
+    for key in ALL_CHUNK_KEYS:
         if key in planned:
-            reference_seeds[key.label] = subseed(seed, _REFERENCE_TAG, ci)
+            reference_seeds[key.label] = rc_seeds[key]
             reference_tasks[key.label] = partial(
                 fit_reference, method, rc.values[rc_chunks[key].estimation_rows],
                 mc.values[mc_chunks[key].estimation_rows], mp.kinds,
@@ -471,18 +478,18 @@ def emit_report(report: MetricReport, out_dir: str) -> list:
 
 
 def cmd_fit(cfg: dict, input_path: str, out_dir: str) -> int:
+    """Fit and save each chunk's reference vine: with the same config, the
+    vines that ``correct --method vbc`` fits to this reference table."""
     specs = _variable_specs(cfg)
     config = _correction_config(cfg)
-    seed = cfg.get("seed", 0)
     table = load_table(input_path, specs)
-    chunks = _extended_chunks(table, config.overlap_fraction, seed, 1)
-    tasks = {}
-    for ci, key in enumerate(ALL_CHUNK_KEYS):
-        rows = chunks[key].estimation_rows
-        if rows.size:
-            tasks[key.label] = partial(fit_vine, table.values[rows], table.kinds,
-                                       seed=subseed(seed, 4, ci), var_names=table.var_names,
-                                       **config.vine_kwargs())
+    chunks, seeds = _reference_estimation(table, config.overlap_fraction, cfg.get("seed", 0))
+    reference_seeds, tasks = {}, {}
+    for key, chunk in chunks.items():
+        if chunk.estimation_rows.size:
+            reference_seeds[key.label] = seeds[key]
+            tasks[key.label] = partial(fit_reference_vine, table.values[chunk.estimation_rows],
+                                       table.kinds, config.with_seed(seeds[key]), table.var_names)
     models, failures = _map_units(tasks, cfg.get("workers", 1))
     os.makedirs(out_dir, exist_ok=True)
     outputs = []
@@ -491,7 +498,8 @@ def cmd_fit(cfg: dict, input_path: str, out_dir: str) -> int:
         model.save(path)
         outputs.append(path)
     _write_manifest(os.path.join(out_dir, "manifest_fit.json"), "fit", cfg, (input_path,),
-                    outputs, config, chunks=chunk_manifest(chunks), failures=failures)
+                    outputs, config, chunks=chunk_manifest(chunks),
+                    reference_seeds=reference_seeds, failures=failures)
     return _exit_status(failures)
 
 

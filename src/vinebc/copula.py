@@ -410,7 +410,7 @@ class FrankCopula(BivariateCopula):
 
     def __init__(self, theta: float):
         theta = float(theta)
-        if theta == 0.0 or abs(theta) > THETA_CAP_FRANK:
+        if not 0.0 < abs(theta) <= THETA_CAP_FRANK:
             raise ValueError(f"theta must be nonzero with |theta| <= {THETA_CAP_FRANK}")
         self.theta = theta
 

@@ -24,7 +24,7 @@ from ._util import as_float_array, maybe_scalar, subseed
 from .copula import DEFAULT_FAMILY_SET, check_family_set
 from .errors import SchemaError
 from .marginal import MixtureMarginal, fit_marginal, normalize_kind
-from .vine import fit_vine, rosenblatt_forward_from_fit, rosenblatt_inverse
+from .vine import VineModel, fit_vine, rosenblatt_forward_from_fit, rosenblatt_inverse
 
 _NOISE_TAG = 11
 _MP_TAG = 12
@@ -110,13 +110,19 @@ class ReferenceFit:
     mc_margins: tuple
 
 
+def fit_reference_vine(x_rc, kinds, config: CorrectionConfig, var_names=None) -> VineModel:
+    """The reference vine of ``x_rc``, seeded by ``subseed(config.seed, 13)``:
+    the vine that VBC corrects against and that ``vinebc fit`` saves."""
+    return fit_vine(x_rc, kinds, seed=subseed(config.seed, _RC_TAG), var_names=var_names,
+                    **config.vine_kwargs())
+
+
 def fit_reference(method: str, x_rc, x_mc, kinds, config: CorrectionConfig) -> ReferenceFit:
     """The first step of ``vbc_correct`` (``method="vbc"``) or ``ubc_correct`` (``"ubc"``).
 
     The reference vine is fitted to ``x_rc``, the reference estimation sample,
-    with the seed ``subseed(config.seed, 13)``; UBC fits its margins, which
-    take no seed.  ``x_mc`` pools all ensemble members of the calibration
-    period.
+    by ``fit_reference_vine``; UBC fits its margins, which take no seed.
+    ``x_mc`` pools all ensemble members of the calibration period.
     """
     if method not in ("vbc", "ubc"):
         raise ValueError(f"unknown method {method!r}")
@@ -126,7 +132,7 @@ def fit_reference(method: str, x_rc, x_mc, kinds, config: CorrectionConfig) -> R
         raise SchemaError(f"variable count mismatch: {len(kinds)} kinds, reference "
                           f"{x_rc.shape[1]}, calibration {x_mc.shape[1]}")
     if method == "vbc":
-        model = fit_vine(x_rc, kinds, seed=subseed(config.seed, _RC_TAG), **config.vine_kwargs())
+        model = fit_reference_vine(x_rc, kinds, config)
     else:
         model = tuple(fit_marginal(x_rc[:, j], kind) for j, kind in enumerate(kinds))
     mc_margins = tuple(fit_marginal(x_mc[:, j], kind) for j, kind in enumerate(kinds))

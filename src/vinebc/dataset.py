@@ -25,38 +25,6 @@ from .marginal import normalize_kind
 SEASONS = ("DJF", "MAM", "JJA", "SON")
 DIURNALS = ("day", "night")
 
-_SEASON_OF_MONTH = {
-    12: "DJF", 1: "DJF", 2: "DJF",
-    3: "MAM", 4: "MAM", 5: "MAM",
-    6: "JJA", 7: "JJA", 8: "JJA",
-    9: "SON", 10: "SON", 11: "SON",
-}
-# the index in SEASONS of each month's season, indexed by month number
-_SEASON_NO_OF_MONTH = np.array([-1] + [SEASONS.index(_SEASON_OF_MONTH[m]) for m in range(1, 13)])
-_SEASON_MONTHS = {
-    "DJF": (12, 1, 2),
-    "MAM": (3, 4, 5),
-    "JJA": (6, 7, 8),
-    "SON": (9, 10, 11),
-}
-# calendar months bordering each season
-_ADJACENT_MONTHS = {
-    "DJF": (11, 3),
-    "MAM": (2, 6),
-    "JJA": (5, 9),
-    "SON": (8, 12),
-}
-_DIURNAL_HOURS = {
-    "day": (6, 9, 12, 15),
-    "night": (18, 21, 0, 3),
-}
-# 3-hour slots bordering each diurnal window
-_BORDER_HOURS = {
-    "day": (3, 18),
-    "night": (15, 6),
-}
-
-
 @dataclass(frozen=True)
 class VariableSpec:
     name: str
@@ -322,13 +290,34 @@ def _parse_timestamps(cells):
     return out
 
 
+# The calendar of the chunks is one rule.  A season is three months counted
+# from December, SEASONS[(month % 12) // 3].  A diurnal window is four 3-hour
+# slots of the day (hour // 3), slots 2-5 (06:00-18:00) by day and 6-1 by
+# night.  A chunk's overlap pool borrows the month on either side of its
+# season and the slot on either side of its window.
+
+
+def _window(position, first: int, length: int, period: int) -> tuple:
+    """Masks of the positions (on a cycle of ``period``) inside the window of
+    ``length`` positions from ``first``, and of those on either side of it."""
+    offset = (position - first) % period
+    return offset < length, (offset == length) | (offset == period - 1)
+
+
+def _calendar(key, table) -> tuple:
+    """((in season, adjacent month), (in diurnal window, bordering slot)): the
+    masks of the table's rows for the chunk ``key``."""
+    return (_window(table.months() % 12, 3 * SEASONS.index(key.season), 3, 12),
+            _window(table.hours() // 3, 2 + 4 * DIURNALS.index(key.diurnal), 4, 8))
+
+
 def chunk_key_of(timestamp) -> ChunkKey:
     """Chunk assignment is a pure function of the wall-clock timestamp."""
     ts = np.datetime64(timestamp, "s")
     month = int(ts.astype("datetime64[M]").astype(int) % 12) + 1
     hour = int((ts - ts.astype("datetime64[D]")).astype("timedelta64[h]").astype(int))
     diurnal = "day" if 6 <= hour < 18 else "night"
-    return ChunkKey(_SEASON_OF_MONTH[month], diurnal)
+    return ChunkKey(SEASONS[(month % 12) // 3], diurnal)
 
 
 def make_chunks(table: ClimateTable) -> dict:
@@ -338,14 +327,10 @@ def make_chunks(table: ClimateTable) -> dict:
     """
     if len(table) == 0:
         raise TableFormatError("table is empty")
-    months = table.months()
-    hours = table.hours()
-    season = _SEASON_NO_OF_MONTH[months]
-    is_day = (hours >= 6) & (hours < 18)
     chunks = {}
     for key in ALL_CHUNK_KEYS:
-        in_window = is_day if key.diurnal == "day" else ~is_day
-        idx = np.flatnonzero((season == SEASONS.index(key.season)) & in_window)
+        (in_season, _), (in_window, _) = _calendar(key, table)
+        idx = np.flatnonzero(in_season & in_window)
         chunks[key] = Chunk(key=key, core_rows=idx, estimation_rows=idx.copy())
     return chunks
 
@@ -363,16 +348,8 @@ def extend_overlap(chunk: Chunk, table: ClimateTable, fraction: float, seed: int
     k = int(round(fraction * chunk.core_rows.size))
     if k == 0:
         return Chunk(chunk.key, chunk.core_rows.copy(), chunk.core_rows.copy())
-    months = table.months()
-    hours = table.hours()
-    season_months = _SEASON_MONTHS[chunk.key.season]
-    adj_months = _ADJACENT_MONTHS[chunk.key.season]
-    window = _DIURNAL_HOURS[chunk.key.diurnal]
-    border = _BORDER_HOURS[chunk.key.diurnal]
-    pool_mask = (np.isin(months, adj_months) & np.isin(hours, window)) | (
-        np.isin(months, season_months) & np.isin(hours, border)
-    )
-    pool = np.flatnonzero(pool_mask)
+    (in_season, adjacent), (in_window, border) = _calendar(chunk.key, table)
+    pool = np.flatnonzero((adjacent & in_window) | (in_season & border))
     if pool.size <= k:
         if pool.size < k:
             warnings.warn(

@@ -106,8 +106,8 @@ class GridDensity:
             raise ValueError("pdf_values must be finite and nonnegative")
         s_lo = float(tail_scale_lo)
         s_hi = float(tail_scale_hi)
-        if s_lo <= 0 or s_hi <= 0:
-            raise ValueError("tail scales must be positive")
+        if not (0 < s_lo < math.inf and 0 < s_hi < math.inf):
+            raise ValueError("tail scales must be positive and finite")
         seg = 0.5 * np.diff(knots) * (pdf[:-1] + pdf[1:])
         total = seg.sum() + pdf[0] * s_lo + pdf[-1] * s_hi
         if total <= 0:
@@ -234,9 +234,9 @@ class MixtureMarginal:
         pairs = sorted((float(v), float(m)) for v, m in atoms)
         values = np.array([p[0] for p in pairs], dtype=float)
         masses = np.array([p[1] for p in pairs], dtype=float)
-        if values.size and np.any(np.diff(values) <= 0):
-            raise ValueError("atom values must be distinct")
-        if np.any(masses <= 0) or masses.sum() > 1.0 + _MASS_TOL:
+        if not np.isfinite(values).all() or np.any(np.diff(values) <= 0):
+            raise ValueError("atom values must be finite and distinct")
+        if not np.all(masses > 0) or masses.sum() > 1.0 + _MASS_TOL:
             raise ValueError("atom masses must be in (0, 1] and sum to at most 1")
         cont_mass = max(0.0, 1.0 - masses.sum())
         if cont_mass < _MASS_TOL:
@@ -332,7 +332,9 @@ class MixtureMarginal:
 
     @classmethod
     def from_dict(cls, d: dict) -> "MixtureMarginal":
-        check_record_version(d, "margin")
+        check_record_version(d)
+        if not all(isinstance(atom, list) and len(atom) == 2 for atom in d["atoms"]):
+            raise ValueError("atoms: each atom must be a [value, mass] pair")
         kind = normalize_kind(d["kind"])
         grid = d["continuous"]
         transform = "log" if kind in LOG_SCALE_KINDS else "identity"

@@ -210,31 +210,27 @@ class VineModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VineModel":
+        """The model of a ``to_dict`` record.  A malformed record raises a
+        ValueError that names the part at fault, and nothing else."""
+        return _read("model record", cls._from_record, d)
+
+    @classmethod
+    def _from_record(cls, d: dict) -> "VineModel":
         if d.get("format") != "vinebc-model":
-            raise ValueError("not a vine model record")
-        check_record_version(d, "model")
-        margins = [MixtureMarginal.from_dict(m) for m in d["margins"]]
-        trees = [
-            [
-                Edge(
-                    a=e["a"],
-                    b=e["b"],
-                    cond=frozenset(e["cond"]),
-                    child_a=e["child_a"],
-                    child_b=e["child_b"],
-                    copula=copula_from_dict(e["copula"]),
-                )
-                for e in tree
-            ]
-            for tree in d["trees"]
-        ]
+            raise ValueError("format is not 'vinebc-model'")
+        check_record_version(d)
+        margins = [_read(f"margins[{j}]", MixtureMarginal.from_dict, m)
+                   for j, m in enumerate(d["margins"])]
+        trees = [[_read(f"trees[{t}][{i}]", _edge_from_dict, e) for i, e in enumerate(tree)]
+                 for t, tree in enumerate(d["trees"])]
         structure = VineStructure(d=d["d"], trees=trees)
         structure.validate()
         if len(margins) != structure.d:
             raise ValueError(f"expected {structure.d} margins, got {len(margins)}")
         var_names = d.get("var_names")
-        if var_names is not None and len(var_names) != structure.d:
-            raise ValueError(f"expected {structure.d} variable names, got {len(var_names)}")
+        if var_names is not None and not (isinstance(var_names, list) and len(var_names) == structure.d
+                                          and all(isinstance(n, str) for n in var_names)):
+            raise ValueError(f"var_names: not null or a list of {structure.d} names")
         return cls(margins=margins, structure=structure, var_names=var_names)
 
     def save(self, path) -> None:
@@ -246,6 +242,23 @@ class VineModel:
     def load(cls, path) -> "VineModel":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _read(where: str, read, record):
+    """``read(record)``, raising what a malformed part of a model record throws
+    (a missing field, a value of the wrong type or out of range) as a
+    ValueError whose message starts with ``where``."""
+    try:
+        return read(record)
+    except KeyError as exc:
+        raise ValueError(f"{where}: missing field {exc}") from None
+    except (TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _edge_from_dict(e: dict) -> Edge:
+    return Edge(a=e["a"], b=e["b"], cond=frozenset(e["cond"]), child_a=e["child_a"],
+                child_b=e["child_b"], copula=_read("copula", copula_from_dict, e["copula"]))
 
 
 # -- diagonal order ----------------------------------------------------------

@@ -375,6 +375,30 @@ def test_correct_vbc_fits_one_reference_vine_per_chunk(sim_dir, tmp_path, monkey
     assert Counter(seeds) == Counter(reference + model)  # 24 fits, each once
 
 
+def test_fit_saves_the_reference_vines_that_correct_fits(sim_dir, tmp_path, monkeypatch):
+    monkeypatch.delenv("VINEBC_WORKERS", raising=False)
+    models = tmp_path / "models"
+    assert run_pipeline("fit", sim_dir["cfg"], out_dir=str(models),
+                        input_path=str(sim_dir["sim"] / "reference_calibration.csv")) == EXIT_OK
+    fitted = {}
+    fit_vine = vinebc.correction.fit_vine
+
+    def recorded_fit_vine(data, kinds, seed=0, **kwargs):
+        fitted[seed] = fit_vine(data, kinds, seed=seed, **kwargs)
+        return fitted[seed]
+
+    monkeypatch.setattr(vinebc.correction, "fit_vine", recorded_fit_vine)
+    assert _correct(sim_dir, "vbc", tmp_path / "o") == EXIT_OK
+    seeds = json.load(open(models / "manifest_fit.json"))["reference_seeds"]
+    assert seeds == json.load(open(tmp_path / "o" / "manifest_correct_vbc.json"))["reference_seeds"]
+    assert seeds == {key.label: subseed(CONFIG["seed"], 8, ci) for ci, key in enumerate(ALL_CHUNK_KEYS)}
+    for label, seed in seeds.items():
+        saved = json.load(open(models / f"model_{label}.json"))
+        reference = fitted[subseed(seed, 13)].to_dict()
+        assert (saved.pop("var_names"), reference.pop("var_names")) == (["d", "p", "t"], None)
+        assert saved == reference, label
+
+
 def test_correct_ubc_fits_each_chunk_margin_once(sim_dir, tmp_path, monkeypatch):
     monkeypatch.delenv("VINEBC_WORKERS", raising=False)
     samples = Counter()

@@ -649,6 +649,53 @@ def test_extend_overlap_small_pool_takes_all_and_warns():
     assert 0 < pool_size < chunk.core_rows.size
 
 
+def _whole_pool(table, key):
+    """The overlap pool ``extend_overlap`` draws for chunk ``key``: with every
+    row of the table as core rows, it draws the whole pool, and each pool row
+    appears twice among the estimation rows."""
+    everything = np.arange(len(table))
+    with pytest.warns(UserWarning, match="pool"):
+        out = extend_overlap(Chunk(key, everything, everything), table, 1.0, seed=0)
+    return np.flatnonzero(np.bincount(out.estimation_rows) == 2)
+
+
+def test_calendar_matches_the_month_and_hour_tables():
+    """The chunk calendar as literal tables, against ``make_chunks`` and the
+    overlap pool of ``extend_overlap`` on a 3-hourly year."""
+    season_months = {"DJF": (12, 1, 2), "MAM": (3, 4, 5), "JJA": (6, 7, 8), "SON": (9, 10, 11)}
+    adjacent_months = {"DJF": (11, 3), "MAM": (2, 6), "JJA": (5, 9), "SON": (8, 12)}
+    diurnal_hours = {"day": (6, 9, 12, 15), "night": (18, 21, 0, 3)}
+    border_hours = {"day": (3, 18), "night": (15, 6)}
+    table = full_year_table()
+    months, hours = table.months(), table.hours()
+    chunks = make_chunks(table)
+    for key in ALL_CHUNK_KEYS:
+        in_season = np.isin(months, season_months[key.season])
+        in_window = np.isin(hours, diurnal_hours[key.diurnal])
+        pool = ((np.isin(months, adjacent_months[key.season]) & in_window)
+                | (in_season & np.isin(hours, border_hours[key.diurnal])))
+        assert np.array_equal(chunks[key].core_rows, np.flatnonzero(in_season & in_window)), key
+        assert np.array_equal(_whole_pool(table, key), np.flatnonzero(pool)), key
+
+
+def test_overlap_pool_reads_off_grid_hours_by_their_3_hour_slot():
+    """On an hourly year, 07:00 is daytime for ``make_chunks``, so 07:00 in
+    November and March is in DJF-day's pool; the pool is the day hours of the
+    adjacent months and the slots [03:00, 06:00) and [18:00, 21:00) of DJF."""
+    grid = np.datetime64("2019-01-01T00:00:00") + np.arange(365 * 24) * np.timedelta64(1, "h")
+    table = ClimateTable(SCHEMA5, grid, np.ones(grid.size, dtype=int), np.ones((grid.size, 5)))
+    months, hours = table.months(), table.hours()
+    key = ChunkKey("DJF", "day")
+    assert np.isin(np.flatnonzero(np.isin(months, (12, 1, 2)) & (hours == 7)),
+                   make_chunks(table)[key].core_rows).all()
+    pool = _whole_pool(table, key)
+    assert np.isin(np.flatnonzero(np.isin(months, (11, 3)) & (hours == 7)), pool).all()
+    day = (hours >= 6) & (hours < 18)
+    border = ((hours >= 3) & (hours < 6)) | ((hours >= 18) & (hours < 21))
+    want = (np.isin(months, (11, 3)) & day) | (np.isin(months, (12, 1, 2)) & border)
+    assert np.array_equal(pool, np.flatnonzero(want))
+
+
 def test_chunk_manifest_round_trips_json():
     import json
 

@@ -1,8 +1,13 @@
+import copy
+import functools
 import itertools
 import json
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import vinebc.copula
@@ -15,7 +20,14 @@ from conftest import (
     analytic_zi_expon,
     nearest_correlation,
 )
-from vinebc.copula import GaussianCopula, IndependenceCopula, PseudoObs, _frank_tau, gen_density
+from vinebc.copula import (
+    CheckerboardCopula,
+    GaussianCopula,
+    IndependenceCopula,
+    PseudoObs,
+    _frank_tau,
+    gen_density,
+)
 from vinebc.errors import EstimationError
 from vinebc.marginal import MixtureMarginal, fit_marginal
 from vinebc.vine import (
@@ -699,6 +711,17 @@ MODEL_CORRUPTIONS = {
     "margin version 99": lambda r: r["margins"][0].update(version=99),
     # a nonnegative margin relabelled interval keeps its log grid
     "log-grid margin of kind interval": lambda r: r["margins"][2].update(kind="interval"),
+    "checkerboard copula without weights": lambda r: r["trees"][0][0].update(
+        copula={"family": "checkerboard", "rotation": 0}),
+    "gaussian copula without rho": lambda r: r["trees"][0][1]["copula"].pop("rho"),
+    "gaussian copula with an unknown nu": lambda r: r["trees"][0][1]["copula"].update(nu=4),
+    "margin without continuous": lambda r: r["margins"][1].pop("continuous"),
+    "margin without kind": lambda r: r["margins"][1].pop("kind"),
+    "atom [0.0]": lambda r: r["margins"][0].update(atoms=[[0.0]]),
+    "edge without copula": lambda r: r["trees"][1][0].pop("copula"),
+    "record without trees": lambda r: r.pop("trees"),
+    "variable names that are numbers": lambda r: r.update(var_names=[1, 2, 3]),
+    "variable names as one string": lambda r: r.update(var_names="abc"),
 }
 
 
@@ -710,6 +733,71 @@ def test_model_load_rejects_malformed_record(tmp_path, mixed_model, corrupt):
     path.write_text(json.dumps(record))
     with pytest.raises(ValueError):
         VineModel.load(path)
+
+
+@pytest.mark.parametrize("corruption, field", [
+    ("checkerboard copula without weights", "weights"),
+    ("gaussian copula without rho", "rho"),
+    ("gaussian copula with an unknown nu", "nu"),
+    ("margin without continuous", "continuous"),
+    ("margin without kind", "kind"),
+    ("atom [0.0]", "atoms"),
+    ("edge without copula", "copula"),
+    ("record without trees", "trees"),
+    ("variable names as one string", "var_names"),
+])
+def test_model_load_names_the_malformed_field(mixed_model, corruption, field):
+    record = json.loads(json.dumps(mixed_model.to_dict()))
+    MODEL_CORRUPTIONS[corruption](record)
+    with pytest.raises(ValueError, match=field):
+        VineModel.from_dict(record)
+
+
+@pytest.fixture(scope="module")
+def every_family_record(mixed_model):
+    """mixed_model's record, as JSON reads it back, with a 4 x 4 checkerboard
+    on its frank edge: it holds a checkerboard, a Gaussian, a rotated Clayton,
+    an atom, and grids in x and in log(x)."""
+    record = json.loads(json.dumps(mixed_model.to_dict()))
+    u = np.random.default_rng(35).uniform(size=(2, 200))
+    record["trees"][0][0]["copula"] = CheckerboardCopula.fit(*u, resolution=4).to_dict()
+    VineModel.from_dict(record)
+    return record
+
+
+def _record_paths(node, path=()):
+    """The path of every field of a JSON record, each key of an object and
+    each index of an array, at any depth."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _record_paths(child, path + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_model_from_dict_raises_only_value_error(every_family_record, data):
+    """Drop one field of a valid record, or give it any JSON value (NaN, the
+    infinities and integers beyond float64 among them): ``from_dict`` builds
+    a model or raises ValueError, and raises nothing else.  (Some changes
+    leave a valid record, such as a dropped ``var_names``.)"""
+    record = copy.deepcopy(every_family_record)
+    *to_parent, key = data.draw(st.sampled_from(list(_record_paths(record))))
+    parent = functools.reduce(operator.getitem, to_parent, record)
+    if data.draw(st.booleans(), label="drop"):
+        del parent[key]
+    else:
+        parent[key] = data.draw(JSON_VALUES, label="value")
+    try:
+        VineModel.from_dict(record)
+    except ValueError:
+        pass
 
 
 def test_model_load_asks_to_refit_a_version_1_record(tmp_path, mixed_model):
