@@ -26,7 +26,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import __version__
-from ._util import subseed
+from ._util import SEED_PART_LIMIT, Stream, subseed
 from .correction import CorrectionConfig, apply_correction, fit_reference, fit_reference_vine
 from .dataset import (
     ALL_CHUNK_KEYS,
@@ -37,7 +37,7 @@ from .dataset import (
     load_table,
     make_chunks,
 )
-from .errors import ConfigError, VinebcError
+from .errors import ConfigError, TableFormatError, VinebcError
 from .evaluation import (
     MetricReport,
     UnitMetrics,
@@ -58,10 +58,6 @@ EXIT_PARTIAL = 3
 _CORRECTION_FIELDS = tuple(f.name for f in dataclasses.fields(CorrectionConfig) if f.name != "seed")
 # CSV columns besides the variables; no variable may take one of these names
 _RESERVED_COLUMNS = ("timestamp", "member", "chunk", "method", "unit_seed")
-# tag of each chunk's reference-fit seed, subseed(seed, _REFERENCE_TAG, chunk
-# index): no chunk index (0-7, which leads every unit seed) or overlap tag
-# (1-3) takes it
-_REFERENCE_TAG = 8
 # a unit that raises one of these fails alone (ValueError covers numpy's
 # LinAlgError); any other exception is a programming error and propagates
 _UNIT_ERRORS = (VinebcError, ValueError, ArithmeticError)
@@ -71,8 +67,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _checked_int(cfg: dict, key: str, env: str, least: int) -> None:
-    """Apply the environment override of ``cfg[key]``, then check the value."""
+def _checked_int(cfg: dict, key: str, env: str, least: int, below: int | None = None) -> None:
+    """Apply the environment override of ``cfg[key]``, then check that the
+    value is an integer of at least ``least`` and below ``below``."""
     source = key
     if env in os.environ:
         source = env
@@ -81,8 +78,9 @@ def _checked_int(cfg: dict, key: str, env: str, least: int) -> None:
         except ValueError:
             raise ConfigError(f"{env}: not an integer: {os.environ[env]!r}") from None
     value = cfg.get(key, least)
-    if not _is_int(value) or value < least:
-        raise ConfigError(f"{source}: must be a {'nonnegative' if least == 0 else 'positive'} integer")
+    if not _is_int(value) or value < least or (below is not None and value >= below):
+        raise ConfigError(f"{source}: must be a {'nonnegative' if least == 0 else 'positive'} "
+                          f"integer{'' if below is None else f' below {below}'}")
 
 
 def _load_config(path: str) -> dict:
@@ -112,7 +110,7 @@ def _load_config(path: str) -> dict:
             normalize_kind(v["kind"])
         except ValueError as exc:
             raise ConfigError(f"variables[{i}].kind: {exc}") from None
-    _checked_int(cfg, "seed", "VINEBC_SEED", 0)
+    _checked_int(cfg, "seed", "VINEBC_SEED", 0, SEED_PART_LIMIT)
     _checked_int(cfg, "workers", "VINEBC_WORKERS", 1)
     correction = cfg.get("correction", {})
     if not isinstance(correction, dict):
@@ -205,7 +203,7 @@ def _units(table: ClimateTable, chunks: dict, seed: int):
     for ci, key in enumerate(ALL_CHUNK_KEYS):
         core = chunks[key].core_rows
         for member in members:
-            yield (f"{key.label}/m{member}", key, member, subseed(seed, ci, member),
+            yield (f"{key.label}/m{member}", key, member, subseed(seed, Stream.UNIT, ci, member),
                    core[table.members[core] == member])
 
 
@@ -249,18 +247,30 @@ def _map_units(tasks: dict, workers: int, pool=None) -> tuple:
 # -- correct -----------------------------------------------------------------
 
 
-def _extended_chunks(table: ClimateTable, overlap_fraction: float, seed: int, tag: int) -> dict:
-    """The table's chunks with overlap-extended estimation sets, seeded per (tag, chunk)."""
+def _read_table(path: str, specs: list) -> ClimateTable:
+    """``load_table``, with each member id checked as a seed part: a data
+    error unless it lies in [0, 2**32)."""
+    table = load_table(path, specs)
+    bad = (table.members < 0) | (table.members >= SEED_PART_LIMIT)
+    if bad.any():
+        raise TableFormatError(f"{path}: member {table.members[bad][0]} is outside [0, 2**32)")
+    return table
+
+
+def _extended_chunks(table: ClimateTable, overlap_fraction: float, seed: int,
+                     tag: Stream) -> dict:
+    """The table's chunks with overlap-extended estimation sets, the one of
+    chunk index i seeded by ``subseed(seed, tag, i)``."""
     return {k: extend_overlap(c, table, overlap_fraction, subseed(seed, tag, i))
             for i, (k, c) in enumerate(make_chunks(table).items())}
 
 
 def _reference_estimation(table: ClimateTable, overlap_fraction: float, seed: int) -> tuple:
     """Each chunk's reference estimation, one for ``fit`` and ``correct``:
-    ({key: chunk whose estimation rows the reference fit takes (overlap tag
-    2)}, {key: the fit's seed, subseed(seed, _REFERENCE_TAG, chunk index)})."""
-    seeds = {key: subseed(seed, _REFERENCE_TAG, ci) for ci, key in enumerate(ALL_CHUNK_KEYS)}
-    return _extended_chunks(table, overlap_fraction, seed, 2), seeds
+    ({key: chunk whose estimation rows the reference fit takes}, {key: the
+    fit's seed, subseed(seed, Stream.REFERENCE, chunk index)})."""
+    seeds = {key: subseed(seed, Stream.REFERENCE, ci) for ci, key in enumerate(ALL_CHUNK_KEYS)}
+    return _extended_chunks(table, overlap_fraction, seed, Stream.OVERLAP_RC), seeds
 
 
 def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str,
@@ -276,13 +286,13 @@ def cmd_correct(cfg: dict, method: str, mp_path: str, rc_path: str, mc_path: str
     workers = cfg.get("workers", 1)
     if method not in ("vbc", "ubc"):
         raise ConfigError(f"unknown method {method!r}")
-    mp = load_table(mp_path, specs)
-    rc = load_table(rc_path, specs)
-    mc = load_table(mc_path, specs)
+    mp = _read_table(mp_path, specs)
+    rc = _read_table(rc_path, specs)
+    mc = _read_table(mc_path, specs)
 
-    mp_chunks = _extended_chunks(mp, config.overlap_fraction, seed, 1)
+    mp_chunks = _extended_chunks(mp, config.overlap_fraction, seed, Stream.OVERLAP_MP)
     rc_chunks, rc_seeds = _reference_estimation(rc, config.overlap_fraction, seed)
-    mc_chunks = _extended_chunks(mc, config.overlap_fraction, seed, 3)
+    mc_chunks = _extended_chunks(mc, config.overlap_fraction, seed, Stream.OVERLAP_MC)
 
     unit_seeds, plan = {}, {}
     for unit, key, member, unit_seed, rows in _units(mp, mp_chunks, seed):
@@ -392,9 +402,9 @@ def cmd_evaluate(cfg: dict, model_path: str, corrected_path: str, ref_path: str,
                  out_dir: str) -> int:
     specs = _variable_specs(cfg)
     seed = cfg.get("seed", 0)
-    model = load_table(model_path, specs)
-    corrected = load_table(corrected_path, specs)
-    ref = load_table(ref_path, specs)
+    model = _read_table(model_path, specs)
+    corrected = _read_table(corrected_path, specs)
+    ref = _read_table(ref_path, specs)
     model_rows = _match_rows(model, corrected)
     present = np.zeros(len(model), dtype=bool)
     present[model_rows] = True
@@ -482,7 +492,7 @@ def cmd_fit(cfg: dict, input_path: str, out_dir: str) -> int:
     vines that ``correct --method vbc`` fits to this reference table."""
     specs = _variable_specs(cfg)
     config = _correction_config(cfg)
-    table = load_table(input_path, specs)
+    table = _read_table(input_path, specs)
     chunks, seeds = _reference_estimation(table, config.overlap_fraction, cfg.get("seed", 0))
     reference_seeds, tasks = {}, {}
     for key, chunk in chunks.items():
@@ -549,8 +559,11 @@ def _simulate_spec(cfg: dict):
         dependence_scale=float(bias_cfg.get("dependence_scale", 1.0)),
     )
     members = sim.get("members", [1])
-    if not isinstance(members, list) or not members or not all(map(_is_int, members)):
-        raise ConfigError("simulate.members: must be a non-empty list of integers")
+    if (not isinstance(members, list) or not members or not all(map(_is_int, members))
+            or not all(0 <= m < SEED_PART_LIMIT for m in members)
+            or len(set(members)) < len(members)):
+        raise ConfigError("simulate.members: must be a non-empty list of distinct integers "
+                          "in [0, 2**32)")
     steps = sim.get("steps_per_member", 2920)
     if not _is_int(steps) or steps < 1:
         raise ConfigError("simulate.steps_per_member: must be a positive integer")
@@ -564,20 +577,16 @@ def cmd_simulate(cfg: dict, out_dir: str) -> int:
     seed = cfg.get("seed", 0)
     biased = bias.apply(truth)
     os.makedirs(out_dir, exist_ok=True)
-    tables = {
-        "reference_calibration": make_ensemble_table(truth, specs, start_c, steps, [0],
-                                                     seed=subseed(seed, 21)),
-        "reference_projection": make_ensemble_table(truth, specs, start_p, steps, [0],
-                                                    seed=subseed(seed, 22)),
-        "model_calibration": make_ensemble_table(biased, specs, start_c, steps, members,
-                                                 seed=subseed(seed, 23)),
-        "model_projection": make_ensemble_table(biased, specs, start_p, steps, members,
-                                                seed=subseed(seed, 24)),
-    }
+    # name -> (ground truth, start, members) of each table
+    tables = {"reference_calibration": (truth, start_c, [0]),
+              "reference_projection": (truth, start_p, [0]),
+              "model_calibration": (biased, start_c, members),
+              "model_projection": (biased, start_p, members)}
     outputs = []
-    for name, table in tables.items():
+    for i, (name, (source, start, ids)) in enumerate(tables.items()):
         path = os.path.join(out_dir, f"{name}.csv")
-        write_table_csv(path, table)
+        write_table_csv(path, make_ensemble_table(source, specs, start, steps, ids,
+                                                  seed=subseed(seed, Stream.SIMULATE, i)))
         outputs.append(path)
     _write_manifest(os.path.join(out_dir, "manifest_simulate.json"), "simulate", cfg, (), outputs)
     return EXIT_OK

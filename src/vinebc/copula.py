@@ -58,7 +58,8 @@ _FLIPS = {0: (False, False), 90: (True, False), 180: (True, True), 270: (False, 
 
 
 def _valid_rotation(rotation: int) -> int:
-    if rotation not in _FLIPS:
+    # bool is an int, and 270.0 would find the key 270
+    if isinstance(rotation, bool) or not isinstance(rotation, int) or rotation not in _FLIPS:
         raise ValueError("rotation must be 0, 90, 180 or 270")
     return rotation
 
@@ -602,8 +603,9 @@ def copula_from_dict(d: dict) -> BivariateCopula:
     fam = params.pop("family")
     if fam not in _FAMILY_CLASSES:
         raise ValueError(f"unknown copula family {fam!r}")
-    if not params.get("rotation"):
-        params.pop("rotation", None)  # unrotatable families take no rotation
+    rotation = _valid_rotation(params.pop("rotation", 0))
+    if rotation:  # unrotatable families take no rotation
+        params["rotation"] = rotation
     return _FAMILY_CLASSES[fam]._from_params(**params)
 
 

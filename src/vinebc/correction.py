@@ -20,15 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import as_float_array, maybe_scalar, subseed
+from ._util import Stream, as_float_array, maybe_scalar, subseed
 from .copula import DEFAULT_FAMILY_SET, check_family_set
 from .errors import SchemaError
 from .marginal import MixtureMarginal, fit_marginal, normalize_kind
 from .vine import VineModel, fit_vine, rosenblatt_forward_from_fit, rosenblatt_inverse
-
-_NOISE_TAG = 11
-_MP_TAG = 12
-_RC_TAG = 13
 
 # CorrectionConfig fields passed to fit_vine under the same name
 _VINE_FIELDS = ("family_set", "truncation")
@@ -111,10 +107,11 @@ class ReferenceFit:
 
 
 def fit_reference_vine(x_rc, kinds, config: CorrectionConfig, var_names=None) -> VineModel:
-    """The reference vine of ``x_rc``, seeded by ``subseed(config.seed, 13)``:
-    the vine that VBC corrects against and that ``vinebc fit`` saves."""
-    return fit_vine(x_rc, kinds, seed=subseed(config.seed, _RC_TAG), var_names=var_names,
-                    **config.vine_kwargs())
+    """The reference vine of ``x_rc``, seeded by ``subseed(config.seed,
+    Stream.REFERENCE_VINE)``: the vine that VBC corrects against and that
+    ``vinebc fit`` saves."""
+    return fit_vine(x_rc, kinds, seed=subseed(config.seed, Stream.REFERENCE_VINE),
+                    var_names=var_names, **config.vine_kwargs())
 
 
 def fit_reference(method: str, x_rc, x_mc, kinds, config: CorrectionConfig) -> ReferenceFit:
@@ -144,12 +141,13 @@ def apply_correction(x_fit, reference: ReferenceFit, config: CorrectionConfig,
     """The second step: fit the projection model to ``x_fit`` and correct the
     rows ``x_fit[rows]`` (every row when ``rows`` is None) against ``reference``.
 
-    The projection model is a vine seeded by ``subseed(config.seed, 12)`` for
-    VBC, margins for UBC; ``x_fit`` is the projection rows or an
-    overlap-extended estimation set that holds them.  VBC reads the forward
-    Rosenblatt transform of the corrected rows from the edge store of that
-    fit (``vine.rosenblatt_forward_from_fit``), so the projection vine is
-    walked once.  Returns the corrected rows, aligned with ``rows`` and in order.
+    The projection model is a vine seeded by ``subseed(config.seed,
+    Stream.PROJECTION_VINE)`` for VBC, margins for UBC; ``x_fit`` is the
+    projection rows or an overlap-extended estimation set that holds them.
+    VBC reads the forward Rosenblatt transform of the corrected rows from the
+    edge store of that fit (``vine.rosenblatt_forward_from_fit``), so the
+    projection vine is walked once.  Returns the corrected rows, aligned with
+    ``rows`` and in order.
     """
     x_fit = np.asarray(x_fit, dtype=float)
     kinds = reference.kinds
@@ -159,9 +157,9 @@ def apply_correction(x_fit, reference: ReferenceFit, config: CorrectionConfig,
     x_mp = x_fit if rows is None else x_fit[rows]
     if reference.method == "vbc":
         store = {}
-        vine_mp = fit_vine(x_fit, kinds, seed=subseed(config.seed, _MP_TAG),
+        vine_mp = fit_vine(x_fit, kinds, seed=subseed(config.seed, Stream.PROJECTION_VINE),
                            **config.vine_kwargs(), store=store)
-        noise = np.random.default_rng(subseed(config.seed, _NOISE_TAG)).uniform(size=x_mp.shape)
+        noise = np.random.default_rng(subseed(config.seed, Stream.NOISE)).uniform(size=x_mp.shape)
         v = np.clip(rosenblatt_forward_from_fit(vine_mp, store, noise, rows), 1e-9, 1.0 - 1e-9)
         del store  # free it before the inverse transform, which needs none of it
         x_hat_mc = rosenblatt_inverse(reference.model, v)

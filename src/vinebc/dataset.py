@@ -18,7 +18,7 @@ from datetime import datetime
 
 import numpy as np
 
-from ._util import subseed
+from ._util import Stream, subseed
 from .errors import SchemaError, TableFormatError
 from .marginal import normalize_kind
 
@@ -341,7 +341,8 @@ def extend_overlap(chunk: Chunk, table: ClimateTable, fraction: float, seed: int
     The pool holds rows from the calendar-adjacent months inside the chunk's
     diurnal window plus rows of the chunk's months in the bordering 3-hour
     slots.  Draws are uniform without replacement, allocated per member in
-    proportion to the member's core rows.
+    proportion to the member's core rows; member m draws from
+    ``subseed(seed, Stream.OVERLAP_MEMBER, m)``.
     """
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must lie in [0, 1]")
@@ -373,7 +374,7 @@ def extend_overlap(chunk: Chunk, table: ClimateTable, fraction: float, seed: int
                 warnings.warn(f"member {m}: pool ({pool_m.size}) smaller than quota ({want})")
                 parts.append(pool_m)
                 continue
-            rng = np.random.default_rng(subseed(seed, int(m)))
+            rng = np.random.default_rng(subseed(seed, Stream.OVERLAP_MEMBER, m))
             parts.append(rng.choice(pool_m, size=want, replace=False))
         extra = np.concatenate(parts) if parts else np.empty(0, dtype=int)
     estimation = np.sort(np.concatenate([chunk.core_rows, extra]))

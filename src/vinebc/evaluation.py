@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
-from ._util import subseed
+from ._util import Stream, subseed
 from .marginal import PseudoObs
 
 OT_SUBSAMPLE = 512
@@ -139,7 +139,7 @@ def wasserstein2(a, b, standardize: bool = True, seed: int = 0) -> float:
         return _w2_assignment(a, b)
     vals = []
     for r in range(OT_REPEATS):
-        rng = np.random.default_rng(subseed(seed, r))
+        rng = np.random.default_rng(subseed(seed, Stream.W2_REPEAT, r))
         ia = rng.choice(n, size=s, replace=False)
         ib = rng.choice(m, size=s, replace=False)
         vals.append(_w2_assignment(a[ia], b[ib]))
@@ -177,9 +177,9 @@ def empirical_randomized_pit(x, seed: int = 0) -> np.ndarray:
 
 def copula_iw2(corrected, model, reference, seed: int = 0) -> float:
     """IW2 between each sample's own empirical-PIT pseudo-observations."""
-    pit_c = empirical_randomized_pit(np.asarray(corrected, float), seed=subseed(seed, 1))
-    pit_m = empirical_randomized_pit(np.asarray(model, float), seed=subseed(seed, 2))
-    pit_r = empirical_randomized_pit(np.asarray(reference, float), seed=subseed(seed, 3))
+    pit_c, pit_m, pit_r = (
+        empirical_randomized_pit(np.asarray(x, float), seed=subseed(seed, Stream.PIT_JITTER, k))
+        for k, x in enumerate((corrected, model, reference)))
     return improvement_iw2(pit_c, pit_m, pit_r, standardize=False, seed=seed)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from ._util import subseed
+from ._util import Stream, subseed
 from .dataset import ClimateTable
 from .errors import ConfigError
 
@@ -105,7 +105,7 @@ def make_ensemble_table(truth: GroundTruth, variables, start: str, steps: int,
     for m in members:
         ts.append(grid)
         mem.append(np.full(steps, m, dtype=int))
-        vals.append(truth.sample(steps, seed=subseed(seed, int(m))))
+        vals.append(truth.sample(steps, seed=subseed(seed, Stream.SIMULATE_MEMBER, m)))
     return ClimateTable(
         variables,
         np.concatenate(ts),

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import RECORD_VERSION, check_record_version, subseed
+from ._util import RECORD_VERSION, Stream, check_record_version, subseed
 from .copula import (
     DEFAULT_FAMILY_SET,
     BivariateCopula,
@@ -40,8 +40,6 @@ from .copula import (
 )
 from .errors import EstimationError
 from .marginal import MixtureMarginal, PseudoObs, fit_marginal, normalize_kind
-
-_PAIR_TAG = 202  # seed-derivation tag of each candidate pair's jitter
 
 
 def count_structures(d: int) -> int:
@@ -92,17 +90,21 @@ class VineStructure:
         for t, tree in enumerate(self.trees):
             if len(tree) != self.d - 1 - t:
                 raise ValueError(f"tree {t} must have {self.d - 1 - t} edges")
+            for e in tree:
+                for i in (e.a, e.b, *e.cond):
+                    if not _is_index(i, self.d):
+                        raise ValueError(f"edge {e.label()} in tree {t} names variable {i!r}, "
+                                         f"not one of the {self.d} variables")
             # acyclic + spanning via union-find over this tree's node set
             if t == 0:
                 nodes, n_nodes = [(e.a, e.b) for e in tree], self.d
             else:
                 nodes, n_nodes = [(e.child_a, e.child_b) for e in tree], len(self.trees[t - 1])
-            for e, pair in zip(tree, nodes):
-                for i in pair:
-                    # bool is an int, and a negative index would alias a real node
-                    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < n_nodes:
-                        raise ValueError(f"edge {e.label()} in tree {t} names node {i!r}, "
-                                         f"not one of the {n_nodes} nodes of that tree")
+                for e, pair in zip(tree, nodes):
+                    for i in pair:
+                        if not _is_index(i, n_nodes):
+                            raise ValueError(f"edge {e.label()} in tree {t} names node {i!r}, "
+                                             f"not one of the {n_nodes} nodes of that tree")
             parent = list(range(n_nodes))
 
             def find(i):
@@ -131,6 +133,12 @@ class VineStructure:
 
     def n_edges(self) -> int:
         return sum(len(tree) for tree in self.trees)
+
+
+def _is_index(i, n: int) -> bool:
+    """Whether ``i`` is an int index into n items; bool is an int, and a
+    negative index would alias a real item."""
+    return isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n
 
 
 def _proximal(t: int, f1: Edge, f2: Edge) -> bool:
@@ -378,7 +386,7 @@ def _build_vine(store, family_set, seed, truncation):
                 edge = Edge(a=next(iter(sym & ci)), b=next(iter(sym & cj)), cond=ci & cj,
                             child_a=i if t > 0 else None, child_b=j if t > 0 else None)
                 obs = (_edge_input(store, t, edge, edge.a), _edge_input(store, t, edge, edge.b))
-                jittered = jitter_pair(*obs, subseed(seed, _PAIR_TAG, t, i, j))
+                jittered = jitter_pair(*obs, subseed(seed, Stream.PAIR_JITTER, t, i, j))
                 weights[i, j] = weights[j, i] = abs(jittered[2])
                 candidates[(i, j)] = (edge, obs, jittered)
         mst = _max_spanning_tree(weights)

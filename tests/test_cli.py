@@ -11,7 +11,7 @@ import pytest
 
 import vinebc.cli
 import vinebc.correction
-from vinebc._util import subseed
+from vinebc._util import Stream, subseed
 from vinebc.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, emit_report, main, run_pipeline
 from vinebc.correction import CorrectionConfig, fit_reference
 from vinebc.dataset import ALL_CHUNK_KEYS, VariableSpec, load_table
@@ -297,7 +297,7 @@ def test_map_units_failure_rule():
 
 def test_correct_unit_linalg_error_exit_code(sim_dir, tmp_path, capsys, monkeypatch):
     chunk = ALL_CHUNK_KEYS[2]
-    broken_seed = subseed(CONFIG["seed"], 2, 2)
+    broken_seed = subseed(CONFIG["seed"], Stream.UNIT, 2, 2)
     apply = vinebc.cli.apply_correction
 
     def failing_apply(x_fit, reference, config, rows=None):
@@ -341,11 +341,11 @@ def test_correct_passes_each_unit_its_fit_rows_and_core_positions(sim_dir, tmp_p
     assert _correct(sim_dir, "ubc", tmp_path / "o") == EXIT_OK
     seed, overlap = CONFIG["seed"], CONFIG["correction"]["overlap_fraction"]
     mp = load_table(sim_dir["sim"] / "model_projection.csv", _specs())
-    chunks = vinebc.cli._extended_chunks(mp, overlap, seed, 1)
+    chunks = vinebc.cli._extended_chunks(mp, overlap, seed, Stream.OVERLAP_MP)
     assert len(calls) == 16
     for ci, key in enumerate(ALL_CHUNK_KEYS):
         for member in (1, 2):
-            x_fit, rows = calls[subseed(seed, ci, member)]
+            x_fit, rows = calls[subseed(seed, Stream.UNIT, ci, member)]
             est, core = chunks[key].estimation_rows, chunks[key].core_rows
             # the member's estimation rows, in row order
             fit_rows = est[mp.members[est] == member]
@@ -367,11 +367,11 @@ def test_correct_vbc_fits_one_reference_vine_per_chunk(sim_dir, tmp_path, monkey
 
     monkeypatch.setattr(vinebc.correction, "fit_vine", counted_fit_vine)
     assert _correct(sim_dir, "vbc", tmp_path / "o") == EXIT_OK
-    # the reference vine of chunk ci is seeded by subseed(subseed(seed, 8, ci), 13),
-    # the model vine of unit (ci, member) by subseed(subseed(seed, ci, member), 12)
     seed = CONFIG["seed"]
-    reference = [subseed(subseed(seed, 8, ci), 13) for ci in range(8)]
-    model = [subseed(subseed(seed, ci, m), 12) for ci in range(8) for m in (1, 2)]
+    reference = [subseed(subseed(seed, Stream.REFERENCE, ci), Stream.REFERENCE_VINE)
+                 for ci in range(8)]
+    model = [subseed(subseed(seed, Stream.UNIT, ci, m), Stream.PROJECTION_VINE)
+             for ci in range(8) for m in (1, 2)]
     assert Counter(seeds) == Counter(reference + model)  # 24 fits, each once
 
 
@@ -391,10 +391,11 @@ def test_fit_saves_the_reference_vines_that_correct_fits(sim_dir, tmp_path, monk
     assert _correct(sim_dir, "vbc", tmp_path / "o") == EXIT_OK
     seeds = json.load(open(models / "manifest_fit.json"))["reference_seeds"]
     assert seeds == json.load(open(tmp_path / "o" / "manifest_correct_vbc.json"))["reference_seeds"]
-    assert seeds == {key.label: subseed(CONFIG["seed"], 8, ci) for ci, key in enumerate(ALL_CHUNK_KEYS)}
+    assert seeds == {key.label: subseed(CONFIG["seed"], Stream.REFERENCE, ci)
+                     for ci, key in enumerate(ALL_CHUNK_KEYS)}
     for label, seed in seeds.items():
         saved = json.load(open(models / f"model_{label}.json"))
-        reference = fitted[subseed(seed, 13)].to_dict()
+        reference = fitted[subseed(seed, Stream.REFERENCE_VINE)].to_dict()
         assert (saved.pop("var_names"), reference.pop("var_names")) == (["d", "p", "t"], None)
         assert saved == reference, label
 
@@ -411,7 +412,8 @@ def test_correct_ubc_fits_each_chunk_margin_once(sim_dir, tmp_path, monkeypatch)
     monkeypatch.setattr(vinebc.correction, "fit_marginal", counted_fit_marginal)
     assert _correct(sim_dir, "ubc", tmp_path / "o") == EXIT_OK
     seed, overlap = CONFIG["seed"], CONFIG["correction"]["overlap_fraction"]
-    for name, tag in (("reference_calibration", 2), ("model_calibration", 3)):
+    for name, tag in (("reference_calibration", Stream.OVERLAP_RC),
+                      ("model_calibration", Stream.OVERLAP_MC)):
         table = load_table(sim_dir["sim"] / f"{name}.csv", _specs())
         chunks = vinebc.cli._extended_chunks(table, overlap, seed, tag)
         for key in ALL_CHUNK_KEYS:
@@ -422,7 +424,7 @@ def test_correct_ubc_fits_each_chunk_margin_once(sim_dir, tmp_path, monkeypatch)
 
 
 # chunk 3's reference fit fails; a module-level stub can be sent to pool workers
-_BROKEN_REFERENCE_SEED = subseed(CONFIG["seed"], 8, 3)
+_BROKEN_REFERENCE_SEED = subseed(CONFIG["seed"], Stream.REFERENCE, 3)
 
 
 def _failing_fit_reference(method, x_rc, x_mc, kinds, config):
@@ -456,7 +458,7 @@ def test_correct_reference_failure_fails_its_chunks_units(sim_dir, tmp_path, cap
 
 def test_evaluate_unit_failure_exit_code(sim_dir, corrected_dir, tmp_path, capsys, monkeypatch):
     chunk = ALL_CHUNK_KEYS[5]
-    broken_seed = subseed(CONFIG["seed"], 5, 1)
+    broken_seed = subseed(CONFIG["seed"], Stream.UNIT, 5, 1)
     copula_iw2 = vinebc.cli.copula_iw2
 
     def failing_copula_iw2(x_c, x_m, x_ref, seed):
@@ -671,9 +673,11 @@ def test_retired_correction_field_exit_code(tmp_path, capsys, field):
 @pytest.mark.parametrize(
     "path, value",
     [(("correction",), None), (("correction",), 3), (("simulate", "members"), "ab"),
-     (("simulate", "steps_per_member"), "x"), (("workers",), True)],
-    ids=["null_correction", "number_correction", "string_members", "string_steps",
-         "boolean_workers"],
+     (("simulate", "members"), [1, -1]), (("simulate", "members"), [2**32]),
+     (("simulate", "members"), [1, 1]), (("simulate", "steps_per_member"), "x"),
+     (("workers",), True), (("seed",), 2**32)],
+    ids=["null_correction", "number_correction", "string_members", "negative_member",
+         "member_2_32", "repeated_member", "string_steps", "boolean_workers", "seed_2_32"],
 )
 def test_invalid_config_value_exit_code(tmp_path, capsys, path, value):
     cfg = json.loads(json.dumps(CONFIG))
@@ -765,6 +769,16 @@ def test_short_row_exit_code(tmp_path, capsys):
                    "--output-dir", str(tmp_path / "o")])
     assert status == EXIT_DATA
     assert f"data error: {table}: row 1 has 2 cells, the header has 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("member", [-1, 2**32])
+def test_member_outside_seed_range_exit_code(tmp_path, capsys, member):
+    table = tmp_path / "in.csv"
+    table.write_text(f"timestamp,member,x\n2000-01-01T00:00:00,{member},3.0\n")
+    status = main(["fit", "--config", _minimal_config(tmp_path), "--input", str(table),
+                   "--output-dir", str(tmp_path / "o")])
+    assert status == EXIT_DATA
+    assert f"data error: {table}: member {member} is outside" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -722,6 +722,14 @@ MODEL_CORRUPTIONS = {
     "record without trees": lambda r: r.pop("trees"),
     "variable names that are numbers": lambda r: r.update(var_names=[1, 2, 3]),
     "variable names as one string": lambda r: r.update(var_names="abc"),
+    # the tree-1 edge is a 180-degree Clayton: a falsy rotation would load unrotated
+    "clayton rotation null": lambda r: r["trees"][1][0]["copula"].update(rotation=None),
+    "clayton rotation false": lambda r: r["trees"][1][0]["copula"].update(rotation=False),
+    "clayton rotation 270.0": lambda r: r["trees"][1][0]["copula"].update(rotation=270.0),
+    "tree-1 edge with a float a": lambda r: r["trees"][1][0].update(a=float(r["trees"][1][0]["a"])),
+    "tree-1 edge with a float cond entry": lambda r: r["trees"][1][0].update(
+        cond=[float(c) for c in r["trees"][1][0]["cond"]]),
+    "tree-1 edge with a bool b": lambda r: r["trees"][1][0].update(b=True),
 }
 
 
@@ -745,6 +753,12 @@ def test_model_load_rejects_malformed_record(tmp_path, mixed_model, corrupt):
     ("edge without copula", "copula"),
     ("record without trees", "trees"),
     ("variable names as one string", "var_names"),
+    ("clayton rotation null", "rotation"),
+    ("clayton rotation false", "rotation"),
+    ("clayton rotation 270.0", "rotation"),
+    ("tree-1 edge with a float a", "tree 1 names variable 0.0"),
+    ("tree-1 edge with a float cond entry", "tree 1 names variable 1.0"),
+    ("tree-1 edge with a bool b", "tree 1 names variable True"),
 ])
 def test_model_load_names_the_malformed_field(mixed_model, corruption, field):
     record = json.loads(json.dumps(mixed_model.to_dict()))
