@@ -17,6 +17,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -516,47 +517,78 @@ def cmd_fit(cfg: dict, input_path: str, out_dir: str) -> int:
 # -- simulate -------------------------------------------------------------------
 
 
+def _config_float(value, where: str) -> float:
+    """``value`` as a finite float; otherwise a config error naming ``where``."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        out = math.nan
+    if not math.isfinite(out):
+        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+    return out
+
+
+def _config_timestamp(sim: dict, key: str, default: str) -> str:
+    """``sim[key]`` when it is a timestamp string; otherwise a config error.
+    numpy's relative words are refused: the tables would depend on the run date."""
+    value = sim.get(key, default)
+    try:
+        valid = (isinstance(value, str) and value.lower() not in ("now", "today")
+                 and not np.isnat(np.datetime64(value, "s")))
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ConfigError(f"simulate.{key}: must be a timestamp such as {default!r}, got {value!r}")
+    return value
+
+
 def _simulate_spec(cfg: dict):
     sim = cfg.get("simulate")
     if not isinstance(sim, dict):
         raise ConfigError("simulate: required object for the simulate command")
     specs = _variable_specs(cfg)
     names = [s.name for s in specs]
+    d = len(specs)
     margins_cfg = sim.get("margins")
-    if not isinstance(margins_cfg, list) or len(margins_cfg) != len(specs):
+    if not isinstance(margins_cfg, list) or len(margins_cfg) != d:
         raise ConfigError("simulate.margins: need one margin spec per variable")
     margins = []
     for i, (m, s) in enumerate(zip(margins_cfg, specs)):
-        try:
-            margins.append(
-                MarginSpec(
-                    kind=s.kind,
-                    loc=float(m.get("loc", 0.0)),
-                    scale=float(m.get("scale", 1.0)),
-                    inflation=float(m.get("inflation", 0.0)),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"simulate.margins[{i}]: {exc}") from None
-    tau = np.asarray(sim.get("tau", np.zeros((len(specs), len(specs)))), dtype=float)
-    if tau.shape != (len(specs), len(specs)):
-        raise ConfigError(f"simulate.tau: must be a {len(specs)}x{len(specs)} matrix")
+        if not isinstance(m, dict):
+            raise ConfigError(f"simulate.margins[{i}]: must be a JSON object")
+        margins.append(MarginSpec(kind=s.kind, **{
+            key: _config_float(m.get(key, default), f"simulate.margins[{i}].{key}")
+            for key, default in (("loc", 0.0), ("scale", 1.0), ("inflation", 0.0))}))
+    try:
+        tau = np.asarray(sim.get("tau", np.zeros((d, d))), dtype=float)
+    except (TypeError, ValueError):
+        tau = None
+    if tau is None or tau.shape != (d, d):
+        raise ConfigError(f"simulate.tau: must be a {d}x{d} matrix")
+    if not (np.all(np.abs(tau) <= 1.0) and np.array_equal(tau, tau.T)):
+        raise ConfigError("simulate.tau: must be symmetric, with every entry in [-1, 1]")
     truth = GroundTruth(margins=margins, tau=tau)
     bias_cfg = sim.get("bias", {})
+    if not isinstance(bias_cfg, dict):
+        raise ConfigError("simulate.bias: must be a JSON object")
 
-    def named(d):
+    def named(key):
+        values = bias_cfg.get(key, {})
+        if not isinstance(values, dict):
+            raise ConfigError(f"simulate.bias.{key}: must be a JSON object of variable names")
         out = {}
-        for k, v in d.items():
+        for k, v in values.items():
             if k not in names:
-                raise ConfigError(f"simulate.bias: unknown variable {k!r}")
-            out[names.index(k)] = float(v)
+                raise ConfigError(f"simulate.bias.{key}: unknown variable {k!r}")
+            out[names.index(k)] = _config_float(v, f"simulate.bias.{key}.{k}")
         return out
 
     bias = BiasSpec(
-        shift=named(bias_cfg.get("shift", {})),
-        scale=named(bias_cfg.get("scale", {})),
-        inflation=named(bias_cfg.get("inflation", {})),
-        dependence_scale=float(bias_cfg.get("dependence_scale", 1.0)),
+        shift=named("shift"),
+        scale=named("scale"),
+        inflation=named("inflation"),
+        dependence_scale=_config_float(bias_cfg.get("dependence_scale", 1.0),
+                                       "simulate.bias.dependence_scale"),
     )
     members = sim.get("members", [1])
     if (not isinstance(members, list) or not members or not all(map(_is_int, members))
@@ -567,8 +599,8 @@ def _simulate_spec(cfg: dict):
     steps = sim.get("steps_per_member", 2920)
     if not _is_int(steps) or steps < 1:
         raise ConfigError("simulate.steps_per_member: must be a positive integer")
-    start_c = sim.get("start", "2001-01-01T00:00:00")
-    start_p = sim.get("projection_start", "2011-01-01T00:00:00")
+    start_c = _config_timestamp(sim, "start", "2001-01-01T00:00:00")
+    start_p = _config_timestamp(sim, "projection_start", "2011-01-01T00:00:00")
     return specs, truth, bias, members, steps, start_c, start_p
 
 

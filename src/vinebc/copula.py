@@ -808,10 +808,11 @@ def randomize_pseudo(a: PseudoObs, b: PseudoObs, rng: np.random.Generator):
     da, db = a.discrete.any(), b.discrete.any()
     if not (da or db):
         return a.u, b.u
-    order = np.argsort(a.u, kind="stable")
+    order = a.order
     ranked = a.u[order]
     same = ranked[1:] == ranked[:-1]
     if same.any():
+        order = order.copy()
         tied = np.zeros(len(a), dtype=bool)
         tied[1:] = same
         tied[:-1] |= same

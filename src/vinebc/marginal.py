@@ -46,10 +46,12 @@ class PseudoObs:
     """A batch of pseudo-observations u = F(x) with left limits u_left = F_left(x).
 
     A coordinate is discrete exactly where u_left < u; the jump u - u_left
-    equals the (conditional) probability mass at the observed value.
+    equals the (conditional) probability mass at the observed value.  Both
+    arrays are read-only, so the sort order of u, computed on its first read
+    (``order``), cannot go stale.
     """
 
-    __slots__ = ("u", "u_left")
+    __slots__ = ("u", "u_left", "_order")
 
     def __init__(self, u, u_left=None):
         u = as_float_array(u)
@@ -60,10 +62,20 @@ class PseudoObs:
             raise DomainError("u_left must not exceed u")
         self.u = u
         self.u_left = np.minimum(u_left, u)
+        u.flags.writeable = self.u_left.flags.writeable = False
+        self._order = None
 
     @property
     def discrete(self) -> np.ndarray:
         return self.u - self.u_left > 0.0
+
+    @property
+    def order(self) -> np.ndarray:
+        """The stable argsort of u, read-only; computed once, on first read."""
+        if self._order is None:
+            self._order = np.argsort(self.u, kind="stable")
+            self._order.flags.writeable = False
+        return self._order
 
     def __len__(self) -> int:
         return self.u.size

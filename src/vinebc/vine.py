@@ -11,7 +11,9 @@ jittered once, jointly, across its atoms' jumps; its tau and, if the pair is
 chosen, its copula fit share that one draw, so the structure does not depend
 on the order of the rows.
 
-The forward Rosenblatt transform is read from an edge store: that of a fresh
+An edge store computes each h-output the first time a reader asks for it, so
+an output that no tree, density or transform reads is never computed.  The
+forward Rosenblatt transform is read from an edge store: that of a fresh
 edge walk, or the one a fit built on its own rows, so rows of the fit, named
 by their positions in it, are transformed without a second walk
 (``rosenblatt_forward_from_fit``).
@@ -189,7 +191,7 @@ class VineModel:
     @property
     def order(self) -> list:
         """Diagonal variable order used by the Rosenblatt transforms."""
-        return [var for var, _, _ in self._steps]
+        return [var for var, _ in self._steps]
 
     # -- serialization -------------------------------------------------------
 
@@ -275,16 +277,16 @@ def _edge_from_dict(e: dict) -> Edge:
 def _diagonal_order(structure: VineStructure):
     """Peel the structure into the steps of a sampling order.
 
-    Step j is (var, chain, ready): var is the variable assigned at step j;
-    chain lists the edges, deepest first, whose h-functions condition var on
-    all earlier variables (the first edge outputs that conditional CDF, and
-    their h-inverses carry a level down to var's margin); ready lists the
-    edges whose constraint set is complete once var is assigned.  The last
-    step's ready list is empty: no later step reads those edges' outputs.
+    Step j is (var, chain): var is the variable assigned at step j; chain
+    lists the edges, deepest first, whose h-functions condition var on all
+    earlier variables (the first edge outputs that conditional CDF, and their
+    h-inverses carry a level down to var's margin).  The inverse transform's
+    edge store computes an edge output when a chain first reads it; by then
+    every variable of the edge's constraint set is assigned.
     """
     d = structure.d
     if d == 1:
-        return [(0, [], [])]
+        return [(0, [])]
     trees = structure.trees
     sigma = []
     diag = {}
@@ -303,14 +305,8 @@ def _diagonal_order(structure: VineStructure):
     sigma.append(trees[0][edge_idx].b)
     sigma.reverse()
 
-    step_of = {var: j for j, var in enumerate(sigma)}
-    ready = [[] for _ in sigma]
-    for t, tree in enumerate(trees):
-        for i, e in enumerate(tree):
-            ready[max(step_of[v] for v in e.constraint)].append((t, i))
-    ready[-1] = []
     steps = []
-    for j, var in enumerate(sigma):
+    for var in sigma:
         chain = []
         t, i = diag.get(var, (-1, None))  # order[0] is conditioned on nothing
         while t >= 0:
@@ -318,7 +314,7 @@ def _diagonal_order(structure: VineStructure):
             e = trees[t][i]
             i = e.child_a if e.a == var else e.child_b
             t -= 1
-        steps.append((var, chain, ready[j]))
+        steps.append((var, chain))
     return steps
 
 
@@ -327,7 +323,34 @@ def _diagonal_order(structure: VineStructure):
 # A store maps (tree, edge index) to {variable: PseudoObs}: the conditional
 # pseudo-observations an edge outputs for its two conditioned variables.  Key
 # (-1, j) holds the margin pseudo-observations of variable j, so the edges of
-# tree t read their inputs from the keys of tree t - 1.
+# tree t read their inputs from the keys of tree t - 1.  An edge's entry
+# computes each of its two outputs when first read (``_EdgeOutputs``).
+
+
+class _EdgeOutputs(dict):
+    """The h-outputs {variable: PseudoObs} of one edge, each computed from
+    the edge's two input entries the first time it is read, then kept.
+
+    The entry holds its input entries, which are older than it, so the store
+    holds no reference cycle.
+    """
+
+    __slots__ = ("edge", "in_a", "in_b")
+
+    def __init__(self, edge: Edge, in_a: dict, in_b: dict):
+        super().__init__()
+        self.edge, self.in_a, self.in_b = edge, in_a, in_b
+
+    def __missing__(self, var) -> PseudoObs:
+        e = self.edge
+        if var == e.a:
+            out = _h_jump(e.copula, 1, self.in_a[e.a], self.in_b[e.b])
+        elif var == e.b:
+            out = _h_jump(e.copula, 2, self.in_b[e.b], self.in_a[e.a])
+        else:
+            raise KeyError(var)
+        self[var] = out
+        return out
 
 
 def _marginal_pseudo(margins, x: np.ndarray) -> dict:
@@ -335,28 +358,33 @@ def _marginal_pseudo(margins, x: np.ndarray) -> dict:
     return {(-1, j): {j: m.pseudo_obs(x[:, j])} for j, m in enumerate(margins)}
 
 
+def _input_entry(store: dict, t: int, e: Edge, var: int) -> dict:
+    """The store entry that outputs edge e's conditioned variable var given e.cond."""
+    return store[(t - 1, var if t == 0 else (e.child_a if var == e.a else e.child_b))]
+
+
 def _edge_input(store: dict, t: int, e: Edge, var: int) -> PseudoObs:
     """Pseudo-observations of the conditioned variable var of edge e given e.cond."""
-    node = var if t == 0 else (e.child_a if var == e.a else e.child_b)
-    return store[(t - 1, node)][var]
+    return _input_entry(store, t, e, var)[var]
 
 
-def _eval_edge(store: dict, t: int, i: int, e: Edge, obs=None) -> None:
-    """Store the two h-outputs of edge (t, i), each with its left limit.
-
-    ``obs`` may pass the edge's input pair when the caller already holds it.
-    """
-    pa, pb = obs or (_edge_input(store, t, e, e.a), _edge_input(store, t, e, e.b))
-    store[(t, i)] = {e.a: _h_jump(e.copula, 1, pa, pb), e.b: _h_jump(e.copula, 2, pb, pa)}
+def _eval_edge(store: dict, t: int, i: int, e: Edge) -> None:
+    """Add edge (t, i) to the store; each of its two h-outputs, with its left
+    limit, is computed when first read."""
+    store[(t, i)] = _EdgeOutputs(e, _input_entry(store, t, e, e.a), _input_entry(store, t, e, e.b))
 
 
-def _run_edges(model: VineModel, x: np.ndarray) -> dict:
-    """Store of every edge's h-outputs on x."""
-    store = _marginal_pseudo(model.margins, x)
-    for t, tree in enumerate(model.structure.trees):
+def _add_edges(store: dict, trees) -> dict:
+    """The store, with every edge of the trees added to it."""
+    for t, tree in enumerate(trees):
         for i, e in enumerate(tree):
             _eval_edge(store, t, i, e)
     return store
+
+
+def _run_edges(model: VineModel, x: np.ndarray) -> dict:
+    """Store of every edge's h-outputs on x, each computed when first read."""
+    return _add_edges(_marginal_pseudo(model.margins, x), model.structure.trees)
 
 
 # -- structure selection and fitting ------------------------------------------
@@ -365,7 +393,8 @@ def _run_edges(model: VineModel, x: np.ndarray) -> dict:
 def _build_vine(store, family_set, seed, truncation):
     """Dissmann-style sequential construction; returns list-of-trees of Edges.
 
-    ``store`` holds the tree-0 inputs and gains every new edge's outputs.
+    ``store`` holds the tree-0 inputs and gains every new edge, whose outputs
+    are computed when a candidate pair of the next tree first reads them.
     Each candidate pair is jittered once; its tau weighs it in the maximum
     spanning tree and, if chosen, its jittered sample and tau fit its copula.
     """
@@ -385,19 +414,20 @@ def _build_vine(store, family_set, seed, truncation):
                     continue
                 edge = Edge(a=next(iter(sym & ci)), b=next(iter(sym & cj)), cond=ci & cj,
                             child_a=i if t > 0 else None, child_b=j if t > 0 else None)
-                obs = (_edge_input(store, t, edge, edge.a), _edge_input(store, t, edge, edge.b))
-                jittered = jitter_pair(*obs, subseed(seed, Stream.PAIR_JITTER, t, i, j))
+                jittered = jitter_pair(_edge_input(store, t, edge, edge.a),
+                                       _edge_input(store, t, edge, edge.b),
+                                       subseed(seed, Stream.PAIR_JITTER, t, i, j))
                 weights[i, j] = weights[j, i] = abs(jittered[2])
-                candidates[(i, j)] = (edge, obs, jittered)
+                candidates[(i, j)] = (edge, jittered)
         mst = _max_spanning_tree(weights)
         tree = []
         for e_idx, (i, j) in enumerate(sorted(tuple(sorted(p)) for p in mst)):
-            edge, obs, jittered = candidates[(i, j)]
+            edge, jittered = candidates[(i, j)]
             if truncation is not None and t >= truncation:
                 edge.copula = IndependenceCopula()
             else:
                 edge.copula = fit_jittered(*jittered, family_set)
-            _eval_edge(store, t, e_idx, edge, obs)
+            _eval_edge(store, t, e_idx, edge)
             tree.append(edge)
         trees.append(tree)
         constraints = [e.constraint for e in tree]
@@ -470,8 +500,9 @@ def vine_log_density(model: VineModel, x) -> np.ndarray:
             for i, e in enumerate(tree):
                 pa, pb = _edge_input(store, t, e, e.a), _edge_input(store, t, e, e.b)
                 h = store[(t, i)]
+                h_jumps = (h[e.a], h[e.b])  # computed outside the errstate below
                 with np.errstate(divide="ignore"):
-                    log_c = log_c + np.log(gen_density(e.copula, pa, pb, (h[e.a], h[e.b])))
+                    log_c = log_c + np.log(gen_density(e.copula, pa, pb, h_jumps))
         log_f = log_f + log_c
     if np.any(~np.isfinite(log_f)):
         warnings.warn("density is zero at some evaluation points; returning -inf there")
@@ -516,7 +547,7 @@ def rosenblatt_forward_from_fit(model: VineModel, store: dict, noise, rows=None)
     if not np.all((w >= 0) & (w <= 1)):
         raise ValueError("noise must lie in [0, 1]")
     v = np.empty_like(w)
-    for var, chain, _ in model._steps:
+    for var, chain in model._steps:
         v[:, var] = store[chain[0] if chain else (-1, var)][var][rows].randomized(w[:, var])
     return v
 
@@ -525,8 +556,9 @@ def rosenblatt_inverse(model: VineModel, v) -> np.ndarray:
     """Inverse Rosenblatt transform: i.i.d. uniforms to model samples.
 
     Levels landing inside an atom's conditional jump produce the atom value
-    through the generalized marginal quantile.  Each edge is evaluated once,
-    at the step that completes its constraint set.
+    through the generalized marginal quantile.  The edge store starts with an
+    empty entry per margin, filled as each variable is assigned; an edge
+    output is computed once, when a later step's chain first reads it.
     """
     v = np.atleast_2d(np.asarray(v, dtype=float))
     if v.shape[1] != model.d:
@@ -535,17 +567,15 @@ def rosenblatt_inverse(model: VineModel, v) -> np.ndarray:
         raise ValueError("uniform levels must lie strictly inside (0, 1)")
     trees = model.structure.trees
     x = np.empty_like(v)
-    store = {}
-    for var, chain, ready in model._steps:
+    store = _add_edges({(-1, j): {} for j in range(model.d)}, trees)
+    for var, chain in model._steps:
         target = v[:, var]
         for t, i in chain:
             e = trees[t][i]
             direction, other = (1, e.b) if e.a == var else (2, e.a)
             target = hfunc_inverse(e.copula, direction, target, _edge_input(store, t, e, other))
         x[:, var] = np.asarray(model.margins[var].quantile(target))
-        store[(-1, var)] = {var: model.margins[var].pseudo_obs(x[:, var])}
-        for t, i in ready:
-            _eval_edge(store, t, i, trees[t][i])
+        store[(-1, var)][var] = model.margins[var].pseudo_obs(x[:, var])
     return x
 
 

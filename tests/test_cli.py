@@ -675,9 +675,19 @@ def test_retired_correction_field_exit_code(tmp_path, capsys, field):
     [(("correction",), None), (("correction",), 3), (("simulate", "members"), "ab"),
      (("simulate", "members"), [1, -1]), (("simulate", "members"), [2**32]),
      (("simulate", "members"), [1, 1]), (("simulate", "steps_per_member"), "x"),
-     (("workers",), True), (("seed",), 2**32)],
+     (("workers",), True), (("seed",), 2**32),
+     (("simulate", "tau"), "x"), (("simulate", "tau"), [[0, 0.2, 0.5], [0.2, 0, float("nan")],
+                                                       [0.5, float("nan"), 0]]),
+     (("simulate", "tau"), [[0, 1.5, 0.5], [1.5, 0, 0.35], [0.5, 0.35, 0]]),
+     (("simulate", "tau"), [[0, 0.2, 0.5], [0.3, 0, 0.35], [0.5, 0.35, 0]]),
+     (("simulate", "margins"), [1, 2, 3]), (("simulate", "bias", "shift", "t"), "a"),
+     (("simulate", "bias"), []), (("simulate", "start"), "yesterday"),
+     (("simulate", "projection_start"), "today"),
+     (("simulate", "bias", "dependence_scale"), "x")],
     ids=["null_correction", "number_correction", "string_members", "negative_member",
-         "member_2_32", "repeated_member", "string_steps", "boolean_workers", "seed_2_32"],
+         "member_2_32", "repeated_member", "string_steps", "boolean_workers", "seed_2_32",
+         "string_tau", "nan_tau", "tau_above_1", "asymmetric_tau", "number_margins",
+         "string_shift", "list_bias", "word_start", "relative_start", "string_dependence_scale"],
 )
 def test_invalid_config_value_exit_code(tmp_path, capsys, path, value):
     cfg = json.loads(json.dumps(CONFIG))

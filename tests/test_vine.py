@@ -406,11 +406,16 @@ def test_log_density_reads_each_edge_from_the_edge_store(mixed_model, monkeypatc
     calls = []
     hfunc = vinebc.copula.hfunc
     monkeypatch.setattr(vinebc.copula, "hfunc", lambda *a: calls.append(1) or hfunc(*a))
-    _run_edges(mixed_model, x)
-    n_store = len(calls)
+    # a walk that reads every edge output once
+    store = _run_edges(mixed_model, x)
+    for t, tree in enumerate(mixed_model.structure.trees):
+        for i, e in enumerate(tree):
+            store[(t, i)][e.a], store[(t, i)][e.b]
+    n_walk = len(calls)
+    calls.clear()
     got = vine_log_density(mixed_model, x)
     assert np.array_equal(got, want)
-    assert len(calls) == 2 * n_store
+    assert n_walk > 0 and len(calls) == n_walk
 
 
 def test_log_density_zero_returns_neg_inf():
@@ -531,10 +536,48 @@ def test_fit_store_is_the_edge_walk_of_the_fit_rows(fit_with_store):
     model, x_fit, store = fit_with_store
     walked = _run_edges(model, x_fit)
     assert store.keys() == walked.keys()
-    for key, outputs in walked.items():
-        for var, po in outputs.items():
-            assert po.u.tobytes() == store[key][var].u.tobytes()
-            assert po.u_left.tobytes() == store[key][var].u_left.tobytes()
+    trees = model.structure.trees
+    for (t, i), outputs in walked.items():
+        for var in (i,) if t < 0 else (trees[t][i].a, trees[t][i].b):
+            assert outputs[var].u.tobytes() == store[(t, i)][var].u.tobytes()
+            assert outputs[var].u_left.tobytes() == store[(t, i)][var].u_left.tobytes()
+
+
+@pytest.fixture(scope="module")
+def rows5():
+    """Rows of the d=5 ground truth, two of its margins zero-inflated."""
+    return GroundTruth5(TAU5).sample(730, seed=3)
+
+
+def test_edge_store_computes_each_output_once_and_only_when_read(rows5, monkeypatch):
+    # each computed h-output as (copula, direction, target, conditioner),
+    # held so that no id is reused
+    computed, h_jump = [], vinebc.vine._h_jump
+    monkeypatch.setattr(vinebc.vine, "_h_jump",
+                        lambda *args: computed.append(args) or h_jump(*args))
+    store = {}
+    model = fit_vine(rows5, GroundTruth5.KINDS, family_set=PARAMETRIC_FAMILIES, seed=4,
+                     store=store)
+    assert 0 < len(computed) < 2 * model.structure.n_edges()
+    w = np.random.default_rng(8).uniform(size=rows5.shape)
+    v = np.clip(rosenblatt_forward_from_fit(model, store, w), 1e-9, 1.0 - 1e-9)
+    rosenblatt_inverse(model, v)
+    keys = [tuple(map(id, args)) for args in computed]
+    assert len(set(keys)) == len(keys)
+
+
+def test_fit_sorts_each_pseudo_obs_at_most_once(rows5, monkeypatch):
+    firsts, sorted_arrays = [], []
+    randomize, argsort = vinebc.copula.randomize_pseudo, np.argsort
+    monkeypatch.setattr(vinebc.copula, "randomize_pseudo",
+                        lambda a, b, rng: firsts.append(a) or randomize(a, b, rng))
+    monkeypatch.setattr(np, "argsort",
+                        lambda x, *args, **kw: sorted_arrays.append(x) or argsort(x, *args, **kw))
+    fit_vine(rows5, GroundTruth5.KINDS, family_set=PARAMETRIC_FAMILIES, seed=4)
+    distinct = list({id(a): a for a in firsts}.values())
+    assert len(distinct) < len(firsts)
+    sorts = [sum(x is a.u for x in sorted_arrays) for a in distinct]
+    assert max(sorts) == 1
 
 
 def test_forward_from_fit_reads_the_fit_rows(fit_with_store, monkeypatch):
