@@ -517,28 +517,41 @@ def cmd_fit(cfg: dict, input_path: str, out_dir: str) -> int:
 # -- simulate -------------------------------------------------------------------
 
 
-def _config_float(value, where: str) -> float:
-    """``value`` as a finite float; otherwise a config error naming ``where``."""
+# the rules of a simulate number: (test of the float value, what it must be)
+_FINITE = (math.isfinite, "a finite number")
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "a finite positive number")
+_SHARE = (lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+# the first and the last 3-hourly timestamp that the table reader reads back
+_FIRST_TIMESTAMP = np.datetime64("0001-01-01T00:00:00", "s")
+_LAST_TIMESTAMP = np.datetime64("9999-12-31T21:00:00", "s")
+
+
+def _config_float(value, where: str, rule=_FINITE) -> float:
+    """``value`` as a float that passes ``rule``; otherwise a config error
+    naming ``where``."""
     try:
         out = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         out = math.nan
-    if not math.isfinite(out):
-        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+    test, what = rule
+    if not test(out):
+        raise ConfigError(f"{where}: must be {what}, got {value!r}")
     return out
 
 
 def _config_timestamp(sim: dict, key: str, default: str) -> str:
-    """``sim[key]`` when it is a timestamp string; otherwise a config error.
-    numpy's relative words are refused: the tables would depend on the run date."""
+    """``sim[key]`` when it is a timestamp string of years 1 to 9999, so that
+    the tables read back; otherwise a config error.  numpy's relative words
+    are refused: the tables would depend on the run date."""
     value = sim.get(key, default)
     try:
-        valid = (isinstance(value, str) and value.lower() not in ("now", "today")
-                 and not np.isnat(np.datetime64(value, "s")))
+        stamp = (np.datetime64(value, "s")
+                 if isinstance(value, str) and value.lower() not in ("now", "today") else None)
     except ValueError:
-        valid = False
-    if not valid:
-        raise ConfigError(f"simulate.{key}: must be a timestamp such as {default!r}, got {value!r}")
+        stamp = None
+    if stamp is None or np.isnat(stamp) or not _FIRST_TIMESTAMP <= stamp <= _LAST_TIMESTAMP:
+        raise ConfigError(f"simulate.{key}: must be a timestamp of years 1 to 9999 such as "
+                          f"{default!r}, got {value!r}")
     return value
 
 
@@ -557,11 +570,12 @@ def _simulate_spec(cfg: dict):
         if not isinstance(m, dict):
             raise ConfigError(f"simulate.margins[{i}]: must be a JSON object")
         margins.append(MarginSpec(kind=s.kind, **{
-            key: _config_float(m.get(key, default), f"simulate.margins[{i}].{key}")
-            for key, default in (("loc", 0.0), ("scale", 1.0), ("inflation", 0.0))}))
+            key: _config_float(m.get(key, default), f"simulate.margins[{i}].{key}", rule)
+            for key, default, rule in (("loc", 0.0, _FINITE), ("scale", 1.0, _POSITIVE),
+                                       ("inflation", 0.0, _SHARE))}))
     try:
         tau = np.asarray(sim.get("tau", np.zeros((d, d))), dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         tau = None
     if tau is None or tau.shape != (d, d):
         raise ConfigError(f"simulate.tau: must be a {d}x{d} matrix")
@@ -572,7 +586,7 @@ def _simulate_spec(cfg: dict):
     if not isinstance(bias_cfg, dict):
         raise ConfigError("simulate.bias: must be a JSON object")
 
-    def named(key):
+    def named(key, rule):
         values = bias_cfg.get(key, {})
         if not isinstance(values, dict):
             raise ConfigError(f"simulate.bias.{key}: must be a JSON object of variable names")
@@ -580,27 +594,33 @@ def _simulate_spec(cfg: dict):
         for k, v in values.items():
             if k not in names:
                 raise ConfigError(f"simulate.bias.{key}: unknown variable {k!r}")
-            out[names.index(k)] = _config_float(v, f"simulate.bias.{key}.{k}")
+            out[names.index(k)] = _config_float(v, f"simulate.bias.{key}.{k}", rule)
         return out
 
     bias = BiasSpec(
-        shift=named("shift"),
-        scale=named("scale"),
-        inflation=named("inflation"),
+        shift=named("shift", _FINITE),
+        scale=named("scale", _POSITIVE),
+        inflation=named("inflation", _SHARE),
         dependence_scale=_config_float(bias_cfg.get("dependence_scale", 1.0),
                                        "simulate.bias.dependence_scale"),
     )
+    if np.any(np.abs(tau * bias.dependence_scale) > 1.0):
+        raise ConfigError("simulate.bias.dependence_scale: takes a tau outside [-1, 1]")
     members = sim.get("members", [1])
     if (not isinstance(members, list) or not members or not all(map(_is_int, members))
             or not all(0 <= m < SEED_PART_LIMIT for m in members)
             or len(set(members)) < len(members)):
         raise ConfigError("simulate.members: must be a non-empty list of distinct integers "
                           "in [0, 2**32)")
-    steps = sim.get("steps_per_member", 2920)
-    if not _is_int(steps) or steps < 1:
-        raise ConfigError("simulate.steps_per_member: must be a positive integer")
     start_c = _config_timestamp(sim, "start", "2001-01-01T00:00:00")
     start_p = _config_timestamp(sim, "projection_start", "2011-01-01T00:00:00")
+    # each table's 3-hourly grid must end by the last timestamp the reader reads
+    room = min((_LAST_TIMESTAMP - np.datetime64(t, "s")) // np.timedelta64(3, "h")
+               for t in (start_c, start_p))
+    steps = sim.get("steps_per_member", 2920)
+    if not _is_int(steps) or not 1 <= steps <= int(room) + 1:
+        raise ConfigError("simulate.steps_per_member: must be a positive integer, and the "
+                          "3-hourly grids from start and projection_start must end by year 9999")
     return specs, truth, bias, members, steps, start_c, start_p
 
 

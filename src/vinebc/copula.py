@@ -22,6 +22,7 @@ conditioner, and h is exactly 0 at a zero target, so those terms are taken as
 """
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 
@@ -406,6 +407,10 @@ def _frank_tau(theta: float) -> float:
     return 1.0 - 4.0 / theta * (1.0 - _debye_1(theta))
 
 
+# the largest |tau| a Frank copula reaches under THETA_CAP_FRANK
+_FRANK_TAU_CAP = _frank_tau(THETA_CAP_FRANK)
+
+
 class FrankCopula(BivariateCopula):
     family = "frank"
 
@@ -455,7 +460,7 @@ class FrankCopula(BivariateCopula):
     def tau_to_param(tau: float) -> float:
         sign = 1.0 if tau >= 0 else -1.0
         t = abs(tau)
-        if t >= _frank_tau(THETA_CAP_FRANK):
+        if t >= _FRANK_TAU_CAP:
             return sign * THETA_CAP_FRANK
         theta = optimize.brentq(lambda th: _frank_tau(th) - t, 1e-8, THETA_CAP_FRANK)
         return sign * theta
@@ -779,16 +784,32 @@ def hfunc_inverse(copula: BivariateCopula, direction: int, v,
 # -- dependence measures and fitting ------------------------------------------
 
 
+# SciPy's tau itself, past its `_axis_nan_policy` decorator (signature
+# binding, NaN scans, array-namespace checks); on a release that does not
+# decorate kendalltau, unwrap returns it unchanged
+_kendalltau = inspect.unwrap(stats.kendalltau)
+
+
 def kendall_tau(x, y) -> float:
-    """Sample Kendall's tau; degenerate (constant) input gives 0 with a warning."""
+    """Sample Kendall's tau; degenerate (constant) input gives 0 with a warning.
+
+    SciPy's tau-b is called past its argument-handling decorator, a fixed
+    cost of about 0.15 ms a call (SciPy 1.17) that exceeds the count itself
+    below n of about 1,000.  That decorator also turned NaN input into a NaN
+    tau, where the bare count returns a number, so NaN in either input is
+    caught here and gives 0 with the "undefined" warning, as it did through
+    the decorator.  Every tau keeps the bits of ``scipy.stats.kendalltau``.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size != y.size or x.size < 2:
         raise ValueError("need at least two paired observations")
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+    spread_x, spread_y = np.ptp(x), np.ptp(y)
+    if spread_x == 0.0 or spread_y == 0.0:
         warnings.warn("degenerate (constant) input in kendall_tau; returning 0")
         return 0.0
-    tau = stats.kendalltau(x, y).statistic
+    # a NaN spread: NaN in the input, or an input that is one infinity
+    tau = math.nan if math.isnan(spread_x + spread_y) else _kendalltau(x, y).statistic
     if not np.isfinite(tau):
         warnings.warn("kendall tau undefined; returning 0")
         return 0.0

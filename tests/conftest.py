@@ -113,3 +113,12 @@ def truth5():
 @pytest.fixture(scope="session")
 def biased5():
     return GroundTruth5(TAU5 * 0.5, shift_t=2.0, scale_w=1.3, inflation_p=0.5)
+
+
+def json_paths(node, path=()):
+    """The path of every field of a JSON document, each key of an object and
+    each index of an array, at any depth."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))

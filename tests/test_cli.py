@@ -1,16 +1,24 @@
+import copy
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
+import math
+import operator
 import os
 import re
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vinebc.cli
 import vinebc.correction
+from conftest import json_paths
 from vinebc._util import Stream, subseed
 from vinebc.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_PARTIAL, emit_report, main, run_pipeline
 from vinebc.correction import CorrectionConfig, fit_reference
@@ -683,11 +691,18 @@ def test_retired_correction_field_exit_code(tmp_path, capsys, field):
      (("simulate", "margins"), [1, 2, 3]), (("simulate", "bias", "shift", "t"), "a"),
      (("simulate", "bias"), []), (("simulate", "start"), "yesterday"),
      (("simulate", "projection_start"), "today"),
-     (("simulate", "bias", "dependence_scale"), "x")],
+     (("simulate", "bias", "dependence_scale"), "x"),
+     (("simulate", "tau"), [[0, 10**400, 0.5], [10**400, 0, 0.35], [0.5, 0.35, 0]]),
+     (("simulate", "margins", 0, "loc"), 10**400), (("simulate", "steps_per_member"), 2**63),
+     (("simulate", "margins", 1, "inflation"), -1), (("simulate", "margins", 0, "scale"), 0),
+     (("simulate", "bias", "scale"), {"t": -2.0}), (("simulate", "bias", "dependence_scale"), 2.5),
+     (("simulate", "start"), "+20000-01-01")],
     ids=["null_correction", "number_correction", "string_members", "negative_member",
          "member_2_32", "repeated_member", "string_steps", "boolean_workers", "seed_2_32",
          "string_tau", "nan_tau", "tau_above_1", "asymmetric_tau", "number_margins",
-         "string_shift", "list_bias", "word_start", "relative_start", "string_dependence_scale"],
+         "string_shift", "list_bias", "word_start", "relative_start", "string_dependence_scale",
+         "tau_beyond_float", "loc_beyond_float", "steps_2_63", "negative_inflation", "zero_scale",
+         "negative_bias_scale", "tau_scaled_beyond_1", "start_year_20000"],
 )
 def test_invalid_config_value_exit_code(tmp_path, capsys, path, value):
     cfg = json.loads(json.dumps(CONFIG))
@@ -700,7 +715,55 @@ def test_invalid_config_value_exit_code(tmp_path, capsys, path, value):
     assert run_pipeline("simulate", str(cfg_path), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
-    assert ".".join(path) in err
+    assert "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:] in err
+
+
+# CONFIG on a quarter year of one member, so that each run takes a few
+# hundredths of a second; ``workers`` is left at its default, since a larger
+# value only starts a process pool
+SMALL_CONFIG = {**{k: v for k, v in CONFIG.items() if k != "workers"},
+                "simulate": {**CONFIG["simulate"], "steps_per_member": 730, "members": [1]}}
+
+
+_SCALARS = st.none() | st.booleans() | st.integers(-10**4, 10**4) | st.floats() | st.text(max_size=8)
+_JSON_BY_TYPE = {
+    type(None): st.none(), bool: st.booleans(), int: st.integers(-10**4, 10**4),
+    float: st.floats(), str: st.text(max_size=8), list: st.lists(_SCALARS, max_size=3),
+    dict: st.dictionaries(st.text(max_size=6), _SCALARS, max_size=2),
+}
+# integers beyond int64 and float64 among them
+_EXTREMES = st.sampled_from([math.nan, math.inf, -math.inf, 2**63, -2**63, 2**64, 10**400])
+
+
+@pytest.fixture(scope="module")
+def small_reference(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("small")
+    cfg_path = tmp / "config.json"
+    cfg_path.write_text(json.dumps(SMALL_CONFIG))
+    assert run_pipeline("simulate", str(cfg_path), out_dir=str(tmp / "sim")) == EXIT_OK
+    return str(tmp / "sim" / "reference_calibration.csv")
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_config_with_one_field_of_another_type_never_raises(small_reference, command, data):
+    """Replace one field of a valid config, at any depth, with a value of
+    another JSON type, NaN, an infinity or a huge integer: ``run_pipeline``
+    returns a documented exit status and raises nothing."""
+    cfg = copy.deepcopy(SMALL_CONFIG)
+    *to_parent, key = data.draw(st.sampled_from(list(json_paths(cfg))), label="field")
+    parent = functools.reduce(operator.getitem, to_parent, cfg)
+    others = [s for t, s in _JSON_BY_TYPE.items() if not isinstance(parent[key], t)
+              or (t is int and isinstance(parent[key], bool))]
+    parent[key] = data.draw(st.one_of(*others, _EXTREMES), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "config.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        io = {"input_path": small_reference} if command == "fit" else {}
+        status = run_pipeline(command, cfg_path, out_dir=os.path.join(tmp, "out"), **io)
+    assert status in (EXIT_OK, EXIT_CONFIG, EXIT_DATA, EXIT_PARTIAL)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from vinebc.copula import (
@@ -8,6 +12,7 @@ from vinebc.copula import (
     FrankCopula,
     GaussianCopula,
     GumbelCopula,
+    THETA_CAP_FRANK,
     IndependenceCopula,
     PseudoObs,
     _frank_tau,
@@ -16,6 +21,7 @@ from vinebc.copula import (
     gen_density,
     hfunc,
     hfunc_inverse,
+    jitter_pair,
     kendall_tau,
     tau_independence_test,
 )
@@ -59,6 +65,70 @@ def test_tau_gaussian_analytic_relation():
 def test_tau_degenerate_input_warns_and_returns_zero():
     with pytest.warns(UserWarning):
         assert kendall_tau(np.ones(10), np.arange(10.0)) == 0.0
+
+
+def _warned(fn, *args):
+    """fn(*args) and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+def _zero_inflated_pseudo(rng, n):
+    """Pseudo-observations of a margin with an atom at zero on a random share
+    of rows: each zero row is the jump [0, p], every other row lies above p."""
+    p = rng.uniform(0.1, 0.7)
+    zero = rng.uniform(size=n) < p
+    u = np.where(zero, p, p + (1.0 - p) * rng.uniform(size=n))
+    return PseudoObs(u, np.where(zero, 0.0, u))
+
+
+def _tau_sample(kind: str, n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    if kind == "jittered zero-inflated":
+        a = _zero_inflated_pseudo(rng, n)
+        b = _zero_inflated_pseudo(rng, n) if rng.uniform() < 0.5 else PseudoObs(rng.uniform(size=n))
+        x, y, _ = jitter_pair(a, b, seed)
+        return x, y
+    x = rng.normal(size=n)
+    y = rng.uniform(-1.0, 1.0) * x + rng.normal(size=n)
+    if kind == "rounded":  # heavy ties, down to a few distinct values
+        x, y = np.round(x, int(rng.integers(0, 2))), np.round(2.0 * y) / 2.0
+    elif kind == "NaN":
+        (x, y)[int(rng.integers(0, 2))][rng.integers(0, n)] = np.nan
+    return x, y
+
+
+@settings(deadline=None, max_examples=150)
+@given(kind=st.sampled_from(["continuous", "rounded", "jittered zero-inflated", "NaN"]),
+       n=st.integers(2, 3000), seed=st.integers(0, 2**32 - 1))
+def test_tau_is_scipys_public_tau_bit_for_bit(kind, n, seed):
+    """kendall_tau calls SciPy's tau past its argument-handling decorator, and
+    still returns the public function's float, bit for bit, with the public
+    call's warnings; where the public tau is NaN it returns 0 and says why."""
+    x, y = _tau_sample(kind, n, seed)
+    ours, ours_warned = _warned(kendall_tau, x, y)
+    public, public_warned = _warned(lambda: float(stats.kendalltau(x, y).statistic))
+    if np.isnan(public):
+        assert ours == 0.0
+        assert ours_warned and all(m.endswith("returning 0") for m in ours_warned)
+    else:
+        assert np.float64(ours).tobytes() == np.float64(public).tobytes()
+        assert ours_warned == public_warned
+
+
+@pytest.mark.parametrize("nan_in", ["x", "y"])
+def test_tau_of_input_with_nan_warns_and_returns_zero(nan_in):
+    """The public tau of this sample is NaN, but SciPy's undecorated count
+    returns a number for it (0.2), so only kendall_tau's own check gives 0."""
+    x = np.array([0.1, 0.5, np.nan, 0.3, 0.9])
+    y = np.array([0.2, 0.1, 0.4, 0.8, 0.3])
+    if nan_in == "y":
+        x, y = y, x
+    assert np.isnan(stats.kendalltau(x, y).statistic)
+    with pytest.warns(UserWarning, match="kendall tau undefined"):
+        assert kendall_tau(x, y) == 0.0
 
 
 # -- fitting ----------------------------------------------------------------------
@@ -145,6 +215,13 @@ def test_frank_tau_inversion_consistency():
     theta = FrankCopula.tau_to_param(0.4)
     assert _frank_tau(theta) == pytest.approx(0.4, abs=1e-6)
     assert FrankCopula.tau_to_param(-0.4) == pytest.approx(-theta)
+
+
+def test_frank_tau_at_or_beyond_the_cap_gives_the_capped_theta():
+    cap = _frank_tau(THETA_CAP_FRANK)
+    for tau in (cap, np.nextafter(cap, 1.0), 0.99):
+        assert FrankCopula.tau_to_param(tau) == THETA_CAP_FRANK
+        assert FrankCopula.tau_to_param(-tau) == -THETA_CAP_FRANK
 
 
 # -- generalized density ------------------------------------------------------------

@@ -18,6 +18,7 @@ from conftest import (
     FrozenContinuous,
     GroundTruth5,
     analytic_zi_expon,
+    json_paths,
     nearest_correlation,
 )
 from vinebc.copula import (
@@ -822,15 +823,6 @@ def every_family_record(mixed_model):
     return record
 
 
-def _record_paths(node, path=()):
-    """The path of every field of a JSON record, each key of an object and
-    each index of an array, at any depth."""
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, child in items:
-        yield path + (key,)
-        yield from _record_paths(child, path + (key,))
-
-
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
@@ -845,7 +837,7 @@ def test_model_from_dict_raises_only_value_error(every_family_record, data):
     a model or raises ValueError, and raises nothing else.  (Some changes
     leave a valid record, such as a dropped ``var_names``.)"""
     record = copy.deepcopy(every_family_record)
-    *to_parent, key = data.draw(st.sampled_from(list(_record_paths(record))))
+    *to_parent, key = data.draw(st.sampled_from(list(json_paths(record))))
     parent = functools.reduce(operator.getitem, to_parent, record)
     if data.draw(st.booleans(), label="drop"):
         del parent[key]
