@@ -48,7 +48,7 @@ from .evaluation import (
     wasserstein2,
 )
 from .marginal import normalize_kind
-from .synthetic import BiasSpec, GroundTruth, MarginSpec, make_ensemble_table
+from .synthetic import LEVEL_CLIP, BiasSpec, GroundTruth, MarginSpec, make_ensemble_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -119,6 +119,11 @@ def _load_config(path: str) -> dict:
     unknown = set(correction) - set(_CORRECTION_FIELDS)
     if unknown:
         raise ConfigError(f"correction: unknown fields {sorted(unknown)}")
+    for key, value in correction.items():
+        try:
+            CorrectionConfig(**{key: value})
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"correction.{key}: {exc}") from None
     return cfg
 
 
@@ -127,10 +132,8 @@ def _variable_specs(cfg: dict) -> list:
 
 
 def _correction_config(cfg: dict) -> CorrectionConfig:
-    try:
-        return CorrectionConfig(seed=cfg.get("seed", 0), **cfg.get("correction", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"correction: {exc}") from None
+    """The correction config of a config that ``_load_config`` checked."""
+    return CorrectionConfig(seed=cfg.get("seed", 0), **cfg.get("correction", {}))
 
 
 def _digest(path: str) -> str:
@@ -606,6 +609,14 @@ def _simulate_spec(cfg: dict):
     )
     if np.any(np.abs(tau * bias.dependence_scale) > 1.0):
         raise ConfigError("simulate.bias.dependence_scale: takes a tau outside [-1, 1]")
+    biased = bias.apply(truth)
+    for j, (m, b) in enumerate(zip(margins, biased.margins)):
+        fields = [f"simulate.bias.{key}.{names[j]}" for key in ("shift", "scale")
+                  if j in getattr(bias, key)]
+        for where, spec in ((f"simulate.margins[{j}]", m), (" and ".join(fields), b)):
+            if not spec.draws_finite():
+                raise ConfigError(f"{where}: gives draws beyond the float range at levels "
+                                  f"{LEVEL_CLIP:g} and 1 - {LEVEL_CLIP:g}")
     members = sim.get("members", [1])
     if (not isinstance(members, list) or not members or not all(map(_is_int, members))
             or not all(0 <= m < SEED_PART_LIMIT for m in members)
@@ -621,13 +632,12 @@ def _simulate_spec(cfg: dict):
     if not _is_int(steps) or not 1 <= steps <= int(room) + 1:
         raise ConfigError("simulate.steps_per_member: must be a positive integer, and the "
                           "3-hourly grids from start and projection_start must end by year 9999")
-    return specs, truth, bias, members, steps, start_c, start_p
+    return specs, truth, biased, members, steps, start_c, start_p
 
 
 def cmd_simulate(cfg: dict, out_dir: str) -> int:
-    specs, truth, bias, members, steps, start_c, start_p = _simulate_spec(cfg)
+    specs, truth, biased, members, steps, start_c, start_p = _simulate_spec(cfg)
     seed = cfg.get("seed", 0)
-    biased = bias.apply(truth)
     os.makedirs(out_dir, exist_ok=True)
     # name -> (ground truth, start, members) of each table
     tables = {"reference_calibration": (truth, start_c, [0]),

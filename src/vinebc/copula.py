@@ -89,7 +89,7 @@ def _safeguarded_newton(h_and_slope, w, t, lo: float, hi: float, *args) -> np.nd
         below = h < w
         lo = np.where(below, t, lo)
         hi = np.where(below, hi, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             nxt = t + (w - h) / slope  # NaN or inf on a flat stretch: bisect
         size = np.abs(nxt - t)
         stalled = size > 0.5 * last
@@ -175,45 +175,44 @@ class BivariateCopula:
         *_, x, y = self._frame(u, v)
         return np.maximum(self._pdf0(x, y), 0.0)
 
+    def _partial(self, u, v, axis: int):
+        """dC/du (axis 0) or dC/dv (axis 1), exact where the other coordinate is 0 or 1."""
+        u, v, _, _, x, y = self._frame(u, v)
+        d = (self._du0, self._dv0)[axis](x, y)
+        if self._flips[1 - axis]:
+            d = 1.0 - d
+        other = (v, u)[axis]
+        d = np.where(other <= 0.0, 0.0, d)
+        d = np.where(other >= 1.0, 1.0, d)
+        return np.clip(d, 0.0, 1.0)
+
     def du(self, u, v):
         """dC/du, the conditional CDF of V given U = u."""
-        u, v, _, _, x, y = self._frame(u, v)
-        d = self._du0(x, y)
-        if self._flips[1]:
-            d = 1.0 - d
-        d = np.where(v <= 0.0, 0.0, d)
-        d = np.where(v >= 1.0, 1.0, d)
-        return np.clip(d, 0.0, 1.0)
+        return self._partial(u, v, 0)
 
     def dv(self, u, v):
         """dC/dv, the conditional CDF of U given V = v."""
-        u, v, _, _, x, y = self._frame(u, v)
-        d = self._dv0(x, y)
-        if self._flips[0]:
-            d = 1.0 - d
-        d = np.where(u <= 0.0, 0.0, d)
-        d = np.where(u >= 1.0, 1.0, d)
-        return np.clip(d, 0.0, 1.0)
+        return self._partial(u, v, 1)
 
     # The inverses of du and dv in their second and first argument, for levels
-    # 0 < w < 1.  The conditioner is clipped and flipped as du/dv do it, the
+    # 0 < w < 1.  The conditioner is clipped and flipped as _partial does it, the
     # unrotated family solves, and the result is kept inside the same clip.
+
+    def _partial_inverse(self, c, w, axis: int):
+        """The other coordinate at which ``_partial`` in ``axis`` at c equals w."""
+        flip_c, flip_t = self._flips[axis], self._flips[1 - axis]
+        c = np.clip(c, UNIT_EPS, 1.0 - UNIT_EPS)
+        t = (self._du0_inv, self._dv0_inv)[axis](1.0 - c if flip_c else c, 1.0 - w if flip_t else w)
+        t = np.clip(t, UNIT_EPS, 1.0 - UNIT_EPS)
+        return 1.0 - t if flip_t else t
 
     def du_inverse(self, u, w):
         """The v with du(u, v) = w."""
-        flip_u, flip_v = self._flips
-        x = np.clip(u, UNIT_EPS, 1.0 - UNIT_EPS)
-        y = self._du0_inv(1.0 - x if flip_u else x, 1.0 - w if flip_v else w)
-        y = np.clip(y, UNIT_EPS, 1.0 - UNIT_EPS)
-        return 1.0 - y if flip_v else y
+        return self._partial_inverse(u, w, 0)
 
     def dv_inverse(self, v, w):
         """The u with dv(u, v) = w."""
-        flip_u, flip_v = self._flips
-        y = np.clip(v, UNIT_EPS, 1.0 - UNIT_EPS)
-        x = self._dv0_inv(1.0 - y if flip_v else y, 1.0 - w if flip_u else w)
-        x = np.clip(x, UNIT_EPS, 1.0 - UNIT_EPS)
-        return 1.0 - x if flip_u else x
+        return self._partial_inverse(v, w, 1)
 
     def loglik(self, u, v) -> float:
         return float(np.log(np.maximum(self.pdf(u, v), 1e-300)).sum())
@@ -676,8 +675,8 @@ def hfunc(copula: BivariateCopula, direction: int, target_u, conditioner: Pseudo
         out[cont] = h(t[cont], cu[cont])
     if np.any(disc):
         out[disc] = _jump_diff(cdf, t[disc], cu[disc], cl[disc]) / gap[disc]
-    out = np.where(t <= 0.0, 0.0, out)
-    out = np.where(t >= 1.0, 1.0, out)
+    # both branches are exactly 0 at t = 0 and exactly 1 at t = 1: the partial
+    # by its boundary rule, the quotient as cdf 0 - 0 or (cu - cl) / gap
     return np.clip(out, 0.0, 1.0)
 
 
@@ -879,9 +878,12 @@ def _parametric_candidates(tau: float, family_set) -> list:
 
 
 def check_family_set(family_set) -> tuple:
-    """The family set as a tuple; a bare string or an unknown family raises ValueError."""
-    if isinstance(family_set, str) or not set(family_set) <= set(_FAMILY_CLASSES):
-        raise ValueError(f"family_set must list families among {list(_FAMILY_CLASSES)}")
+    """The family set as a tuple; anything but a non-empty list or tuple of
+    known family names raises ValueError."""
+    if not (isinstance(family_set, (list, tuple)) and family_set
+            and all(isinstance(f, str) and f in _FAMILY_CLASSES for f in family_set)):
+        raise ValueError(f"family_set must list families among {list(_FAMILY_CLASSES)}, "
+                         "in a non-empty list")
     return tuple(family_set)
 
 

@@ -16,6 +16,7 @@ there, so the members of one chunk can share the first step.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,8 +40,9 @@ class CorrectionConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "family_set", check_family_set(self.family_set))
-        if not 0.0 <= self.overlap_fraction <= 1.0:
-            raise ValueError("overlap_fraction must lie in [0, 1]")
+        f = self.overlap_fraction
+        if isinstance(f, bool) or not isinstance(f, numbers.Real) or not 0.0 <= f <= 1.0:
+            raise ValueError("overlap_fraction must be a number in [0, 1]")
         t = self.truncation
         if t is not None and (isinstance(t, bool) or not isinstance(t, int) or t < 0):
             raise ValueError("truncation must be null or an integer >= 0")

@@ -16,6 +16,9 @@ from ._util import Stream, subseed
 from .dataset import ClimateTable
 from .errors import ConfigError
 
+# the sampler's uniform levels lie in [LEVEL_CLIP, 1 - LEVEL_CLIP]
+LEVEL_CLIP = 1e-12
+
 
 @dataclass
 class MarginSpec:
@@ -38,6 +41,13 @@ class MarginSpec:
             out[pos] = -self.scale * np.log1p(-(u[pos] - p) / (1.0 - p))
             return out
         raise ConfigError(f"unknown margin kind {self.kind!r}")
+
+    def draws_finite(self) -> bool:
+        """Whether every draw is finite: the quantile, nondecreasing, is
+        finite at both clip levels.  The check itself warns of nothing."""
+        with np.errstate(all="ignore"):
+            ends = self.quantile(np.array([LEVEL_CLIP, 1.0 - LEVEL_CLIP]))
+        return bool(np.isfinite(ends).all())
 
 
 @dataclass
@@ -67,7 +77,7 @@ class GroundTruth:
         rng = np.random.default_rng(seed)
         z = rng.multivariate_normal(np.zeros(len(self.margins)), self.correlation(), size=n,
                                     method="cholesky")
-        u = np.clip(stats.norm.cdf(z), 1e-12, 1.0 - 1e-12)
+        u = np.clip(stats.norm.cdf(z), LEVEL_CLIP, 1.0 - LEVEL_CLIP)
         return np.column_stack([m.quantile(u[:, j]) for j, m in enumerate(self.margins)])
 
 

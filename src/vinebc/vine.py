@@ -323,68 +323,49 @@ def _diagonal_order(structure: VineStructure):
 # A store maps (tree, edge index) to {variable: PseudoObs}: the conditional
 # pseudo-observations an edge outputs for its two conditioned variables.  Key
 # (-1, j) holds the margin pseudo-observations of variable j, so the edges of
-# tree t read their inputs from the keys of tree t - 1.  An edge's entry
-# computes each of its two outputs when first read (``_EdgeOutputs``).
+# tree t read their inputs from the keys of tree t - 1.  An edge's entry finds
+# its two input entries and computes each of its two outputs when first read
+# (``_EdgeOutputs``).
 
 
 class _EdgeOutputs(dict):
-    """The h-outputs {variable: PseudoObs} of one edge, each computed from
-    the edge's two input entries the first time it is read, then kept.
-
-    The entry holds its input entries, which are older than it, so the store
-    holds no reference cycle.
-    """
+    """The h-outputs {variable: PseudoObs} of edge ``edge`` of tree t, each
+    computed when first read.  Edge (t, i) reads var from ``store[(t - 1, var
+    if t == 0 else child)]``, child being the edge of tree t - 1 that outputs
+    var; those entries are older, so the store holds no reference cycle."""
 
     __slots__ = ("edge", "in_a", "in_b")
 
-    def __init__(self, edge: Edge, in_a: dict, in_b: dict):
+    def __init__(self, store: dict, t: int, edge: Edge):
         super().__init__()
-        self.edge, self.in_a, self.in_b = edge, in_a, in_b
+        self.edge = edge
+        self.in_a = store[(t - 1, edge.a if t == 0 else edge.child_a)]
+        self.in_b = store[(t - 1, edge.b if t == 0 else edge.child_b)]
+
+    def input(self, var) -> PseudoObs:
+        """The pseudo-observations of conditioned variable var given the edge's cond."""
+        return self.in_a[var] if var == self.edge.a else self.in_b[var]
 
     def __missing__(self, var) -> PseudoObs:
         e = self.edge
         if var == e.a:
-            out = _h_jump(e.copula, 1, self.in_a[e.a], self.in_b[e.b])
+            out = _h_jump(e.copula, 1, self.input(e.a), self.input(e.b))
         elif var == e.b:
-            out = _h_jump(e.copula, 2, self.in_b[e.b], self.in_a[e.a])
+            out = _h_jump(e.copula, 2, self.input(e.b), self.input(e.a))
         else:
             raise KeyError(var)
         self[var] = out
         return out
 
 
-def _marginal_pseudo(margins, x: np.ndarray) -> dict:
-    """Store holding the margin pseudo-observations of each column of x."""
-    return {(-1, j): {j: m.pseudo_obs(x[:, j])} for j, m in enumerate(margins)}
-
-
-def _input_entry(store: dict, t: int, e: Edge, var: int) -> dict:
-    """The store entry that outputs edge e's conditioned variable var given e.cond."""
-    return store[(t - 1, var if t == 0 else (e.child_a if var == e.a else e.child_b))]
-
-
-def _edge_input(store: dict, t: int, e: Edge, var: int) -> PseudoObs:
-    """Pseudo-observations of the conditioned variable var of edge e given e.cond."""
-    return _input_entry(store, t, e, var)[var]
-
-
-def _eval_edge(store: dict, t: int, i: int, e: Edge) -> None:
-    """Add edge (t, i) to the store; each of its two h-outputs, with its left
-    limit, is computed when first read."""
-    store[(t, i)] = _EdgeOutputs(e, _input_entry(store, t, e, e.a), _input_entry(store, t, e, e.b))
-
-
-def _add_edges(store: dict, trees) -> dict:
-    """The store, with every edge of the trees added to it."""
+def _edge_store(margins, trees, x: np.ndarray | None = None) -> dict:
+    """The store of the trees on rows x: margin entries from x's columns (empty
+    ones for the caller to fill when x is None) and one entry per edge."""
+    store = {(-1, j): {} if x is None else {j: m.pseudo_obs(x[:, j])} for j, m in enumerate(margins)}
     for t, tree in enumerate(trees):
         for i, e in enumerate(tree):
-            _eval_edge(store, t, i, e)
+            store[(t, i)] = _EdgeOutputs(store, t, e)
     return store
-
-
-def _run_edges(model: VineModel, x: np.ndarray) -> dict:
-    """Store of every edge's h-outputs on x, each computed when first read."""
-    return _add_edges(_marginal_pseudo(model.margins, x), model.structure.trees)
 
 
 # -- structure selection and fitting ------------------------------------------
@@ -393,8 +374,8 @@ def _run_edges(model: VineModel, x: np.ndarray) -> dict:
 def _build_vine(store, family_set, seed, truncation):
     """Dissmann-style sequential construction; returns list-of-trees of Edges.
 
-    ``store`` holds the tree-0 inputs and gains every new edge, whose outputs
-    are computed when a candidate pair of the next tree first reads them.
+    ``store`` holds the tree-0 inputs and gains each chosen edge's entry, whose
+    outputs are computed when a candidate pair of the next tree first reads them.
     Each candidate pair is jittered once; its tau weighs it in the maximum
     spanning tree and, if chosen, its jittered sample and tau fit its copula.
     """
@@ -414,21 +395,19 @@ def _build_vine(store, family_set, seed, truncation):
                     continue
                 edge = Edge(a=next(iter(sym & ci)), b=next(iter(sym & cj)), cond=ci & cj,
                             child_a=i if t > 0 else None, child_b=j if t > 0 else None)
-                jittered = jitter_pair(_edge_input(store, t, edge, edge.a),
-                                       _edge_input(store, t, edge, edge.b),
+                entry = _EdgeOutputs(store, t, edge)
+                jittered = jitter_pair(entry.input(edge.a), entry.input(edge.b),
                                        subseed(seed, Stream.PAIR_JITTER, t, i, j))
                 weights[i, j] = weights[j, i] = abs(jittered[2])
-                candidates[(i, j)] = (edge, jittered)
+                candidates[(i, j)] = (entry, jittered)
         mst = _max_spanning_tree(weights)
         tree = []
+        truncated = truncation is not None and t >= truncation
         for e_idx, (i, j) in enumerate(sorted(tuple(sorted(p)) for p in mst)):
-            edge, jittered = candidates[(i, j)]
-            if truncation is not None and t >= truncation:
-                edge.copula = IndependenceCopula()
-            else:
-                edge.copula = fit_jittered(*jittered, family_set)
-            _eval_edge(store, t, e_idx, edge)
-            tree.append(edge)
+            entry, jittered = candidates[(i, j)]
+            entry.edge.copula = IndependenceCopula() if truncated else fit_jittered(*jittered, family_set)
+            store[(t, e_idx)] = entry
+            tree.append(entry.edge)
         trees.append(tree)
         constraints = [e.constraint for e in tree]
     return trees
@@ -465,13 +444,9 @@ def fit_vine(
             name = var_names[j] if var_names else f"variable {j}"
             raise EstimationError(f"margin of {name} has no continuous mass")
         margins.append(m)
-    edges = _marginal_pseudo(margins, x)
-    if d == 1:
-        structure = VineStructure(d=1, trees=[])
-    else:
-        trees = _build_vine(edges, family_set, seed, truncation)
-        structure = VineStructure(d=d, trees=trees)
-        structure.validate()
+    edges = _edge_store(margins, [], x)
+    structure = VineStructure(d=d, trees=_build_vine(edges, family_set, seed, truncation))
+    structure.validate()
     if store is not None:
         store.update(edges)
     return VineModel(margins=margins, structure=structure, var_names=list(var_names) if var_names else None)
@@ -494,15 +469,15 @@ def vine_log_density(model: VineModel, x) -> np.ndarray:
             for j, m in enumerate(model.margins)
         )
     if model.structure.trees:
-        store = _run_edges(model, x)
+        store = _edge_store(model.margins, model.structure.trees, x)
         log_c = 0.0
         for t, tree in enumerate(model.structure.trees):
             for i, e in enumerate(tree):
-                pa, pb = _edge_input(store, t, e, e.a), _edge_input(store, t, e, e.b)
                 h = store[(t, i)]
                 h_jumps = (h[e.a], h[e.b])  # computed outside the errstate below
                 with np.errstate(divide="ignore"):
-                    log_c = log_c + np.log(gen_density(e.copula, pa, pb, h_jumps))
+                    log_c = log_c + np.log(gen_density(e.copula, h.input(e.a), h.input(e.b),
+                                                       h_jumps))
         log_f = log_f + log_c
     if np.any(~np.isfinite(log_f)):
         warnings.warn("density is zero at some evaluation points; returning -inf there")
@@ -526,7 +501,7 @@ def rosenblatt_forward(model: VineModel, x, noise) -> np.ndarray:
         raise ValueError(f"expected {model.d} columns, got {x.shape[1]}")
     if not np.isfinite(x).all():
         raise ValueError("data must be finite")
-    return rosenblatt_forward_from_fit(model, _run_edges(model, x), noise)
+    return rosenblatt_forward_from_fit(model, _edge_store(model.margins, model.structure.trees, x), noise)
 
 
 def rosenblatt_forward_from_fit(model: VineModel, store: dict, noise, rows=None) -> np.ndarray:
@@ -567,13 +542,13 @@ def rosenblatt_inverse(model: VineModel, v) -> np.ndarray:
         raise ValueError("uniform levels must lie strictly inside (0, 1)")
     trees = model.structure.trees
     x = np.empty_like(v)
-    store = _add_edges({(-1, j): {} for j in range(model.d)}, trees)
+    store = _edge_store(model.margins, trees)
     for var, chain in model._steps:
         target = v[:, var]
         for t, i in chain:
             e = trees[t][i]
             direction, other = (1, e.b) if e.a == var else (2, e.a)
-            target = hfunc_inverse(e.copula, direction, target, _edge_input(store, t, e, other))
+            target = hfunc_inverse(e.copula, direction, target, store[(t, i)].input(other))
         x[:, var] = np.asarray(model.margins[var].quantile(target))
         store[(-1, var)][var] = model.margins[var].pseudo_obs(x[:, var])
     return x

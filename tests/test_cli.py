@@ -696,13 +696,15 @@ def test_retired_correction_field_exit_code(tmp_path, capsys, field):
      (("simulate", "margins", 0, "loc"), 10**400), (("simulate", "steps_per_member"), 2**63),
      (("simulate", "margins", 1, "inflation"), -1), (("simulate", "margins", 0, "scale"), 0),
      (("simulate", "bias", "scale"), {"t": -2.0}), (("simulate", "bias", "dependence_scale"), 2.5),
-     (("simulate", "start"), "+20000-01-01")],
+     (("simulate", "start"), "+20000-01-01"), (("correction", "family_set"), []),
+     (("correction", "family_set"), {"gaussian": 1}), (("correction", "overlap_fraction"), True)],
     ids=["null_correction", "number_correction", "string_members", "negative_member",
          "member_2_32", "repeated_member", "string_steps", "boolean_workers", "seed_2_32",
          "string_tau", "nan_tau", "tau_above_1", "asymmetric_tau", "number_margins",
          "string_shift", "list_bias", "word_start", "relative_start", "string_dependence_scale",
          "tau_beyond_float", "loc_beyond_float", "steps_2_63", "negative_inflation", "zero_scale",
-         "negative_bias_scale", "tau_scaled_beyond_1", "start_year_20000"],
+         "negative_bias_scale", "tau_scaled_beyond_1", "start_year_20000", "empty_family_set",
+         "mapping_family_set", "boolean_overlap_fraction"],
 )
 def test_invalid_config_value_exit_code(tmp_path, capsys, path, value):
     cfg = json.loads(json.dumps(CONFIG))
@@ -716,6 +718,38 @@ def test_invalid_config_value_exit_code(tmp_path, capsys, path, value):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:] in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "kind, margin, bias, field",
+    [("nonnegative", {"loc": 1000.0}, {}, "simulate.margins[0]"),
+     ("interval", {"scale": 1e308}, {}, "simulate.margins[0]"),
+     ("zero_inflated", {"scale": 1e307}, {}, "simulate.margins[0]"),
+     ("interval", {"scale": 1e307}, {"scale": {"x": 10.0}}, "simulate.bias.scale.x"),
+     ("nonnegative", {"loc": 700.0}, {"shift": {"x": 10.0}}, "simulate.bias.shift.x")],
+    ids=["nonnegative_loc", "interval_scale", "zero_inflated_scale", "bias_scale", "bias_shift"],
+)
+def test_simulate_margin_with_infinite_draws_exit_code(tmp_path, capsys, kind, margin, bias,
+                                                       field):
+    cfg = {"variables": [{"name": "x", "kind": kind}],
+           "simulate": {"margins": [margin], "bias": bias, "steps_per_member": 16}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_pipeline("simulate", str(cfg_path), out_dir=str(tmp_path / "o")) == EXIT_CONFIG
+    assert f"config error: {field}: " in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_margin_near_the_float_limit_writes_finite_rows(tmp_path):
+    # exp(700 + 7.03) at the top clip level is finite
+    cfg = {"variables": [{"name": "x", "kind": "nonnegative"}],
+           "simulate": {"margins": [{"loc": 700.0}], "steps_per_member": 16}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_pipeline("simulate", str(cfg_path), out_dir=str(tmp_path / "o")) == EXIT_OK
+    table = load_table(tmp_path / "o" / "model_calibration.csv", [VariableSpec("x", "nonnegative")])
+    assert np.isfinite(table.values).all() and table.values.max() > 1e300
 
 
 # CONFIG on a quarter year of one member, so that each run takes a few
@@ -903,8 +937,7 @@ def test_invalid_correction_value_exit_code(sim_dir, tmp_path, capsys, field, va
     )
     assert status == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "config error: correction:" in err
-    assert field in err
+    assert f"config error: correction.{field}:" in err
 
 
 def test_unknown_correct_method_exit_code(sim_dir, tmp_path, capsys):

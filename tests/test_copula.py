@@ -16,7 +16,9 @@ from vinebc.copula import (
     IndependenceCopula,
     PseudoObs,
     _frank_tau,
+    _safeguarded_newton,
     copula_from_dict,
+    fit_jittered,
     fit_pair,
     gen_density,
     hfunc,
@@ -203,12 +205,29 @@ def test_fit_pair_length_mismatch_has_its_own_message():
         fit_pair(PseudoObs(u), PseudoObs(u[:50]))
 
 
-@pytest.mark.parametrize("family_set", [("gaussian", "bogus"), "gaussian"],
-                         ids=["unknown", "bare_string"])
+@pytest.mark.parametrize("family_set", [("gaussian", "bogus"), "gaussian", [], {"gaussian": 1},
+                                        [["gaussian"]]],
+                         ids=["unknown", "bare_string", "empty", "mapping", "nested_list"])
 def test_fit_pair_rejects_bad_family_set(family_set):
     u = np.random.default_rng(18).uniform(size=(100, 2))
     with pytest.raises(ValueError, match="family_set must list families among"):
         fit_pair(PseudoObs(u[:, 0]), PseudoObs(u[:, 1]), family_set=family_set)
+
+
+def test_fit_jittered_falls_back_to_independence_with_no_candidate():
+    # Clayton alone has no candidate at tau 0, and no independence test runs
+    u = np.random.default_rng(19).uniform(size=(100, 2))
+    assert isinstance(fit_jittered(u[:, 0], u[:, 1], 0.0, ("clayton",)), IndependenceCopula)
+
+
+def test_newton_step_that_overflows_bisects_without_a_warning():
+    # h(t) = t with a denormal slope: every Newton step overflows to inf
+    w = np.array([0.3, 0.5, 0.7])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = _safeguarded_newton(lambda t: (t, np.full_like(t, 1e-320)), w,
+                                np.array([0.9, 0.1, 0.2]), 0.0, 1.0)
+    assert np.abs(t - w).max() < 2.0**-34
 
 
 def test_frank_tau_inversion_consistency():

@@ -19,11 +19,17 @@ KINDS5 = ["interval", "zero_inflated", "zero_inflated", "nonnegative", "interval
 CFG = CorrectionConfig(family_set=PARAMETRIC_FAMILIES, seed=0)
 
 
-@pytest.mark.parametrize("family_set", [("gaussian", "bogus"), "gaussian"],
-                         ids=["unknown", "bare_string"])
+@pytest.mark.parametrize("family_set", [("gaussian", "bogus"), "gaussian", [], {"gaussian": 1}],
+                         ids=["unknown", "bare_string", "empty", "mapping"])
 def test_config_rejects_bad_family_set(family_set):
     with pytest.raises(ValueError, match="family_set must list families among"):
         CorrectionConfig(family_set=family_set)
+
+
+@pytest.mark.parametrize("fraction", [True, "0.5", None, 1.5, float("nan")])
+def test_config_rejects_bad_overlap_fraction(fraction):
+    with pytest.raises(ValueError, match="overlap_fraction must be a number in"):
+        CorrectionConfig(overlap_fraction=fraction)
 
 
 def test_config_stores_family_set_as_tuple():

@@ -33,6 +33,9 @@ to the atoms: -1 and 0.5 (interval), 1.25 (nonnegative) or 0 (zero-inflated).
 Joint-CDF samples have 1 to 70 rows of 1 to 5 columns, drawn from a few
 repeated values (0 among them, as an atom), floats in [-3, 3] and NaN.
 
+Points where a copula and its transpose are compared have coordinates in
+[1e-6, 1 - 1e-6] or at 0 or 1, and levels in [1e-6, 1 - 1e-6].
+
 Float64 arrays written as model-record text have 0 to 40 values of any bit
 pattern (every NaN payload, both infinities, -0.0 and the subnormals among
 them), in 1 or 2 dimensions.
@@ -412,6 +415,29 @@ def test_rotations_follow_textbook_identities(cop, points):
     for method, want in expected.items():
         np.testing.assert_allclose(getattr(cop, method)(u, v), want, rtol=0, atol=1e-12,
                                    err_msg=f"{cop!r}.{method}")
+
+
+def _transpose(cop):
+    """The copula of (V, U), whose CDF at (u, v) is cop's at (v, u)."""
+    if isinstance(cop, CheckerboardCopula):
+        return CheckerboardCopula(cop.weights.T)
+    if isinstance(cop, (ClaytonCopula, GumbelCopula)):
+        return type(cop)(cop.theta, rotation={90: 270, 270: 90}.get(cop.rotation, cop.rotation))
+    return cop  # the exchangeable families
+
+
+@PROPERTY_SETTINGS
+@given(copulas, st.lists(st.tuples(st.sampled_from((0.0, 1.0)) | unit,
+                                   st.sampled_from((0.0, 1.0)) | unit, unit),
+                         min_size=1, max_size=16))
+def test_transposing_a_copula_swaps_its_partials_bit_for_bit(cop, points):
+    u, v, w = np.array(points).T
+    t = _transpose(cop)
+    pairs = {"dv": (cop.dv(u, v), t.du(v, u)), "du": (cop.du(u, v), t.dv(v, u)),
+             "dv_inverse": (cop.dv_inverse(v, w), t.du_inverse(v, w)),
+             "du_inverse": (cop.du_inverse(u, w), t.dv_inverse(u, w))}
+    for name, (got, want) in pairs.items():
+        assert got.tobytes() == want.tobytes(), f"{cop!r}.{name}"
 
 
 @PROPERTY_SETTINGS

@@ -36,9 +36,7 @@ from vinebc.vine import (
     VineModel,
     VineStructure,
     _build_vine,
-    _edge_input,
-    _marginal_pseudo,
-    _run_edges,
+    _edge_store,
     count_structures,
     fit_vine,
     rosenblatt_forward,
@@ -199,7 +197,7 @@ def test_structure_and_pair_copulas_ignore_row_order(sample_seed):
     perm = np.random.default_rng(sample_seed).permutation(len(x))
 
     def edges(rows):
-        trees = _build_vine(_marginal_pseudo(margins, rows), PARAMETRIC_FAMILIES, 3, None)
+        trees = _build_vine(_edge_store(margins, [], rows), PARAMETRIC_FAMILIES, 3, None)
         return [[(e.a, e.b, e.cond, e.child_a, e.child_b, e.copula.to_dict()) for e in tree]
                 for tree in trees]
 
@@ -396,19 +394,19 @@ def test_log_density_reads_each_edge_from_the_edge_store(mixed_model, monkeypatc
     # the density as it was computed before the store was read: every edge's
     # generalized density evaluates its own h-jumps again
     want = sum(np.log(np.asarray(m.density(x[:, j]))) for j, m in enumerate(mixed_model.margins))
-    store = _run_edges(mixed_model, x)
+    store = _edge_store(mixed_model.margins, mixed_model.structure.trees, x)
     log_c = 0.0
     for t, tree in enumerate(mixed_model.structure.trees):
-        for e in tree:
-            log_c = log_c + np.log(gen_density(e.copula, _edge_input(store, t, e, e.a),
-                                               _edge_input(store, t, e, e.b)))
+        for i, e in enumerate(tree):
+            log_c = log_c + np.log(gen_density(e.copula, store[(t, i)].input(e.a),
+                                               store[(t, i)].input(e.b)))
     want = want + log_c
 
     calls = []
     hfunc = vinebc.copula.hfunc
     monkeypatch.setattr(vinebc.copula, "hfunc", lambda *a: calls.append(1) or hfunc(*a))
     # a walk that reads every edge output once
-    store = _run_edges(mixed_model, x)
+    store = _edge_store(mixed_model.margins, mixed_model.structure.trees, x)
     for t, tree in enumerate(mixed_model.structure.trees):
         for i, e in enumerate(tree):
             store[(t, i)][e.a], store[(t, i)][e.b]
@@ -523,19 +521,20 @@ def fit_with_store():
 
 def _walks(monkeypatch):
     """Record the row count of every edge walk of the forward transform."""
-    rows, run_edges = [], vinebc.vine._run_edges
+    rows, edge_store = [], vinebc.vine._edge_store
 
-    def counted(model, x):
-        rows.append(len(x))
-        return run_edges(model, x)
+    def counted(margins, trees, x=None):
+        if x is not None:
+            rows.append(len(x))
+        return edge_store(margins, trees, x)
 
-    monkeypatch.setattr(vinebc.vine, "_run_edges", counted)
+    monkeypatch.setattr(vinebc.vine, "_edge_store", counted)
     return rows
 
 
 def test_fit_store_is_the_edge_walk_of_the_fit_rows(fit_with_store):
     model, x_fit, store = fit_with_store
-    walked = _run_edges(model, x_fit)
+    walked = _edge_store(model.margins, model.structure.trees, x_fit)
     assert store.keys() == walked.keys()
     trees = model.structure.trees
     for (t, i), outputs in walked.items():
