@@ -4,15 +4,18 @@ Second Wasserstein distance with reference standardization (exact quantile
 formula in one dimension, exact assignment on seeded equal-size subsamples
 in higher dimensions), the improvement IW2 = W2(model, ref) - W2(corrected,
 ref), per-margin and copula-level variants, empirical joint non-exceedance
-probability (an exact dominance count through per-column ranks and packed
-bitsets), and the model-correction inconsistency (MCI).
+probability (an exact dominance count: per-column prefix bitsets of the rows
+in rank order, ANDed across columns and popcounted), and the
+model-correction inconsistency (MCI).
 
 Each assignment is warm-started: the solver is given the squared-distance
 cost minus row and column potentials taken from the Gaussian fits of the two
 samples (the Kantorovich potential of their linear Monge map, tightened by one
-c-transform pair).  Subtracting potentials adds the same constant to every
-permutation's total, so the optimal assignment is unchanged and W2 is read
-from the unshifted cost; only the solver's augmenting paths get shorter.
+c-transform pair), all subtracted in place from the one cost buffer.
+Subtracting potentials adds the same constant to every permutation's total, so
+the optimal assignment is unchanged; W2 is read from the matched pairs, with
+the bits of their unshifted costs.  Only the solver's augmenting paths get
+shorter.
 """
 from __future__ import annotations
 
@@ -32,17 +35,30 @@ MCI_THRESHOLD = 0.05
 
 
 def _w2_exact_1d(a: np.ndarray, b: np.ndarray) -> float:
+    """W2 between the quantile functions of two samples, summed over the union grid.
+
+    With n == m the two quantile grids are one grid, so the order statistics
+    pair off in turn; the grid widths are the same expression either way.  A
+    squared gap that overflows raises ``ValueError``.
+    """
     a = np.sort(a)
     b = np.sort(b)
     n, m = a.size, b.size
     qa = np.arange(1, n + 1) / n
-    qb = np.arange(1, m + 1) / m
-    edges = np.union1d(qa, qb)
-    widths = np.diff(np.concatenate(([0.0], edges)))
-    mids = np.concatenate(([0.0], edges))[:-1] + widths / 2.0
-    ia = np.searchsorted(qa, mids, side="left")
-    ib = np.searchsorted(qb, mids, side="left")
-    return float(np.sqrt(np.sum(widths * (a[ia] - b[ib]) ** 2)))
+    if n == m:
+        widths = np.diff(np.concatenate(([0.0], qa)))
+    else:
+        qb = np.arange(1, m + 1) / m
+        edges = np.union1d(qa, qb)
+        widths = np.diff(np.concatenate(([0.0], edges)))
+        mids = np.concatenate(([0.0], edges))[:-1] + widths / 2.0
+        a = a[np.searchsorted(qa, mids, side="left")]
+        b = b[np.searchsorted(qb, mids, side="left")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = np.sum(widths * (a - b) ** 2)
+    if not np.isfinite(w2):
+        raise ValueError("samples must be finite")
+    return float(np.sqrt(w2))
 
 
 def _gaussian_potential(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,21 +96,22 @@ def _w2_assignment(a: np.ndarray, b: np.ndarray) -> float:
     """Exact W2 of two equal-size samples, through a warm-started assignment.
 
     The solver sees the reduced cost C - u_i - v_j, where u is the Gaussian
-    potential followed by one c-transform pair (v = min_i C - u, then
-    u = min_j C - v), so the reduced cost is nonnegative with a zero in every
-    row and column.  Any finite potentials add the same constant to every
-    permutation's total, so the optimal assignment is that of C; W2 is read
-    from the unshifted C.
+    potential followed by one c-transform pair (the column minima v of C - u,
+    then the row minima of C - u - v), so the reduced cost is nonnegative with
+    a zero in every row and column.  All three are subtracted in place from
+    the one cost buffer.  Any finite potentials add the same constant to every
+    permutation's total, so the optimal assignment is that of C.  W2 is read
+    from the matched pairs, whose squares are added in column order as cdist
+    adds them, so each matched cost has the bits of its cell of C.
     """
-    cost = cdist(a, b, metric="sqeuclidean")
-    if not np.isfinite(cost).all():
+    reduced = cdist(a, b, metric="sqeuclidean")
+    if not np.isfinite(reduced.max()):  # every cost is >= 0, so the max alone shows inf or NaN
         raise ValueError("samples must be finite")
-    reduced = cost - _gaussian_potential(a, b)[:, None]
-    v = reduced.min(axis=0)
-    np.subtract(cost, v, out=reduced)
+    reduced -= _gaussian_potential(a, b)[:, None]
+    reduced -= reduced.min(axis=0)
     reduced -= reduced.min(axis=1)[:, None]
     rows, cols = linear_sum_assignment(reduced)
-    return float(np.sqrt(cost[rows, cols].mean()))
+    return float(np.sqrt(np.cumsum((a[rows] - b[cols]) ** 2, axis=1)[:, -1].mean()))
 
 
 def wasserstein2(a, b, standardize: bool = True, seed: int = 0) -> float:
@@ -122,14 +139,20 @@ def wasserstein2(a, b, standardize: bool = True, seed: int = 0) -> float:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("samples must be finite")
     if standardize:
-        mu = b.mean(axis=0)
-        sd = b.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu = b.mean(axis=0)
+            sd = b.std(axis=0)
+        overflow = ~(np.isfinite(mu) & np.isfinite(sd))
+        if np.any(overflow):
+            raise ValueError(f"reference coordinate {int(np.argmax(overflow))}: "
+                             "its mean or standard deviation overflows")
         zero = sd == 0.0
         if np.any(zero):
             warnings.warn("zero variance in a reference coordinate; centering only")
             sd = np.where(zero, 1.0, sd)
-        a = (a - mu) / sd
-        b = (b - mu) / sd
+        with np.errstate(over="ignore"):  # an overflow leaves inf, which the routes below reject
+            a = (a - mu) / sd
+            b = (b - mu) / sd
     d = a.shape[1]
     if d == 1:
         return _w2_exact_1d(a[:, 0], b[:, 0])
@@ -161,22 +184,37 @@ def per_margin_iw2(corrected, model, reference) -> np.ndarray:
 
 
 def empirical_randomized_pit(x, seed: int = 0) -> np.ndarray:
-    """Per-column empirical PIT with one seeded jitter across each tie block."""
+    """Per-column empirical PIT with one seeded jitter across each tie block.
+
+    A value's jump is [#{< x}, #{<= x}] / n: the start and end of its tie run
+    in the column's stable sort.  NaNs sort last and form one run.
+    """
     x = np.asarray(x, dtype=float)
     n, d = x.shape
     rng = np.random.default_rng(seed)
     u = np.empty_like(x)
     for j in range(d):
-        col = x[:, j]
-        srt = np.sort(col)
-        hi = np.searchsorted(srt, col, side="right") / n
-        lo = np.searchsorted(srt, col, side="left") / n
+        order = np.argsort(x[:, j], kind="stable")
+        srt = x[order, j]
+        new_run = srt[1:] != srt[:-1]
+        new_run[np.isnan(srt[:-1])] = False  # NaN != NaN, but a NaN is followed only by NaNs
+        cuts = np.flatnonzero(new_run) + 1
+        starts, ends = np.concatenate(([0], cuts)), np.concatenate((cuts, [n]))
+        hi, lo = np.empty(n), np.empty(n)
+        hi[order] = np.repeat(ends, ends - starts) / n
+        lo[order] = np.repeat(starts, ends - starts) / n
         u[:, j] = PseudoObs(hi, lo).randomized(rng.uniform(size=n))
     return u
 
 
 def copula_iw2(corrected, model, reference, seed: int = 0) -> float:
-    """IW2 between each sample's own empirical-PIT pseudo-observations."""
+    """IW2 between each sample's own empirical-PIT pseudo-observations.
+
+    Its two W2 calls take ``seed``, so when the sample sizes match they draw
+    the same subsamples as full-level W2 calls with the same seed, as the
+    evaluation of one unit makes them: the unit's full and copula IW2 are
+    not independent estimates.
+    """
     pit_c, pit_m, pit_r = (
         empirical_randomized_pit(np.asarray(x, float), seed=subseed(seed, Stream.PIT_JITTER, k))
         for k, x in enumerate((corrected, model, reference)))
@@ -186,11 +224,15 @@ def copula_iw2(corrected, model, reference, seed: int = 0) -> float:
 def empirical_joint_cdf(data, x):
     """Fraction of rows componentwise <= x (non-exceedance includes ties).
 
-    A dominance count by ranks and bitsets: row k lies at or below ``x[j]`` in
-    column j exactly when its rank in that column is below the number of
-    column values <= ``x[j]``.  Each column's test is packed into bitsets
-    over the rows, for a block of query points at a time; the bitsets are
-    ANDed across columns and popcounted.  The counts are integers, so the
+    A dominance count by ranks and prefix bitsets: row k lies at or below
+    ``x[j]`` in column j exactly when its rank in that column is below the
+    number of column values <= ``x[j]``.  For each column, the distinct
+    numbers t_0 < t_1 < ... that the queries give are the rows of one table,
+    whose row i is the bitset of the rows ranked below t_i: each data row's
+    bit is set in the first row whose t_i exceeds its rank, and one
+    OR-accumulate down the table completes the prefixes.  A query's bitsets
+    are ANDed across columns and popcounted.  The row words are taken in
+    blocks, so that no table exceeds 4 MB.  The counts are integers, so the
     result is exact.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
@@ -200,23 +242,34 @@ def empirical_joint_cdf(data, x):
     if xq.shape[1] != data.shape[1]:
         raise ValueError("query points must match the data dimension")
     n, d = data.shape
-    width = -(-n // 64) * 64  # rows padded to whole 64-bit words
-    dtype = np.min_scalar_type(n)
+    nq = xq.shape[0]
     order = np.argsort(data, axis=0, kind="stable")
-    ranks = np.full((d, width), n, dtype=dtype)  # a padding rank never counts
-    below = np.empty((d, xq.shape[0]), dtype=dtype)
+    word, bit = order >> 6, np.uint64(1) << (order & 63).astype(np.uint64)
+    first = np.empty((n, d), dtype=np.intp)  # the table row where each rank's bit is set
+    slot = np.empty((d, nq), dtype=np.intp)  # the table row each query reads
+    height = np.empty(d, dtype=np.intp)
     for j in range(d):
-        ranks[j, order[:, j]] = np.arange(n, dtype=dtype)
-        below[j] = np.searchsorted(data[order[:, j], j], xq[:, j], side="right")
-    below[np.isnan(xq).T] = 0  # no value is <= NaN
-    counts = np.empty(xq.shape[0], dtype=np.int64)
-    block = max(1, 2**22 // max(1, width))  # query rows per 4 MB comparison
-    for start in range(0, xq.shape[0], block):
-        q = below[:, start : start + block, None]
-        hit = np.packbits(ranks[0] < q[0], axis=1).view(np.uint64)
-        for j in range(1, d):
-            hit &= np.packbits(ranks[j] < q[j], axis=1).view(np.uint64)
-        counts[start : start + block] = np.bitwise_count(hit).sum(axis=1)
+        below = np.searchsorted(data[order[:, j], j], xq[:, j], side="right")
+        below[np.isnan(xq[:, j])] = 0  # no value is <= NaN
+        seen = np.zeros(n + 1, dtype=np.intp)
+        seen[below] = 1
+        tally = np.cumsum(seen)  # tally[r] = #{t_i <= r}
+        first[:, j], slot[j], height[j] = tally[:-1], tally[below] - 1, tally[-1]
+    words = -(-n // 64)
+    block = max(1, 2**19 // max(1, nq))  # 64-bit words per row of a 4 MB table
+    counts = np.zeros(nq, dtype=np.int64)
+    for w0 in range(0, words, block):
+        hit = np.full((nq, min(block, words - w0)), ~np.uint64(0))
+        for j in range(d):
+            rank = np.flatnonzero((word[:, j] >= w0) & (word[:, j] < w0 + block)
+                                  & (first[:, j] < height[j]))
+            table = np.zeros((height[j], hit.shape[1]), dtype=np.uint64)
+            # two rows never share a bit, so adding bits into a word ORs them
+            np.add.at(table.reshape(-1), first[rank, j] * table.shape[1] + word[rank, j] - w0,
+                      bit[rank, j])
+            np.bitwise_or.accumulate(table, axis=0, out=table)
+            hit &= table[slot[j]]
+        counts += np.bitwise_count(hit).sum(axis=1, dtype=np.int64)
     out = counts / n
     return float(out[0]) if single else out
 

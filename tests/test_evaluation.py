@@ -13,6 +13,7 @@ from vinebc.evaluation import (
     UnitMetrics,
     _gaussian_potential,
     _w2_assignment,
+    _w2_exact_1d,
     copula_iw2,
     empirical_joint_cdf,
     empirical_randomized_pit,
@@ -50,6 +51,30 @@ def test_w2_one_dim_exact_and_symmetric():
     d2 = wasserstein2(b, a, standardize=False)
     assert d1 == pytest.approx(d2, rel=1e-12)
     assert d1 == pytest.approx(1.5, abs=0.15)
+
+
+def union_grid_w2(a, b):
+    """The oracle: W2 of two quantile functions summed over the union of their grids."""
+    a, b = np.sort(a), np.sort(b)
+    qa, qb = np.arange(1, a.size + 1) / a.size, np.arange(1, b.size + 1) / b.size
+    edges = np.union1d(qa, qb)
+    widths = np.diff(np.concatenate(([0.0], edges)))
+    mids = np.concatenate(([0.0], edges))[:-1] + widths / 2.0
+    ia = np.searchsorted(qa, mids, side="left")
+    ib = np.searchsorted(qb, mids, side="left")
+    return float(np.sqrt(np.sum(widths * (a[ia] - b[ib]) ** 2)))
+
+
+def test_w2_one_dim_equal_sizes_bit_identical_to_union_grid():
+    rng = np.random.default_rng(30)
+    for n in [*range(1, 130), 365, 730, 3600, 4099, 10_007]:
+        a = rng.normal(size=n)
+        b = np.round(rng.gamma(2.0, size=n), 1)  # ties
+        b[rng.uniform(size=n) < 0.3] = 0.0  # an atom
+        assert _w2_exact_1d(a, b) == union_grid_w2(a, b), n
+    # and through wasserstein2, which standardizes both by the reference b
+    mu, sd = b.mean(), b.std()
+    assert wasserstein2(a, b) == union_grid_w2((a - mu) / sd, (b - mu) / sd)
 
 
 def test_w2_one_dim_triangle_inequality_spot_checks():
@@ -130,6 +155,16 @@ def test_w2_warm_start_optimal_cost_equals_plain_solve(d, n, shape, seed):
     assert warm == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
+def test_w2_assignment_reads_cdist_bits_at_any_dimension():
+    # numpy sums 8 or more terms pairwise, while cdist adds the squares in turn;
+    # with two rows a differing last bit of one cost shows in W2
+    rng = np.random.default_rng(31)
+    for d in (2, 7, 8, 9, 20):
+        for _ in range(50):
+            a, b = rng.normal(size=(2, d)), rng.normal(loc=0.3, size=(2, d))
+            assert _w2_assignment(a, b) == plain_w2_assignment(a, b), d
+
+
 def test_w2_rejects_non_finite_samples():
     a = np.random.default_rng(22).normal(size=(20, 2))
     for bad in (np.nan, np.inf):
@@ -155,6 +190,32 @@ def test_w2_rejects_finite_samples_whose_squared_cost_overflows():
     a = np.random.default_rng(23).normal(size=(20, 2))
     with pytest.raises(ValueError, match="finite"):
         wasserstein2(a * 1e200, -a * 1e200, standardize=False)
+
+
+def test_w2_rejects_one_dimensional_samples_whose_squared_gap_overflows():
+    # the quantile route used to return inf with only an overflow warning
+    a = np.random.default_rng(23).normal(size=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            wasserstein2(a * 1e200, -a * 1e200, standardize=False)
+        with pytest.raises(ValueError, match="finite"):
+            per_margin_iw2(a[:, None], a[:, None] * 1e200, -a[:, None] * 1e200)
+        with pytest.raises(ValueError, match="finite"):  # standardizing overflows
+            wasserstein2(np.full(5, 1e308), np.array([-1.0, 1.0, 0.5, 0.0, 0.2]))
+
+
+def test_w2_rejects_a_reference_whose_scale_overflows():
+    # both samples used to be divided by an infinite scale, which gave W2 = 0
+    a = np.random.default_rng(24).normal(size=(20, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="reference coordinate 0"):
+            wasserstein2(a * 1e200, -a * 1e200 + 1e199)
+        with pytest.raises(ValueError, match="reference coordinate 1"):
+            wasserstein2(a, a * np.array([1.0, 1e200]) - np.array([0.0, 1e199]))
+        with pytest.raises(ValueError, match="reference coordinate 0"):
+            wasserstein2(a[:, 0], -a[:, 0] * 1e200 + 1e199)
 
 
 def test_gaussian_potential_is_tight_for_a_linear_monge_map():

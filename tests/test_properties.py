@@ -518,6 +518,38 @@ def test_empirical_joint_cdf_equals_brute_force_across_query_blocks():
     assert (empirical_joint_cdf(data, x) == brute_joint_cdf(data, x)).all()
 
 
+def test_empirical_joint_cdf_equals_brute_force_across_row_word_blocks():
+    # 6,000 rows take 94 row words, and a 4 MB table with a row for each of
+    # the 6,000 queries holds 87, so every column's rows span two word blocks
+    rng = np.random.default_rng(18)
+    data = rng.normal(size=(6000, 3))
+    data[:, 1] = np.round(data[:, 1], 1)  # ties
+    data[data[:, 2] < 0.2, 2] = 0.0  # an atom
+    x = data.copy()
+    x[::97, 1] = np.nan
+    assert (empirical_joint_cdf(data, x) == brute_joint_cdf(data, x)).all()
+
+
+def searchsorted_pit(x, seed):
+    """The oracle: each column's jump from one sort and two searchsorted calls."""
+    n, d = x.shape
+    rng = np.random.default_rng(seed)
+    u = np.empty_like(x)
+    for j in range(d):
+        srt = np.sort(x[:, j])
+        hi = np.searchsorted(srt, x[:, j], side="right") / n
+        lo = np.searchsorted(srt, x[:, j], side="left") / n
+        u[:, j] = PseudoObs(hi, lo).randomized(rng.uniform(size=n))
+    return u
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 300).flatmap(lambda n: arrays(float, (n, 2), elements=joint_values)),
+       st.integers(0, 2**32 - 1))
+def test_empirical_randomized_pit_equals_searchsorted_formula(x, seed):
+    assert np.array_equal(empirical_randomized_pit(x, seed=seed), searchsorted_pit(x, seed))
+
+
 MARGIN_ATOMS = {"interval": (-1.0, 0.5), "nonnegative": (1.25,), "zero_inflated": (0.0,)}
 
 
