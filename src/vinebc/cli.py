@@ -48,7 +48,7 @@ from .evaluation import (
     wasserstein2,
 )
 from .marginal import normalize_kind
-from .synthetic import LEVEL_CLIP, BiasSpec, GroundTruth, MarginSpec, make_ensemble_table
+from .synthetic import LEVEL_CLIP, GroundTruth, MarginSpec, make_ensemble_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -584,7 +584,6 @@ def _simulate_spec(cfg: dict):
         raise ConfigError(f"simulate.tau: must be a {d}x{d} matrix")
     if not (np.all(np.abs(tau) <= 1.0) and np.array_equal(tau, tau.T)):
         raise ConfigError("simulate.tau: must be symmetric, with every entry in [-1, 1]")
-    truth = GroundTruth(margins=margins, tau=tau)
     bias_cfg = sim.get("bias", {})
     if not isinstance(bias_cfg, dict):
         raise ConfigError("simulate.bias: must be a JSON object")
@@ -600,23 +599,23 @@ def _simulate_spec(cfg: dict):
             out[names.index(k)] = _config_float(v, f"simulate.bias.{key}.{k}", rule)
         return out
 
-    bias = BiasSpec(
-        shift=named("shift", _FINITE),
-        scale=named("scale", _POSITIVE),
-        inflation=named("inflation", _SHARE),
-        dependence_scale=_config_float(bias_cfg.get("dependence_scale", 1.0),
-                                       "simulate.bias.dependence_scale"),
-    )
-    if np.any(np.abs(tau * bias.dependence_scale) > 1.0):
+    # variable index -> the bias value of each field
+    bias = {key: named(key, rule)
+            for key, rule in (("shift", _FINITE), ("scale", _POSITIVE), ("inflation", _SHARE))}
+    dependence_scale = _config_float(bias_cfg.get("dependence_scale", 1.0),
+                                     "simulate.bias.dependence_scale")
+    if np.any(np.abs(tau * dependence_scale) > 1.0):
         raise ConfigError("simulate.bias.dependence_scale: takes a tau outside [-1, 1]")
-    biased = bias.apply(truth)
-    for j, (m, b) in enumerate(zip(margins, biased.margins)):
-        fields = [f"simulate.bias.{key}.{names[j]}" for key in ("shift", "scale")
-                  if j in getattr(bias, key)]
+    biased_margins = []
+    for j, m in enumerate(margins):
+        b = MarginSpec(m.kind, m.loc + bias["shift"].get(j, 0.0),
+                       m.scale * bias["scale"].get(j, 1.0), bias["inflation"].get(j, m.inflation))
+        fields = [f"simulate.bias.{key}.{names[j]}" for key in ("shift", "scale") if j in bias[key]]
         for where, spec in ((f"simulate.margins[{j}]", m), (" and ".join(fields), b)):
             if not spec.draws_finite():
                 raise ConfigError(f"{where}: gives draws beyond the float range at levels "
                                   f"{LEVEL_CLIP:g} and 1 - {LEVEL_CLIP:g}")
+        biased_margins.append(b)
     members = sim.get("members", [1])
     if (not isinstance(members, list) or not members or not all(map(_is_int, members))
             or not all(0 <= m < SEED_PART_LIMIT for m in members)
@@ -632,7 +631,8 @@ def _simulate_spec(cfg: dict):
     if not _is_int(steps) or not 1 <= steps <= int(room) + 1:
         raise ConfigError("simulate.steps_per_member: must be a positive integer, and the "
                           "3-hourly grids from start and projection_start must end by year 9999")
-    return specs, truth, biased, members, steps, start_c, start_p
+    return (specs, GroundTruth(margins, tau), GroundTruth(biased_margins, tau * dependence_scale),
+            members, steps, start_c, start_p)
 
 
 def cmd_simulate(cfg: dict, out_dir: str) -> int:

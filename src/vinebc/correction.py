@@ -108,6 +108,14 @@ class ReferenceFit:
     mc_margins: tuple
 
 
+def _rows(name: str, x) -> np.ndarray:
+    """``x`` as a float array of rows x variables; otherwise a SchemaError naming it."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise SchemaError(f"{name} rows must be a 2-d array (rows x variables), got {x.ndim}-d")
+    return x
+
+
 def fit_reference_vine(x_rc, kinds, config: CorrectionConfig, var_names=None) -> VineModel:
     """The reference vine of ``x_rc``, seeded by ``subseed(config.seed,
     Stream.REFERENCE_VINE)``: the vine that VBC corrects against and that
@@ -125,7 +133,7 @@ def fit_reference(method: str, x_rc, x_mc, kinds, config: CorrectionConfig) -> R
     """
     if method not in ("vbc", "ubc"):
         raise ValueError(f"unknown method {method!r}")
-    x_rc, x_mc = (np.asarray(x, dtype=float) for x in (x_rc, x_mc))
+    x_rc, x_mc = _rows("reference", x_rc), _rows("calibration", x_mc)
     kinds = tuple(normalize_kind(k) for k in kinds)
     if x_rc.shape[1] != len(kinds) or x_mc.shape[1] != len(kinds):
         raise SchemaError(f"variable count mismatch: {len(kinds)} kinds, reference "
@@ -151,7 +159,7 @@ def apply_correction(x_fit, reference: ReferenceFit, config: CorrectionConfig,
     projection vine is walked once.  Returns the corrected rows, aligned with
     ``rows`` and in order.
     """
-    x_fit = np.asarray(x_fit, dtype=float)
+    x_fit = _rows("projection", x_fit)
     kinds = reference.kinds
     if x_fit.shape[1] != len(kinds):
         raise SchemaError(f"variable count mismatch: projection {x_fit.shape[1]}, "

@@ -263,11 +263,6 @@ class MixtureMarginal:
         self.continuous_mass = cont_mass
         self.kind = kind
 
-    @property
-    def degenerate_continuous(self) -> bool:
-        """True for a fully atomic margin, which has no continuous component."""
-        return self.continuous is None
-
     # -- evaluation ---------------------------------------------------------
 
     def cdf(self, x):

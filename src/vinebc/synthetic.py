@@ -1,20 +1,20 @@
 """Synthetic ensemble generator for pipeline testing.
 
-Draws from a Gaussian copula with analytic mixture margins, then applies a
-configurable bias (per-margin shift and scale, changed zero inflation,
-damped dependence) to produce matching "model" ensembles.  Used by the
-``simulate`` command to create reproducible ground-truth fixtures.
+Draws from a Gaussian copula with analytic margins (normal, lognormal or
+zero-inflated exponential) and writes the draws as a table on a 3-hourly
+grid per member.  The ``simulate`` command checks its config block and
+builds the reference and the biased "model" ground truths from it; this
+module only generates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from ._util import Stream, subseed
 from .dataset import ClimateTable
-from .errors import ConfigError
 
 # the sampler's uniform levels lie in [LEVEL_CLIP, 1 - LEVEL_CLIP]
 LEVEL_CLIP = 1e-12
@@ -22,7 +22,8 @@ LEVEL_CLIP = 1e-12
 
 @dataclass
 class MarginSpec:
-    """Analytic margin: normal, lognormal, or zero-inflated exponential."""
+    """Analytic margin of a variable kind: normal (interval), lognormal
+    (nonnegative) or zero-inflated exponential."""
 
     kind: str
     loc: float = 0.0
@@ -34,13 +35,11 @@ class MarginSpec:
             return self.loc + self.scale * stats.norm.ppf(u)
         if self.kind == "nonnegative":
             return np.exp(self.loc + self.scale * stats.norm.ppf(u))
-        if self.kind == "zero_inflated":
-            p = self.inflation
-            out = np.zeros_like(u)
-            pos = u > p
-            out[pos] = -self.scale * np.log1p(-(u[pos] - p) / (1.0 - p))
-            return out
-        raise ConfigError(f"unknown margin kind {self.kind!r}")
+        p = self.inflation
+        out = np.zeros_like(u)
+        pos = u > p
+        out[pos] = -self.scale * np.log1p(-(u[pos] - p) / (1.0 - p))
+        return out
 
     def draws_finite(self) -> bool:
         """Whether every draw is finite: the quantile, nondecreasing, is
@@ -53,13 +52,7 @@ class MarginSpec:
 @dataclass
 class GroundTruth:
     margins: list
-    tau: np.ndarray  # pairwise Kendall's tau targets
-
-    def __post_init__(self):
-        self.tau = np.asarray(self.tau, dtype=float)
-        d = len(self.margins)
-        if self.tau.shape != (d, d):
-            raise ConfigError(f"tau matrix must be {d}x{d}")
+    tau: np.ndarray  # d x d float array of pairwise Kendall's tau targets
 
     def correlation(self) -> np.ndarray:
         r = np.sin(np.pi * self.tau / 2.0)
@@ -81,44 +74,11 @@ class GroundTruth:
         return np.column_stack([m.quantile(u[:, j]) for j, m in enumerate(self.margins)])
 
 
-@dataclass
-class BiasSpec:
-    shift: dict = field(default_factory=dict)      # variable index -> additive offset
-    scale: dict = field(default_factory=dict)      # variable index -> multiplicative factor
-    inflation: dict = field(default_factory=dict)  # variable index -> new inflation share
-    dependence_scale: float = 1.0                  # tau damping factor
-
-    def apply(self, truth: GroundTruth) -> GroundTruth:
-        margins = []
-        for j, m in enumerate(truth.margins):
-            margins.append(
-                MarginSpec(
-                    kind=m.kind,
-                    loc=m.loc + float(self.shift.get(j, 0.0)),
-                    scale=m.scale * float(self.scale.get(j, 1.0)),
-                    inflation=float(self.inflation.get(j, m.inflation)),
-                )
-            )
-        return GroundTruth(margins=margins, tau=truth.tau * self.dependence_scale)
-
-
-def three_hour_grid(start: str, steps: int) -> np.ndarray:
-    t0 = np.datetime64(start, "s")
-    return t0 + np.arange(steps) * np.timedelta64(3, "h")
-
-
 def make_ensemble_table(truth: GroundTruth, variables, start: str, steps: int,
                         members, seed: int) -> ClimateTable:
-    """One table with the same timestamp grid repeated per member."""
-    grid = three_hour_grid(start, steps)
-    ts, mem, vals = [], [], []
-    for m in members:
-        ts.append(grid)
-        mem.append(np.full(steps, m, dtype=int))
-        vals.append(truth.sample(steps, seed=subseed(seed, Stream.SIMULATE_MEMBER, m)))
-    return ClimateTable(
-        variables,
-        np.concatenate(ts),
-        np.concatenate(mem),
-        np.vstack(vals),
-    )
+    """One table with the same 3-hourly timestamp grid from ``start`` repeated
+    per member; member m draws from ``subseed(seed, Stream.SIMULATE_MEMBER, m)``."""
+    grid = np.datetime64(start, "s") + np.arange(steps) * np.timedelta64(3, "h")
+    values = [truth.sample(steps, seed=subseed(seed, Stream.SIMULATE_MEMBER, m)) for m in members]
+    return ClimateTable(variables, np.tile(grid, len(members)), np.repeat(members, steps),
+                        np.vstack(values))

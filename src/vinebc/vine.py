@@ -87,7 +87,9 @@ class VineStructure:
 
     def validate(self) -> None:
         """Assert tree sizes, acyclicity, and the proximity condition."""
-        if len(self.trees) != max(self.d - 1, 0):
+        if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
+            raise ValueError(f"d must be an integer >= 1, got {self.d!r}")
+        if len(self.trees) != self.d - 1:
             raise ValueError(f"expected {self.d - 1} trees, got {len(self.trees)}")
         for t, tree in enumerate(self.trees):
             if len(tree) != self.d - 1 - t:
@@ -434,16 +436,12 @@ def fit_vine(
     if x.ndim != 2:
         raise EstimationError("data must be a 2-d array (rows x variables)")
     d = x.shape[1]
+    if d == 0:
+        raise EstimationError("data has no variables")
     kinds = [normalize_kind(k) for k in kinds]
     if len(kinds) != d:
         raise EstimationError(f"got {len(kinds)} kinds for {d} variables")
-    margins = []
-    for j in range(d):
-        m = fit_marginal(x[:, j], kinds[j])
-        if m.degenerate_continuous:
-            name = var_names[j] if var_names else f"variable {j}"
-            raise EstimationError(f"margin of {name} has no continuous mass")
-        margins.append(m)
+    margins = [fit_marginal(x[:, j], kind) for j, kind in enumerate(kinds)]
     edges = _edge_store(margins, [], x)
     structure = VineStructure(d=d, trees=_build_vine(edges, family_set, seed, truncation))
     structure.validate()

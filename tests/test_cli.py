@@ -563,6 +563,33 @@ def test_evaluate_unit_without_reference_rows_fails(sim_dir, corrected_dir, tmp_
     assert json.load(open(out / "report.json"))["corrected"]["n_units"] == 12
 
 
+def test_evaluate_skips_units_without_model_rows(sim_dir, corrected_dir, tmp_path):
+    # model and corrected tables without September to November: the SON units
+    # have no model rows, so they are no units at all, and the others
+    # evaluate as in the full tables
+    tables = {}
+    for name, path in (("model", sim_dir["sim"] / "model_projection.csv"),
+                       ("corrected", corrected_dir / "corrected_vbc.csv")):
+        header, *rows = path.read_text().splitlines()
+        kept = [r for r in rows if not 9 <= int(r[5:7]) <= 11]
+        assert 0 < len(kept) < len(rows)
+        tables[name] = tmp_path / f"{name}.csv"
+        tables[name].write_text("\n".join([header] + kept) + "\n")
+    outputs = {}
+    for key, model, corrected in (("part", tables["model"], tables["corrected"]),
+                                  ("full", sim_dir["sim"] / "model_projection.csv",
+                                   corrected_dir / "corrected_vbc.csv")):
+        outputs[key] = tmp_path / key
+        assert run_pipeline("evaluate", sim_dir["cfg"], model_path=str(model),
+                            corrected_path=str(corrected),
+                            ref_path=str(sim_dir["sim"] / "reference_projection.csv"),
+                            out_dir=str(outputs[key])) == EXIT_OK
+    assert json.load(open(outputs["part"] / "manifest_evaluate.json"))["failures"] == {}
+    assert json.load(open(outputs["part"] / "report.json"))["corrected"]["n_units"] == 12
+    full_rows = [r for r in open(outputs["full"] / "report.csv") if ",SON-" not in r]
+    assert open(outputs["part"] / "report.csv").readlines() == full_rows
+
+
 def test_evaluate_matches_rows_not_positions(sim_dir, corrected_dir, tmp_path):
     # member 2's rows first: the same rows in another order evaluate the same
     header, *rows = (corrected_dir / "corrected_vbc.csv").read_text().splitlines()
@@ -750,6 +777,54 @@ def test_simulate_margin_near_the_float_limit_writes_finite_rows(tmp_path):
     assert run_pipeline("simulate", str(cfg_path), out_dir=str(tmp_path / "o")) == EXIT_OK
     table = load_table(tmp_path / "o" / "model_calibration.csv", [VariableSpec("x", "nonnegative")])
     assert np.isfinite(table.values).all() and table.values.max() > 1e300
+
+
+def test_simulate_tau_that_needs_the_eigenvalue_repair_writes_finite_rows(tmp_path):
+    tau = np.array([[0.0, 0.9, -0.9], [0.9, 0.0, 0.9], [-0.9, 0.9, 0.0]])
+    r = np.sin(np.pi * tau / 2.0)
+    np.fill_diagonal(r, 1.0)
+    assert np.linalg.eigvalsh(r).min() < 0.0  # not a correlation matrix as it stands
+    cfg = json.loads(json.dumps(CONFIG))
+    cfg["simulate"].update(tau=tau.tolist(), steps_per_member=64)
+    cfg["simulate"]["bias"].update(scale={"d": 1.5}, dependence_scale=0.95)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert run_pipeline("simulate", str(cfg_path), out_dir=str(tmp_path / "o")) == EXIT_OK
+    for name in ("reference_calibration", "reference_projection", "model_calibration",
+                 "model_projection"):
+        table = load_table(tmp_path / "o" / f"{name}.csv", _specs())
+        assert len(table) == 64 * (1 if name.startswith("reference") else 2)
+        assert np.isfinite(table.values).all()
+
+
+def test_all_atom_variable_runs_end_to_end(tmp_path):
+    # p is zero in every row of every table: fit, both corrections and their
+    # evaluations run every unit, and p is zero in every corrected row
+    cfg = json.loads(json.dumps(CONFIG))
+    cfg["simulate"].update(members=[1])
+    cfg["simulate"]["margins"][1]["inflation"] = 1.0
+    cfg["simulate"]["bias"] = {"shift": {"t": 2.0}, "scale": {"d": 1.2}, "dependence_scale": 0.5}
+    cfg_path = str(tmp_path / "cfg.json")
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    sim = tmp_path / "sim"
+    assert run_pipeline("simulate", cfg_path, out_dir=str(sim)) == EXIT_OK
+    assert run_pipeline("fit", cfg_path, input_path=str(sim / "reference_calibration.csv"),
+                        out_dir=str(tmp_path / "models")) == EXIT_OK
+    assert len(list((tmp_path / "models").glob("model_*.json"))) == 8
+    for method in ("vbc", "ubc"):
+        out = tmp_path / method
+        assert run_pipeline("correct", cfg_path, method=method,
+                            mp_path=str(sim / "model_projection.csv"),
+                            rc_path=str(sim / "reference_calibration.csv"),
+                            mc_path=str(sim / "model_calibration.csv"),
+                            out_dir=str(out)) == EXIT_OK
+        corrected = load_table(out / f"corrected_{method}.csv", _specs())
+        assert len(corrected) == 2920 and (corrected.values[:, 1] == 0.0).all()
+        assert run_pipeline("evaluate", cfg_path, model_path=str(sim / "model_projection.csv"),
+                            corrected_path=str(out / f"corrected_{method}.csv"),
+                            ref_path=str(sim / "reference_projection.csv"),
+                            out_dir=str(out / "eval")) == EXIT_OK
+        assert json.load(open(out / "eval" / "report.json"))["corrected"]["n_units"] == 8
 
 
 # CONFIG on a quarter year of one member, so that each run takes a few

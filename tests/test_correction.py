@@ -140,6 +140,16 @@ def test_vbc_schema_mismatch_raises(truth5):
         vbc_correct(x, x[:, :4], x, KINDS5, CFG)
 
 
+@pytest.mark.parametrize("which", ["projection", "reference", "calibration"])
+@pytest.mark.parametrize("corrector", [vbc_correct, ubc_correct], ids=["vbc", "ubc"])
+def test_correctors_reject_one_dimensional_rows(corrector, which):
+    x = np.random.default_rng(44).normal(size=(200, 2))
+    rows = {"projection": x, "reference": x, "calibration": x, which: x[:, 0]}
+    with pytest.raises(SchemaError, match=f"{which} rows must be a 2-d array"):
+        corrector(rows["projection"], rows["reference"], rows["calibration"],
+                  ["interval"] * 2, CFG)
+
+
 @pytest.mark.parametrize("method, corrector", [("vbc", vbc_correct), ("ubc", ubc_correct)])
 def test_correctors_are_the_two_steps(truth5, biased5, method, corrector):
     """A corrector gives bit for bit what its two steps give by hand, and one

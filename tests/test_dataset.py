@@ -649,6 +649,27 @@ def test_extend_overlap_small_pool_takes_all_and_warns():
     assert 0 < pool_size < chunk.core_rows.size
 
 
+def test_extend_overlap_member_pool_below_quota_takes_it_all_and_warns():
+    # both members hold the 2019 winter nights, only member 1 the November and
+    # March nights: the pool exceeds the draw, but member 2's part of it is empty
+    grid = np.datetime64("2019-01-01T00:00:00") + np.arange(2920) * np.timedelta64(3, "h")
+    months = (grid.astype("datetime64[M]").astype(int) % 12) + 1
+    hours = (grid - grid.astype("datetime64[D]")).astype("timedelta64[h]").astype(int)
+    night = (hours >= 18) | (hours < 6)
+    core = np.isin(months, (12, 1, 2)) & night
+    rows = {1: np.flatnonzero(core | (np.isin(months, (11, 3)) & night)), 2: np.flatnonzero(core)}
+    rng = np.random.default_rng(8)
+    table = ClimateTable(SCHEMA5, np.concatenate([grid[r] for r in rows.values()]),
+                         np.repeat(list(rows), [r.size for r in rows.values()]),
+                         np.abs(rng.normal(size=(sum(r.size for r in rows.values()), 5))))
+    chunk = make_chunks(table)[ChunkKey("DJF", "night")]
+    assert chunk.core_rows.size == 720
+    with pytest.warns(UserWarning, match=r"member 2: pool \(0\) smaller than quota \(90\)"):
+        out = extend_overlap(chunk, table, 0.25, seed=3)
+    extra = np.setdiff1d(out.estimation_rows, chunk.core_rows)
+    assert extra.size == 90 and (table.members[extra] == 1).all()
+
+
 def _whole_pool(table, key):
     """The overlap pool ``extend_overlap`` draws for chunk ``key``: with every
     row of the table as core rows, it draws the whole pool, and each pool row

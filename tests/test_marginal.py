@@ -115,9 +115,31 @@ def test_fit_rejects_small_and_negative_samples():
 def test_fit_degenerate_all_atomic():
     x = np.zeros(100)
     m = fit_marginal(x, "zero_inflated")
-    assert m.degenerate_continuous
+    assert m.continuous is None
     assert m.continuous_mass == 0.0
     assert m.atom_masses.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind, x, atoms", [
+    # zeros, and a positive remainder of one value, which has no spread to smooth
+    ("zero_inflated", np.repeat([0.0, 2.0], [60, 40]), [(0.0, 0.6), (2.0, 0.4)]),
+    # a value seen once is below the atom rule, but it is all that is left
+    ("interval", np.append(np.full(99, 1.0), 5.0), [(1.0, 0.99), (5.0, 0.01)]),
+], ids=["zero_inflated", "interval"])
+def test_fit_constant_remainder_becomes_an_atom(kind, x, atoms):
+    m = fit_marginal(x, kind)
+    assert m.continuous is None
+    assert list(zip(m.atom_values.tolist(), m.atom_masses.tolist())) == pytest.approx(atoms)
+
+
+def test_fit_nonnegative_drops_sub_threshold_zeros_with_a_warning():
+    # 2 zeros in 300 rows are below the 1% atom share, so they stay with the
+    # continuous part, whose log-scale fit cannot take them
+    x = np.concatenate([[0.0, 0.0], np.random.default_rng(6).lognormal(size=298)])
+    with pytest.warns(UserWarning, match="dropping 2 sub-threshold zero values"):
+        m = fit_marginal(x, "nonnegative")
+    assert m.atom_values.size == 0 and m.continuous_mass == 1.0
+    assert m.cdf(0.0) == 0.0 and 0.0 < m.cdf(np.median(x)) < 1.0
 
 
 # -- evaluation ---------------------------------------------------------------

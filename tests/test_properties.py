@@ -509,8 +509,9 @@ def test_empirical_joint_cdf_equals_brute_force(sample):
     assert (empirical_joint_cdf(data, x) == brute_joint_cdf(data, x)).all()
 
 
-def test_empirical_joint_cdf_equals_brute_force_across_query_blocks():
-    # 5,003 rows: about 830 query points per 4 MB block, so 2,000 span three
+def test_empirical_joint_cdf_equals_brute_force_off_the_data_rows():
+    # 5,003 rows take 79 row words, all in one block; half of the 2,000
+    # queries are data rows, and half lie on a finer grid, between the data values
     rng = np.random.default_rng(17)
     data = np.round(rng.normal(size=(5003, 3)), 1)
     data[data[:, 1] < 0.3, 1] = 0.0

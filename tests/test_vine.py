@@ -326,10 +326,29 @@ def test_fit_vine_rejects_bad_family_set(family_set):
         fit_vine(x, ["interval"] * 2, family_set=family_set, truncation=0)
 
 
-def test_fit_vine_degenerate_margin_names_variable():
-    x = np.column_stack([np.random.default_rng(0).normal(size=100), np.zeros(100)])
-    with pytest.raises(EstimationError, match="precip"):
-        fit_vine(x, ["interval", "zero_inflated"], var_names=["temp", "precip"])
+def test_fit_vine_fits_an_all_atom_margin():
+    # precip is zero in every row: its margin is the atom alone, with the
+    # jump [0, 1], and every row the inverse transform or the sampler gives
+    # holds the atom
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(200, 2)) @ np.linalg.cholesky([[1.0, 0.6], [0.6, 1.0]]).T
+    x = np.column_stack([x[:, 0], np.zeros(200), x[:, 1]])
+    model = fit_vine(x, ["interval", "zero_inflated", "interval"],
+                     var_names=["temp", "precip", "wind"], seed=3)
+    assert model.margins[1].continuous is None
+    assert model.margins[1].atom_values.tolist() == [0.0]
+    v = rosenblatt_forward(model, x, rng.uniform(size=x.shape))
+    assert np.isfinite(v).all() and ((v >= 0.0) & (v <= 1.0)).all()
+    back = rosenblatt_inverse(model, rng.uniform(1e-9, 1.0 - 1e-9, size=(500, 3)))
+    assert np.isfinite(back).all() and (back[:, 1] == 0.0).all()
+    assert (vine_sample(model, 500, seed=4)[:, 1] == 0.0).all()
+    loaded = VineModel.from_dict(json.loads(json.dumps(model.to_dict())))
+    assert (rosenblatt_inverse(loaded, v)[:, 1] == 0.0).all()
+
+
+def test_fit_vine_rejects_data_without_variables():
+    with pytest.raises(EstimationError, match="no variables"):
+        fit_vine(np.empty((50, 0)), [])
 
 
 # -- log density ---------------------------------------------------------------------
@@ -773,6 +792,8 @@ MODEL_CORRUPTIONS = {
     "tree-1 edge with a float cond entry": lambda r: r["trees"][1][0].update(
         cond=[float(c) for c in r["trees"][1][0]["cond"]]),
     "tree-1 edge with a bool b": lambda r: r["trees"][1][0].update(b=True),
+    "record of no variables": lambda r: r.update(d=0, margins=[], trees=[]),
+    "record with a bool d": lambda r: r.update(d=True, margins=r["margins"][:1], trees=[]),
 }
 
 
@@ -802,6 +823,8 @@ def test_model_load_rejects_malformed_record(tmp_path, mixed_model, corrupt):
     ("tree-1 edge with a float a", "tree 1 names variable 0.0"),
     ("tree-1 edge with a float cond entry", "tree 1 names variable 1.0"),
     ("tree-1 edge with a bool b", "tree 1 names variable True"),
+    ("record of no variables", "d must be an integer >= 1, got 0"),
+    ("record with a bool d", "d must be an integer >= 1, got True"),
 ])
 def test_model_load_names_the_malformed_field(mixed_model, corruption, field):
     record = json.loads(json.dumps(mixed_model.to_dict()))
