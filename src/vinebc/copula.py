@@ -75,7 +75,9 @@ def _safeguarded_newton(h_and_slope, w, t, lo: float, hi: float, *args) -> np.nd
     otherwise the row bisects.  A row stops once its bracket is narrower than
     2**-34, its Newton step is below 1e-13, or a Newton step below 2**-34
     stops shrinking, which is h's rounding noise.  ``NEWTON_MAX_STEPS`` only
-    bounds the loop; the caller's residual check judges the result.
+    bounds the loop; the caller's residual check judges the result.  Its one
+    caller is ``_discrete_inverse``: every continuous conditioner has a closed
+    form.
     """
     w = np.asarray(w, dtype=float)
     t = np.clip(t, lo, hi)
@@ -126,10 +128,7 @@ class BivariateCopula:
         return self._du0(v, u)  # exchangeable families; the checkerboard has its own
 
     def _du0_inv(self, u, w):
-        """The v with _du0(u, v) = w: safeguarded Newton on the density where a
-        family has no closed form."""
-        return _safeguarded_newton(lambda v, u: (self._du0(u, v), self._pdf0(u, v)),
-                                   w, w, UNIT_EPS, 1.0 - UNIT_EPS, u)
+        raise NotImplementedError  # the v with _du0(u, v) = w, in closed form
 
     def _dv0_inv(self, v, w):
         return self._du0_inv(v, w)  # exchangeable families; the checkerboard has its own
@@ -387,6 +386,18 @@ class GumbelCopula(BivariateCopula):
         x, _, log_s = self._xy_log_s(u, v)
         a = np.exp(log_s / t)
         return np.exp(-a + (1.0 / t - 1.0) * log_s + (t - 1.0) * np.log(x)) / u
+
+    def _du0_inv(self, u, w):
+        # a = (x^t + y^t)^(1/t) solves a + (t-1) log a = x + (t-1) log x - log w,
+        # whose root is (t-1) times Wright's omega (a = x - log w at t = 1)
+        t = self.theta
+        x = -np.log(u)
+        a = x - np.log(w)
+        if t > 1.0:
+            a = (t - 1.0) * special.wrightomega(a / (t - 1.0) + np.log(x / (t - 1.0)))
+        # a >= x, but for rounding; y = a (1 - (x/a)^t)^(1/t)
+        y = a * (-np.expm1(t * np.minimum(np.log(x / a), 0.0))) ** (1.0 / t)
+        return np.exp(-y)
 
     @staticmethod
     def tau_to_param(tau: float) -> float:
@@ -749,10 +760,9 @@ def hfunc_inverse(copula: BivariateCopula, direction: int, v,
     """Invert ``hfunc`` in the (continuous) target coordinate.
 
     Rows with a continuous conditioner are solved in the family's unrotated
-    frame (``dv_inverse`` for direction 1, ``du_inverse`` for direction 2):
-    in closed form for independence, Gaussian, Clayton, Frank and the
-    checkerboard, by safeguarded Newton on the density for Gumbel.  Rows with
-    a discrete conditioner are solved by safeguarded Newton inside [0, 1].
+    frame (``dv_inverse`` for direction 1, ``du_inverse`` for direction 2),
+    in closed form for every family, with no iteration.  Rows with a discrete
+    conditioner are solved by safeguarded Newton inside [0, 1].
     Levels 0 and 1 map to 0 and 1.  A residual above 1e-4 at an interior
     level raises ``NumericsError``.
     """

@@ -108,11 +108,14 @@ class ReferenceFit:
     mc_margins: tuple
 
 
-def _rows(name: str, x) -> np.ndarray:
-    """``x`` as a float array of rows x variables; otherwise a SchemaError naming it."""
+def _rows(name: str, x, width: int) -> np.ndarray:
+    """``x`` as a float array of rows x ``width`` variables; otherwise a
+    SchemaError naming it."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise SchemaError(f"{name} rows must be a 2-d array (rows x variables), got {x.ndim}-d")
+    if x.shape[1] != width:
+        raise SchemaError(f"variable count mismatch: {name} {x.shape[1]}, kinds {width}")
     return x
 
 
@@ -133,11 +136,8 @@ def fit_reference(method: str, x_rc, x_mc, kinds, config: CorrectionConfig) -> R
     """
     if method not in ("vbc", "ubc"):
         raise ValueError(f"unknown method {method!r}")
-    x_rc, x_mc = _rows("reference", x_rc), _rows("calibration", x_mc)
     kinds = tuple(normalize_kind(k) for k in kinds)
-    if x_rc.shape[1] != len(kinds) or x_mc.shape[1] != len(kinds):
-        raise SchemaError(f"variable count mismatch: {len(kinds)} kinds, reference "
-                          f"{x_rc.shape[1]}, calibration {x_mc.shape[1]}")
+    x_rc, x_mc = _rows("reference", x_rc, len(kinds)), _rows("calibration", x_mc, len(kinds))
     if method == "vbc":
         model = fit_reference_vine(x_rc, kinds, config)
     else:
@@ -159,11 +159,8 @@ def apply_correction(x_fit, reference: ReferenceFit, config: CorrectionConfig,
     projection vine is walked once.  Returns the corrected rows, aligned with
     ``rows`` and in order.
     """
-    x_fit = _rows("projection", x_fit)
     kinds = reference.kinds
-    if x_fit.shape[1] != len(kinds):
-        raise SchemaError(f"variable count mismatch: projection {x_fit.shape[1]}, "
-                          f"reference {len(kinds)}")
+    x_fit = _rows("projection", x_fit, len(kinds))
     x_mp = x_fit if rows is None else x_fit[rows]
     if reference.method == "vbc":
         store = {}
@@ -202,6 +199,7 @@ def vbc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig) -> CorrectedS
     the calibration period and only feeds the per-variable delta mapping.
     This is ``fit_reference`` followed by ``apply_correction``.
     """
+    x_mp = _rows("projection", x_mp, len(kinds))  # before any fit
     reference = fit_reference("vbc", x_rc, x_mc, kinds, config)
     return CorrectedSet(apply_correction(x_mp, reference, config))
 
@@ -213,5 +211,6 @@ def ubc_correct(x_mp, x_rc, x_mc, kinds, config: CorrectionConfig) -> CorrectedS
     correctors share one signature.  This is ``fit_reference`` followed by
     ``apply_correction``.
     """
+    x_mp = _rows("projection", x_mp, len(kinds))  # before any fit
     reference = fit_reference("ubc", x_rc, x_mc, kinds, config)
     return CorrectedSet(apply_correction(x_mp, reference, config))

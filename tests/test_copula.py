@@ -376,8 +376,8 @@ def test_hfunc_inverse_flat_h_raises_diagnostic():
         def _du0(self, u, v):
             return np.full_like(u, 0.5)  # not a valid conditional CDF
 
-        def _pdf0(self, u, v):
-            return np.zeros_like(u)
+        def _du0_inv(self, u, w):
+            return np.asarray(w, dtype=float)  # so not its inverse either
 
     with pytest.raises(NumericsError, match="monotone"):
         hfunc_inverse(FlatH(), 1, 0.9, PseudoObs(0.4))
@@ -458,6 +458,51 @@ def test_hfunc_inverse_no_less_accurate_than_bisection(cop):
             assert np.all(np.abs(t - t_old)[steep] <= 2.0**-33)
 
 
+# the worst residual measured over every conditioner, direction and level
+# below, about half of each bound: Gaussian 8.0e-8, Clayton 6.7e-7, Gumbel
+# 9.0e-7 (theta 50, conditioner 1 - 1e-9, where h rises from 0 to 1 within a
+# few ulps of the target), Frank 4.1e-15
+EXTREME_RESIDUAL = {"gaussian": 2e-7, "clayton": 2e-6, "gumbel": 2e-6, "frank": 1e-13}
+EXTREME_COPULAS = [
+    *(GaussianCopula(r) for r in (-0.999, -0.9, 0.5, 0.9, 0.999)),
+    *(ClaytonCopula(th, rotation=r) for th in (0.1, 1.0, 5.0, 20.0, 49.0, 50.0)
+      for r in (0, 90, 180, 270)),
+    *(GumbelCopula(th, rotation=r) for th in (1.0, 1.0 + 1e-9, 1.2, 5.0, 20.0, 49.0, 50.0)
+      for r in (0, 90, 180, 270)),
+    *(FrankCopula(th) for th in (-35.0, -10.0, -1.0, 1.0, 10.0, 35.0)),
+]
+
+
+@pytest.mark.parametrize("cop", EXTREME_COPULAS, ids=repr)
+def test_hfunc_inverse_at_extreme_continuous_conditioners(cop):
+    # conditioners down to 1e-9 from either end.  The clip UNIT_EPS = 1e-12 is
+    # left out: at that conditioner, h of a strong Gaussian, Clayton or Gumbel
+    # copula already exceeds the low levels at the smallest target the clip
+    # allows (Clayton theta = 1: h = 0.25 at target 1e-12), so no target
+    # reaches them
+    v = np.linspace(0.01, 0.99, 99)
+    worst = 0.0
+    for c in (1e-9, 1e-6, 1e-3, 1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-9):
+        cond = PseudoObs(np.full(v.shape, c))
+        for direction in (1, 2):
+            t = hfunc_inverse(cop, direction, v, cond)
+            worst = max(worst, np.abs(hfunc(cop, direction, t, cond) - v).max())
+    assert worst < EXTREME_RESIDUAL[cop.family]
+
+
+def test_gumbel_inverse_at_levels_next_to_zero_and_one_is_finite_without_warning():
+    # near level 1 (level 0 in a flipped frame) rounding can leave Wright's
+    # omega root a hair below x = -log u, which must still give v = 1
+    v = np.array([1e-16, 1e-13, 1e-10, 1.0 - 1e-10, 1.0 - 1e-13, 1.0 - 2.0**-53])
+    cond = PseudoObs(np.linspace(0.05, 0.95, 19)[:, None] * np.ones_like(v))
+    for th in (1.0 + 1e-9, 1.2, 5.0, 50.0):
+        for r in (0, 90, 180, 270):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                t = hfunc_inverse(GumbelCopula(th, rotation=r), 1, v, cond)
+            assert np.all((t >= 0.0) & (t <= 1.0))
+
+
 def test_checkerboard_inverse_takes_left_end_of_flat_stretch():
     # row and column 1 hold mass only in cells 0 and 2, so with the conditioner
     # in cell 1 the h-function is flat at 1/2 for targets in [1/4, 1/2]
@@ -473,8 +518,8 @@ def test_checkerboard_inverse_takes_left_end_of_flat_stretch():
 
 
 def test_hfunc_inverse_closed_forms_call_hfunc_once(monkeypatch):
-    # with continuous conditioners every family but Gumbel solves in closed form:
-    # one hfunc call (the residual check) and no Newton iteration
+    # with continuous conditioners every family solves in closed form: one
+    # hfunc call (the residual check) and no Newton iteration
     from vinebc import copula as copula_module
 
     calls = {"hfunc": 0, "newton": 0}
@@ -494,8 +539,6 @@ def test_hfunc_inverse_closed_forms_call_hfunc_once(monkeypatch):
     cond = PseudoObs(np.linspace(0.05, 0.95, 7))
     v = np.linspace(0.1, 0.9, 7)
     for cop in ORACLE_COPULAS:
-        if isinstance(cop, GumbelCopula):
-            continue
         for direction in (1, 2):
             calls.update(hfunc=0, newton=0)
             hfunc_inverse(cop, direction, v, cond)

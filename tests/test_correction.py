@@ -150,6 +150,22 @@ def test_correctors_reject_one_dimensional_rows(corrector, which):
                   ["interval"] * 2, CFG)
 
 
+@pytest.mark.parametrize("shape", ["one_dimensional", "wrong_width"])
+@pytest.mark.parametrize("corrector", [vbc_correct, ubc_correct], ids=["vbc", "ubc"])
+def test_correctors_check_the_projection_before_any_fit(monkeypatch, corrector, shape):
+    import vinebc.correction
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the projection rows were checked")
+
+    monkeypatch.setattr(vinebc.correction, "fit_vine", no_fit)
+    monkeypatch.setattr(vinebc.correction, "fit_marginal", no_fit)
+    x = np.random.default_rng(45).normal(size=(200, 2))
+    x_mp = {"one_dimensional": x[:, 0], "wrong_width": np.column_stack([x, x[:, 0]])}[shape]
+    with pytest.raises(SchemaError, match="projection"):
+        corrector(x_mp, x, x, ["interval"] * 2, CFG)
+
+
 @pytest.mark.parametrize("method, corrector", [("vbc", vbc_correct), ("ubc", ubc_correct)])
 def test_correctors_are_the_two_steps(truth5, biased5, method, corrector):
     """A corrector gives bit for bit what its two steps give by hand, and one
