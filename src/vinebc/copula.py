@@ -343,7 +343,8 @@ class ClaytonCopula(BivariateCopula):
 
     @staticmethod
     def tau_to_param(tau: float) -> float:
-        return float(np.clip(2.0 * tau / (1.0 - tau), 1e-10, THETA_CAP_CLAYTON))
+        # two identical rankings have tau exactly 1, which the floor takes to the cap
+        return float(np.clip(2.0 * tau / max(1.0 - tau, 1e-300), 1e-10, THETA_CAP_CLAYTON))
 
 
 class GumbelCopula(BivariateCopula):
@@ -401,20 +402,15 @@ class GumbelCopula(BivariateCopula):
 
     @staticmethod
     def tau_to_param(tau: float) -> float:
-        return float(np.clip(1.0 / (1.0 - tau), 1.0, THETA_CAP_GUMBEL))
-
-
-def _debye_1(x: float) -> float:
-    if x == 0.0:
-        return 1.0
-    val, _ = integrate.quad(lambda t: t / math.expm1(t) if t > 0 else 1.0, 0.0, x, limit=200)
-    return val / x
+        # tau = 1 gives the cap, as for Clayton
+        return float(np.clip(1.0 / max(1.0 - tau, 1e-300), 1.0, THETA_CAP_GUMBEL))
 
 
 def _frank_tau(theta: float) -> float:
-    if theta == 0.0:
-        return 0.0
-    return 1.0 - 4.0 / theta * (1.0 - _debye_1(theta))
+    # 1 - 4/theta (1 - D_1(theta)), D_1 the first Debye function; theta != 0, and
+    # quad evaluates the integrand inside (0, theta) only
+    val, _ = integrate.quad(lambda t: t / math.expm1(t), 0.0, theta, limit=200)
+    return 1.0 - 4.0 / theta * (1.0 - val / theta)
 
 
 # the largest |tau| a Frank copula reaches under THETA_CAP_FRANK
@@ -871,19 +867,14 @@ def _parametric_candidates(tau: float, family_set) -> list:
         rho = GaussianCopula.tau_to_param(tau)
         if abs(rho) > 0:
             cands.append(GaussianCopula(rho))
-    one_sided = ((0, 180) if tau >= 0 else (90, 270))
-    if "clayton" in family_set and abs(tau) > 1e-6:
-        theta = ClaytonCopula.tau_to_param(abs(tau))
-        if theta >= 1e-6:
-            cands.extend(ClaytonCopula(theta, rotation=r) for r in one_sided)
-    if "gumbel" in family_set and abs(tau) > 1e-6:
-        theta = GumbelCopula.tau_to_param(abs(tau))
-        if theta > 1.0 + 1e-9:
-            cands.extend(GumbelCopula(theta, rotation=r) for r in one_sided)
-    if "frank" in family_set and abs(tau) > 1e-6:
-        theta = FrankCopula.tau_to_param(tau)
-        if theta != 0.0:
-            cands.append(FrankCopula(theta))
+    if abs(tau) > 1e-6:  # then every theta below lies inside its family's range
+        one_sided = (0, 180) if tau > 0 else (90, 270)
+        for cls in (ClaytonCopula, GumbelCopula):
+            if cls.family in family_set:
+                theta = cls.tau_to_param(abs(tau))
+                cands.extend(cls(theta, rotation=r) for r in one_sided)
+        if "frank" in family_set:
+            cands.append(FrankCopula(FrankCopula.tau_to_param(tau)))
     return cands
 
 

@@ -155,8 +155,6 @@ def _proximal(t: int, f1: Edge, f2: Edge) -> bool:
 def _max_spanning_tree(weights: np.ndarray) -> list[tuple[int, int]]:
     """Prim's algorithm maximizing total weight; -inf marks forbidden pairs."""
     n = weights.shape[0]
-    if n == 1:
-        return []
     in_tree = np.zeros(n, dtype=bool)
     in_tree[0] = True
     best = weights[0].copy()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from vinebc.copula import RHO_CAP, THETA_CAP_CLAYTON, THETA_CAP_FRANK, THETA_CAP_GUMBEL
 from vinebc.marginal import MixtureMarginal
 
 
@@ -46,6 +47,17 @@ def sample_zi_expon(n, p0=0.4, scale=1.0, seed=0) -> np.ndarray:
     x = rng.exponential(scale, size=n)
     x[rng.uniform(size=n) < p0] = 0.0
     return x
+
+
+# the parameter of each parametric pair-copula family and its largest magnitude
+PARAMETER_CAPS = {"gaussian": ("rho", RHO_CAP), "clayton": ("theta", THETA_CAP_CLAYTON),
+                  "gumbel": ("theta", THETA_CAP_GUMBEL), "frank": ("theta", THETA_CAP_FRANK)}
+
+
+def at_cap(copula) -> bool:
+    """Whether a parametric pair copula's parameter has its family's largest magnitude."""
+    name, cap = PARAMETER_CAPS[copula.family]
+    return abs(getattr(copula, name)) == cap
 
 
 def nearest_correlation(tau: np.ndarray) -> np.ndarray:

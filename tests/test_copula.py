@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import PARAMETER_CAPS, at_cap
 from vinebc.copula import (
+    DEFAULT_FAMILY_SET,
     CheckerboardCopula,
     ClaytonCopula,
     FrankCopula,
@@ -234,6 +236,25 @@ def test_frank_tau_inversion_consistency():
     theta = FrankCopula.tau_to_param(0.4)
     assert _frank_tau(theta) == pytest.approx(0.4, abs=1e-6)
     assert FrankCopula.tau_to_param(-0.4) == pytest.approx(-theta)
+    assert _frank_tau(-theta) == pytest.approx(-0.4, abs=1e-6)
+
+
+@pytest.mark.parametrize("cls", [GaussianCopula, ClaytonCopula, GumbelCopula, FrankCopula],
+                         ids=lambda cls: cls.family)
+def test_tau_inversion_at_tau_one_gives_the_cap(cls):
+    # tau-b of two identical rankings is exactly 1.0 at most sample sizes
+    assert cls.tau_to_param(1.0) == PARAMETER_CAPS[cls.family][1]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("family_set", [DEFAULT_FAMILY_SET, ("gumbel",), ("gaussian", "clayton")],
+                         ids=["default", "gumbel", "gaussian_clayton"])
+def test_fit_pair_of_one_ranking_twice_fits_a_capped_copula(family_set, sign):
+    u = np.random.default_rng(20).uniform(size=200)
+    a, b = PseudoObs(u), PseudoObs(u if sign > 0 else 1.0 - u)
+    assert jitter_pair(a, b, 0)[2] == sign
+    cop = fit_pair(a, b, family_set)
+    assert cop.family in family_set and at_cap(cop)
 
 
 def test_frank_tau_at_or_beyond_the_cap_gives_the_capped_theta():

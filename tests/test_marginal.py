@@ -120,6 +120,19 @@ def test_fit_degenerate_all_atomic():
     assert m.atom_masses.sum() == pytest.approx(1.0)
 
 
+def test_fit_of_a_spread_whose_std_underflows_takes_the_bandwidth_floor():
+    # a ptp of 8.6e-315, but np.std underflows to 0.0: the spread is floored at 1e-6
+    x = 1e-300 * (1.0 + np.arange(40) * 2.2e-16)
+    assert np.std(x) == 0.0 < np.ptp(x)
+    assert _reference_bandwidth(x) == 1.06 * 1e-6 * 40 ** -0.2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = fit_marginal(x, "interval")
+        q = m.quantile(np.array([0.1, 0.5, 0.9]))
+    assert m.continuous is not None and m.atom_values.size == 0
+    assert np.isfinite(q).all() and q[0] < q[1] < q[2]
+
+
 @pytest.mark.parametrize("kind, x, atoms", [
     # zeros, and a positive remainder of one value, which has no spread to smooth
     ("zero_inflated", np.repeat([0.0, 2.0], [60, 40]), [(0.0, 0.6), (2.0, 0.4)]),

@@ -18,6 +18,7 @@ from conftest import (
     FrozenContinuous,
     GroundTruth5,
     analytic_zi_expon,
+    at_cap,
     json_paths,
     nearest_correlation,
 )
@@ -28,7 +29,9 @@ from vinebc.copula import (
     PseudoObs,
     _frank_tau,
     gen_density,
+    kendall_tau,
 )
+from vinebc._util import decode_f8, encode_f8
 from vinebc.errors import EstimationError
 from vinebc.marginal import MixtureMarginal, fit_marginal
 from vinebc.vine import (
@@ -344,6 +347,15 @@ def test_fit_vine_fits_an_all_atom_margin():
     assert (vine_sample(model, 500, seed=4)[:, 1] == 0.0).all()
     loaded = VineModel.from_dict(json.loads(json.dumps(model.to_dict())))
     assert (rosenblatt_inverse(loaded, v)[:, 1] == 0.0).all()
+
+
+@pytest.mark.parametrize("n", [456, 3600])
+def test_fit_vine_joins_two_columns_of_one_ranking_by_a_capped_copula(n):
+    x, z = np.random.default_rng(n).normal(size=(2, n, 1))
+    assert kendall_tau(x[:, 0], 3 * x[:, 0]) == 1.0
+    model = fit_vine(np.hstack([x, 3 * x, z]), ["interval"] * 3)
+    edge = next(e for e in model.structure.trees[0] if {e.a, e.b} == {0, 1})
+    assert at_cap(edge.copula)
 
 
 def test_fit_vine_rejects_data_without_variables():
@@ -756,7 +768,37 @@ def test_model_save_load_bit_exact(tmp_path, request, fixture):
         assert "checkerboard" in families
 
 
-# corruptions of a saved d=3 model record
+def _as_d4(r):
+    """Make r, in place, a valid d=4 record: r's margins and a copy of its
+    second, joined by a D-vine 0-1-2-3 of independence copulas."""
+    def edge(a, b, cond=(), children=(None, None)):
+        return {"a": a, "b": b, "cond": list(cond), "child_a": children[0],
+                "child_b": children[1], "copula": {"family": "independence", "rotation": 0}}
+
+    r.update(d=4, var_names=None, margins=r["margins"] + [copy.deepcopy(r["margins"][1])], trees=[
+        [edge(0, 1), edge(1, 2), edge(2, 3)],
+        [edge(0, 2, [1], (0, 1)), edge(1, 3, [2], (1, 2))],
+        [edge(0, 3, [1, 2], (0, 1))]])
+    return r
+
+
+def _set_array(r, path, change):
+    """Replace the float array at ``path`` in r by ``change`` of it."""
+    *to_parent, key = path
+    parent = functools.reduce(operator.getitem, to_parent, r)
+    parent[key] = encode_f8(change(decode_f8(parent[key])))
+
+
+def _checkerboard(weights):
+    return {"family": "checkerboard", "rotation": 0, "weights": encode_f8(np.array(weights))}
+
+
+def test_d4_record_of_the_corruptions_loads(mixed_model):
+    record = _as_d4(json.loads(json.dumps(mixed_model.to_dict())))
+    assert VineModel.from_dict(record).structure.d == 4
+
+
+# corruptions of a saved d=3 model record (or of the d=4 record _as_d4 makes of it)
 MODEL_CORRUPTIONS = {
     "tree-1 edge with one child twice": lambda r: r["trees"][1][0].update(
         child_b=r["trees"][1][0]["child_a"]),
@@ -794,6 +836,34 @@ MODEL_CORRUPTIONS = {
     "tree-1 edge with a bool b": lambda r: r["trees"][1][0].update(b=True),
     "record of no variables": lambda r: r.update(d=0, margins=[], trees=[]),
     "record with a bool d": lambda r: r.update(d=True, margins=r["margins"][:1], trees=[]),
+    # the tree-0 edge is a Frank copula and the tree-1 edge a Clayton
+    "checkerboard with a negative weight": lambda r: r["trees"][0][0].update(
+        copula=_checkerboard([[0.75, -0.25], [-0.25, 0.75]])),
+    "checkerboard weights summing to 2": lambda r: r["trees"][0][0].update(
+        copula=_checkerboard([[0.5, 0.5], [0.5, 0.5]])),
+    "checkerboard weights not doubly stochastic": lambda r: r["trees"][0][0].update(
+        copula=_checkerboard([[0.5, 0.0], [0.25, 0.25]])),
+    "clayton theta 0": lambda r: r["trees"][1][0]["copula"].update(theta=0.0),
+    "gumbel theta 0.5": lambda r: r["trees"][1][0].update(
+        copula={"family": "gumbel", "rotation": 180, "theta": 0.5}),
+    "frank theta 0": lambda r: r["trees"][0][0]["copula"].update(theta=0.0),
+    "grid pdf one value short": lambda r: _set_array(
+        r, ("margins", 1, "continuous", "pdf"), lambda a: a[:-1]),
+    "grid knots decreasing": lambda r: _set_array(
+        r, ("margins", 1, "continuous", "knots"), lambda a: a[::-1]),
+    "grid pdf with a negative value": lambda r: _set_array(
+        r, ("margins", 1, "continuous", "pdf"), lambda a: np.concatenate(([-1.0], a[1:]))),
+    "grid pdf all zero": lambda r: _set_array(
+        r, ("margins", 1, "continuous", "pdf"), np.zeros_like),
+    "two atoms at 0.0": lambda r: r["margins"][0].update(atoms=[[0.0, 0.2], [0.0, 0.2]]),
+    "atom of mass 0": lambda r: r["margins"][0].update(atoms=[[0.0, 0.0]]),
+    "atom of mass 1.5": lambda r: r["margins"][0].update(atoms=[[0.0, 1.5]]),
+    "atom masses summing to 1.2": lambda r: r["margins"][0].update(
+        atoms=[[0.0, 0.6], [1.0, 0.6]]),
+    "atoms below mass 1 without continuous": lambda r: r["margins"][0].update(continuous=None),
+    "tree-1 edge whose cond is not its children's shared variable": lambda r: r["trees"][1][0].update(
+        b=1, cond=[2]),
+    "d=4 tree-1 edge its children do not span": lambda r: _as_d4(r)["trees"][1][0].update(b=3),
 }
 
 
@@ -825,6 +895,24 @@ def test_model_load_rejects_malformed_record(tmp_path, mixed_model, corrupt):
     ("tree-1 edge with a bool b", "tree 1 names variable True"),
     ("record of no variables", "d must be an integer >= 1, got 0"),
     ("record with a bool d", "d must be an integer >= 1, got True"),
+    ("checkerboard with a negative weight", "weights must be nonnegative"),
+    ("checkerboard weights summing to 2", "weights must sum to one"),
+    ("checkerboard weights not doubly stochastic", "doubly stochastic"),
+    ("clayton theta 0", r"theta must be in \(0, 50"),
+    ("gumbel theta 0.5", r"theta must be in \[1, 50"),
+    ("frank theta 0", "theta must be nonzero"),
+    ("grid pdf one value short", "equal length"),
+    ("grid knots decreasing", "strictly increasing"),
+    ("grid pdf with a negative value", "finite and nonnegative"),
+    ("grid pdf all zero", "zero total mass"),
+    ("two atoms at 0.0", "atom values must be finite and distinct"),
+    ("atom of mass 0", r"atom masses must be in \(0, 1\]"),
+    ("atom of mass 1.5", r"atom masses must be in \(0, 1\]"),
+    ("atom masses summing to 1.2", "sum to at most 1"),
+    ("atoms below mass 1 without continuous", "continuous component required"),
+    ("tree-1 edge whose cond is not its children's shared variable",
+     "children do not intersect to the conditioning set of 0,1|2"),
+    ("d=4 tree-1 edge its children do not span", "children do not span edge 0,3|1"),
 ])
 def test_model_load_names_the_malformed_field(mixed_model, corruption, field):
     record = json.loads(json.dumps(mixed_model.to_dict()))
